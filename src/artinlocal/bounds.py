@@ -93,11 +93,6 @@ def hf_admissible(hf) -> bool:
     return True
 
 
-def _lex_key(m):
-    """Sort key for the lexicographic order with x1 > x2 > ... ."""
-    return m
-
-
 def lex_segment(hf, nvars=None):
     """The lex-segment ideal with the given Hilbert function.
 
@@ -117,7 +112,8 @@ def lex_segment(hf, nvars=None):
     s = len(hf) - 1
     segments = {0: set()}
     for j in range(1, s + 2):
-        monos = sorted(monomials_of_degree(nvars, j), key=_lex_key, reverse=True)
+        # exponent tuples compare lexicographically with x1 > x2 > ...
+        monos = sorted(monomials_of_degree(nvars, j), reverse=True)
         want = len(monos) - (hf[j] if j <= s else 0)
         seg = set(monos[:want])
         # closure under multiplication by variables
@@ -133,7 +129,7 @@ def lex_segment(hf, nvars=None):
         for m in segments[j - 1]:
             for i in range(nvars):
                 grown.add(tuple(e + (1 if k == i else 0) for k, e in enumerate(m)))
-        born = sorted(segments[j] - grown, key=_lex_key, reverse=True)
+        born = sorted(segments[j] - grown, reverse=True)
         for m in born:
             gens.append(Polynomial(nvars, QQ, {m: QQ.rone}))
     return IdealPresentation(gens, nvars, QQ)

@@ -34,10 +34,10 @@ from .quotient import (
     extend_scalars,
     macaulay_echelon,
     nth_root,
-    row_space_equal,
 )
 from .scalars import Field, QQ, Scalar, adjoin_sqrt
 from .structure import (
+    certify,
     make_almost_stretched,
     normalize_almost_stretched_gorenstein,
     normalize_units,
@@ -158,6 +158,7 @@ def _refine_witness(A: ArtinAlgebra, model: IdealPresentation, P, Q, max_iter=15
     plus the four GL-tangent directions P and Q themselves, which realize
     unit rescalings and linear mixing of the images.  Residual order never
     decreases and the ring is nilpotent, so the loop terminates quickly.
+    Returns the refined witness map x1 -> P, x2 -> Q.
     """
     from .linalg import solve_dense
 
@@ -170,7 +171,7 @@ def _refine_witness(A: ArtinAlgebra, model: IdealPresentation, P, Q, max_iter=15
     for _ in range(max_iter):
         vals = [A.element(g.substitute([P.poly, Q.poly], A.D)) for g in gens]
         if all(v.is_zero() for v in vals):
-            return P, Q
+            return RingMap([P.poly, Q.poly], A.D)
         k = min(v.poly.order() for v in vals if not v.is_zero())
         jx = [A.element(g.substitute([P.poly, Q.poly], A.D)) for g in dX]
         jy = [A.element(g.substitute([P.poly, Q.poly], A.D)) for g in dY]
@@ -231,18 +232,6 @@ def _partial(g: Polynomial, i: int) -> Polynomial:
         else:
             terms[mm] = s
     return Polynomial(2, f, terms)
-
-
-def _certify(A: ArtinAlgebra, model: IdealPresentation, P, Q):
-    witness = RingMap([P.poly, Q.poly], A.D)
-    if not witness.is_invertible():
-        raise RuntimeError("witness map is not invertible")
-    transported = IdealPresentation(
-        [witness.apply(g.map_field(A.field)) for g in model.gens], 2, A.field
-    )
-    if not row_space_equal(transported, A.pres, A.D):
-        raise RuntimeError("classification witness failed certification")
-    return witness
 
 
 # ------------------------------------------------------------- classifier
@@ -309,8 +298,8 @@ def _classify_case1(ctx: _Ctx, a: Polynomial, details) -> ClassificationResult:
     P = u * delta
     Q = w * delta
     model = make_model("case1", field=A.field)
-    P, Q = _refine_witness(A, model, P, Q)
-    witness = _certify(A, model, P, Q)
+    witness = _refine_witness(A, model, P, Q)
+    certify(model, witness, A.pres, A.D, "classification")
     return ClassificationResult("case1", None, None, model, witness, A.field, details)
 
 
@@ -323,8 +312,8 @@ def _classify_case2a(ctx: _Ctx, x1e, x2e, d, details) -> ClassificationResult:
     P = x1e
     Q = vp * x2e
     model = make_model("case2a", field=A.field)
-    P, Q = _refine_witness(A, model, P, Q)
-    witness = _certify(A, model, P, Q)
+    witness = _refine_witness(A, model, P, Q)
+    certify(model, witness, A.pres, A.D, "classification")
     return ClassificationResult("case2a", None, None, model, witness, A.field, details)
 
 
@@ -335,8 +324,8 @@ def _classify_case2b1(ctx: _Ctx, x1e, x2e, d, details) -> ClassificationResult:
     P = x2e - x1e * x1e * (dbar / 2)
     Q = x1e
     model = make_model("case2b1", field=A.field)
-    P, Q = _refine_witness(A, model, P, Q)
-    witness = _certify(A, model, P, Q)
+    witness = _refine_witness(A, model, P, Q)
+    certify(model, witness, A.pres, A.D, "classification")
     return ClassificationResult("case2b1", None, None, model, witness, A.field, details)
 
 
@@ -354,8 +343,8 @@ def _classify_case2b2(ctx: _Ctx, x1e, x2e, d, details) -> ClassificationResult:
     X = x1e * e.inverse()
     Y = x2e + p_el * X * X
     model = make_model("case2b2", p=pbar, field=A.field)
-    P, Q = _refine_witness(A, model, X, Y)
-    witness = _certify(A, model, P, Q)
+    witness = _refine_witness(A, model, X, Y)
+    certify(model, witness, A.pres, A.D, "classification")
     details["pbar"] = pbar
     return ClassificationResult(
         "case2b2", pbar, pbar * pbar, model, witness, A.field, details
@@ -387,12 +376,8 @@ def classify_ideal(pres: IdealPresentation, allow_extension=False, seed=0) -> Cl
     total = core.witness.map_field(final).then(w2.map_field(final)).then(
         w1.map_field(final)
     )
-    transported = IdealPresentation(
-        [total.apply(g.map_field(final)) for g in core.model.gens], 2, final
-    )
     D = build_quotient(pres.map_field(final)).D
-    if not row_space_equal(transported, pres, D):
-        raise RuntimeError("composite classification witness failed certification")
+    certify(core.model, total, pres, D, "composite classification")
     return ClassificationResult(
         core.case, core.p, core.p_squared, core.model, total, final, core.details
     )
@@ -417,7 +402,7 @@ def contains_split_quadric(pres: IdealPresentation, max_iter=10) -> bool:
     the factorization through the filtration; independent of the main
     classification flow."""
     f = pres.field
-    table, ech = macaulay_echelon(pres, 3)
+    table, ech, _ = macaulay_echelon(pres, 3)
     quadrics = [
         (lead, row) for lead, row in ech.pivots.items() if table.deg(lead) == 2
     ]

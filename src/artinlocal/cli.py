@@ -28,8 +28,6 @@ from .quotient import (
     build_quotient,
     field_label,
     hilbert_function,
-    ideals_equal,
-    min_gens,
 )
 from .scalars import QQ, Scalar
 from .semigroups import (

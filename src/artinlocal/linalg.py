@@ -10,8 +10,8 @@ surviving into the quotient basis.
 
 from __future__ import annotations
 
-from .polynomials import Monomial, Polynomial, mono_key, mono_mul, monomials_of_degree
-from .scalars import Field, Scalar
+from .polynomials import Monomial, Polynomial, mono_mul, monomials_of_degree
+from .scalars import Field
 
 
 class MonomialTable:
@@ -31,19 +31,9 @@ class MonomialTable:
         self.nvars = nvars
         self.D = D
         self.monos = []
-        self.degree_start = []
         for d in range(D):
-            self.degree_start.append(len(self.monos))
             self.monos.extend(monomials_of_degree(nvars, d))
-        self.degree_start.append(len(self.monos))
         self.index = {m: i for i, m in enumerate(self.monos)}
-
-    def degree_range(self, d):
-        """Ranks of the degree-d monomials as a (start, stop) pair."""
-        return self.degree_start[d], self.degree_start[d + 1]
-
-    def rank_of(self, m: Monomial):
-        return self.index.get(m)
 
     def deg(self, rank: int) -> int:
         return sum(self.monos[rank])
@@ -143,139 +133,85 @@ def _rowcopy(M):
     return [list(r) for r in M]
 
 
-def rank_dense(M, field: Field) -> int:
-    M = _rowcopy(M)
-    if not M:
-        return 0
-    ncols = len(M[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next(
-            (i for i in range(rank, len(M)) if not field.riszero(M[i][col])), None
-        )
+def _rref(M, field: Field):
+    """Gauss-Jordan elimination of a copy of the raw-value rows M.
+
+    Returns (R, pivots, det): R in reduced row echelon form, pivots the
+    columns of its leading ones (row i leads in pivots[i]), and det the
+    product of the pivots met times the sign of the row swaps, which is
+    det(M) when M is square and invertible.
+    """
+    R = _rowcopy(M)
+    pivots = []
+    det = field.rone
+    for col in range(len(R[0]) if R else 0):
+        rank = len(pivots)
+        if rank == len(R):
+            break
+        piv = next((i for i in range(rank, len(R)) if not field.riszero(R[i][col])), None)
         if piv is None:
             continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = field.rinv(M[rank][col])
-        M[rank] = [field.rmul(inv, v) for v in M[rank]]
-        for i in range(len(M)):
-            if i != rank and not field.riszero(M[i][col]):
-                c = M[i][col]
-                M[i] = [field.rsub(a, field.rmul(c, b)) for a, b in zip(M[i], M[rank])]
-        rank += 1
-        if rank == len(M):
-            break
-    return rank
+        if piv != rank:
+            R[rank], R[piv] = R[piv], R[rank]
+            det = field.rneg(det)
+        det = field.rmul(det, R[rank][col])
+        inv = field.rinv(R[rank][col])
+        R[rank] = [field.rmul(inv, v) for v in R[rank]]
+        for i in range(len(R)):
+            if i != rank and not field.riszero(R[i][col]):
+                c = R[i][col]
+                R[i] = [field.rsub(a, field.rmul(c, b)) for a, b in zip(R[i], R[rank])]
+        pivots.append(col)
+    return R, pivots, det
+
+
+def rank_dense(M, field: Field) -> int:
+    return len(_rref(M, field)[1])
 
 
 def solve_dense(M, b, field: Field):
     """One solution x of M x = b (lists of raw values), or None."""
-    m = len(M)
-    if m == 0:
+    if not M:
         return []
     n = len(M[0])
-    aug = [list(M[i]) + [b[i]] for i in range(m)]
-    pivot_cols = []
-    rank = 0
-    for col in range(n):
-        piv = next(
-            (i for i in range(rank, m) if not field.riszero(aug[i][col])), None
-        )
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = field.rinv(aug[rank][col])
-        aug[rank] = [field.rmul(inv, v) for v in aug[rank]]
-        for i in range(m):
-            if i != rank and not field.riszero(aug[i][col]):
-                c = aug[i][col]
-                aug[i] = [
-                    field.rsub(a, field.rmul(c, v)) for a, v in zip(aug[i], aug[rank])
-                ]
-        pivot_cols.append(col)
-        rank += 1
-    for i in range(rank, m):
-        if not field.riszero(aug[i][n]):
-            return None
+    R, pivots, _ = _rref([list(row) + [bi] for row, bi in zip(M, b)], field)
+    if pivots and pivots[-1] == n:
+        return None
     x = [field.rzero] * n
-    for r, col in enumerate(pivot_cols):
-        x[col] = aug[r][n]
+    for row, col in zip(R, pivots):
+        x[col] = row[n]
     return x
 
 
 def nullspace_dense(M, field: Field):
     """Basis of the right kernel of M (rows = raw-value lists)."""
-    m = len(M)
-    if m == 0:
+    if not M:
         return []
     n = len(M[0])
-    A = _rowcopy(M)
-    pivot_of_col = {}
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if not field.riszero(A[i][col])), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = field.rinv(A[rank][col])
-        A[rank] = [field.rmul(inv, v) for v in A[rank]]
-        for i in range(m):
-            if i != rank and not field.riszero(A[i][col]):
-                c = A[i][col]
-                A[i] = [field.rsub(a, field.rmul(c, v)) for a, v in zip(A[i], A[rank])]
-        pivot_of_col[col] = rank
-        rank += 1
+    R, pivots, _ = _rref(M, field)
     basis = []
-    free_cols = [c for c in range(n) if c not in pivot_of_col]
-    for fc in free_cols:
+    for fc in sorted(set(range(n)) - set(pivots)):
         v = [field.rzero] * n
         v[fc] = field.rone
-        for col, r in pivot_of_col.items():
-            v[col] = field.rneg(A[r][fc])
+        for row, col in zip(R, pivots):
+            v[col] = field.rneg(row[fc])
         basis.append(v)
     return basis
 
 
 def det_dense(M, field: Field):
-    n = len(M)
-    if n == 0:
-        return field.rone
-    A = _rowcopy(M)
-    det = field.rone
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not field.riszero(A[i][col])), None)
-        if piv is None:
-            return field.rzero
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            det = field.rneg(det)
-        det = field.rmul(det, A[col][col])
-        inv = field.rinv(A[col][col])
-        for i in range(col + 1, n):
-            if not field.riszero(A[i][col]):
-                c = field.rmul(A[i][col], inv)
-                A[i] = [field.rsub(a, field.rmul(c, v)) for a, v in zip(A[i], A[col])]
-    return det
+    _, pivots, det = _rref(M, field)
+    return det if len(pivots) == len(M) else field.rzero
 
 
 def invert_dense(M, field: Field):
     n = len(M)
-    aug = [list(M[i]) + [field.rone if j == i else field.rzero for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not field.riszero(aug[i][col])), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = field.rinv(aug[col][col])
-        aug[col] = [field.rmul(inv, v) for v in aug[col]]
-        for i in range(n):
-            if i != col and not field.riszero(aug[i][col]):
-                c = aug[i][col]
-                aug[i] = [
-                    field.rsub(a, field.rmul(c, v)) for a, v in zip(aug[i], aug[col])
-                ]
-    return [r[n:] for r in aug]
+    R, pivots, _ = _rref(
+        [list(row) + [field.rone if j == i else field.rzero for j in range(n)]
+         for i, row in enumerate(M)], field)
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return [r[n:] for r in R]
 
 
 def diagonalize_symmetric(M, field: Field):

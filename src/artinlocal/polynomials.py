@@ -31,10 +31,6 @@ Monomial = tuple
 # ---------------------------------------------------------------- monomials
 
 
-def mono_deg(m: Monomial) -> int:
-    return sum(m)
-
-
 def mono_key(m: Monomial):
     """Sort key: graded, ties reverse-lex (x1 highest within a degree)."""
     return (sum(m), tuple(-e for e in reversed(m)))
@@ -84,10 +80,6 @@ class Polynomial:
     # construction helpers
 
     @classmethod
-    def zero(cls, nvars, field):
-        return cls(nvars, field)
-
-    @classmethod
     def constant(cls, c, nvars, field):
         c = field.coerce(c)
         if c.is_zero():
@@ -101,17 +93,6 @@ class Polynomial:
             raise IndexError(f"variable index {i} out of range")
         m = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, field, {m: field.rone})
-
-    @classmethod
-    def from_pairs(cls, pairs, nvars, field):
-        p = cls(nvars, field)
-        for m, c in pairs:
-            p = p + cls(nvars, field, {tuple(m): field.coerce(c).val}) \
-                if not field.coerce(c).is_zero() else p
-        return p
-
-    def clone_terms(self):
-        return dict(self.terms)
 
     # queries
 
@@ -257,12 +238,6 @@ class Polynomial:
             out = out * self
         return out
 
-    def pow_trunc(self, n: int, D) -> "Polynomial":
-        out = Polynomial.constant(1, self.nvars, self.field)
-        for _ in range(n):
-            out = out.mul_trunc(self, D)
-        return out
-
     def substitute(self, images, D) -> "Polynomial":
         """Evaluate at x_i -> images[i], truncating at degree D throughout."""
         if len(images) != self.nvars:
@@ -303,11 +278,6 @@ class Polynomial:
 # ----------------------------------------------------------------- printing
 
 
-def _coeff_str(field: Field, raw) -> str:
-    s = field.rstr(raw)
-    return s
-
-
 def poly_to_str(p: Polynomial) -> str:
     if not p.terms:
         return "0"
@@ -315,7 +285,7 @@ def poly_to_str(p: Polynomial) -> str:
     items = sorted(p.terms.items(), key=lambda kv: mono_key(kv[0]), reverse=True)
     pieces = []
     for m, c in items:
-        cs = _coeff_str(f, c)
+        cs = f.rstr(c)
         neg = cs.startswith("-")
         if neg and not cs.startswith("-("):
             cs = cs[1:]
@@ -497,10 +467,6 @@ class RingMap:
         self.field = field
         self.images = images
         self.D = D
-
-    @classmethod
-    def identity(cls, nvars, field, D):
-        return cls([Polynomial.variable(i, nvars, field) for i in range(nvars)], D)
 
     def apply(self, p: Polynomial) -> Polynomial:
         """p(images), truncated at degree D."""

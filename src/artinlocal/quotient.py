@@ -8,6 +8,25 @@ non-pivot ("standard") monomials of degree < D form a vector-space basis of
 R/(I + n^D), and once the Hilbert function vanishes strictly below D it is
 the Hilbert function of A itself.
 
+One such echelon per ideal carries every invariant (the method of Lazard,
+"Groebner bases, Gaussian elimination and resolution of systems of algebraic
+equations", 1983).  Write s for the socle degree; the build stops at a D with
+hf(s+1) = 0 and s+1 < D, so D >= s+2.
+
+* Hilbert function.  The pivot of a row is its lowest monomial, so the pivot
+  set is the set of lowest monomials of the nonzero elements of the span.
+  It does not depend on the order in which rows are inserted, and neither do
+  hf, the standard basis or any normal form.
+* v(I) = dim I/nI.  The rows with a multiplier of degree >= 1 span
+  (nI + n^D)/n^D; they go in first, and the rank the generators then add is
+  dim (I + n^D)/(nI + n^D).  Since hf(s+1) = 0, Nakayama gives
+  n^(s+1) <= I, so n^D <= n * n^(s+1) <= nI and that rank is dim I/nI.
+* Leading forms.  For j < D, the rows whose pivot has degree j have all
+  their terms in degree >= j; their degree-j parts are leading forms of
+  elements of I, they are triangular in their pivots, and there are
+  C(h-1+j, j) - hf(j) = dim I*_j of them, so they are a basis of I*_j.
+  For j >= s+1, n^j <= I gives I*_j = all forms of degree j.
+
 All downstream invariants (socle, Cohen-Macaulay type, minimal generator
 counts, leading-form ideals, Hensel root lifting) are driven by this basis.
 """
@@ -17,11 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    FieldExtensionRequired,
-    NotArtinian,
-    ResidueNotPower,
-)
+from .errors import NotArtinian, ResidueNotPower
 from .linalg import (
     MonomialTable,
     SparseEchelon,
@@ -33,7 +48,6 @@ from .linalg import (
 )
 from .polynomials import (
     Polynomial,
-    RingMap,
     mono_key,
     monomials_of_degree,
     parse_poly,
@@ -76,11 +90,6 @@ class IdealPresentation:
         return cls([parse_poly(t, nvars, field) for t in texts], nvars, field)
 
     @property
-    def in_square(self) -> bool:
-        """True when every generator lies in n^2."""
-        return all(g.order() >= 2 for g in self.gens)
-
-    @property
     def max_degree(self) -> int:
         return max(g.degree() for g in self.gens)
 
@@ -93,33 +102,41 @@ class IdealPresentation:
         return f"IdealPresentation({', '.join(repr(g) for g in self.gens)})"
 
 
-def macaulay_echelon(pres: IdealPresentation, D: int, min_mult_degree: int = 0):
-    """Echelonized span of {m*g : deg(m)+ord(g) < D, deg(m) >= min_mult_degree}."""
+def macaulay_echelon(pres: IdealPresentation, D: int):
+    """Echelonized span of {m*g : deg(m)+ord(g) < D}, with the rank v the
+    generators add on top of the rows of nI (deg(m) >= 1), which go in first.
+
+    Returns (table, ech, v); v = dim I/nI whenever n^D <= nI.
+    """
     table = MonomialTable(pres.nvars, D)
     ech = SparseEchelon(pres.field)
+    gen_rows = []
     for g in pres.gens:
         terms = list(g.truncate(D).terms.items())
         if not terms:
             continue
         o = min(sum(m) for m, _ in terms)
-        for d in range(min_mult_degree, D - o):
+        gen_rows.append(row_from_poly(g, table))
+        for d in range(1, D - o):
             for mult in monomials_of_degree(pres.nvars, d):
                 row = shifted_row(terms, mult, table)
                 if row:
                     ech.add(row)
-    return table, ech
+    v = sum(1 for row in gen_rows if ech.add(row))
+    return table, ech, v
 
 
 class ArtinAlgebra:
     """A finite-dimensional local quotient with a fixed monomial basis."""
 
-    def __init__(self, pres: IdealPresentation, D: int, table, ech, hf):
+    def __init__(self, pres: IdealPresentation, D: int, table, ech, v, hf):
         self.pres = pres
         self.nvars = pres.nvars
         self.field = pres.field
         self.D = D
         self.table = table
         self.ech = ech
+        self.v = v
         self.hf = tuple(hf)
         self.socle_degree = len(hf) - 1
         self.std = [
@@ -141,9 +158,6 @@ class ArtinAlgebra:
     @property
     def multiplicity(self) -> int:
         return self.length
-
-    def standard_monomials(self):
-        return [self.table.monos[r] for r in self.std]
 
     # ----- normal forms and coordinates
 
@@ -254,12 +268,6 @@ class ArtinAlgebra:
         row = {i: c for i, c in enumerate(coords) if not self.field.riszero(c)}
         return self.power_echelon(j).contains(row)
 
-    def power_min_gens(self, j) -> int:
-        """Number of minimal generators of m^j; equals H_A(j)."""
-        if j == 0:
-            return 1
-        return self.hf[j] if j < len(self.hf) else 0
-
 
 class AlgebraElement:
     """An element of an ArtinAlgebra, stored as its canonical normal form."""
@@ -355,26 +363,25 @@ class AlgebraElement:
 # ------------------------------------------------------------- construction
 
 
-def build_quotient(pres: IdealPresentation, D=None, D_max=D_MAX) -> ArtinAlgebra:
+def build_quotient(pres: IdealPresentation, D=None) -> ArtinAlgebra:
     """Build the Artinian quotient, doubling the truncation degree until the
-    Hilbert function vanishes strictly below it (NotArtinian past D_max)."""
-    D0 = D if D is not None else max(D_START_FLOOR, pres.max_degree + 2)
-    D0 = min(D0, D_max)
-    Dcur = D0
+    Hilbert function vanishes strictly below it (NotArtinian past D_MAX)."""
+    Dcur = min(D if D is not None else max(D_START_FLOOR, pres.max_degree + 2),
+               D_MAX)
     while True:
-        table, ech = macaulay_echelon(pres, Dcur)
+        table, ech, v = macaulay_echelon(pres, Dcur)
         hf = [0] * Dcur
         for i in range(len(table.monos)):
             if i not in ech.pivots:
                 hf[table.deg(i)] += 1
         zero_at = next((j for j in range(Dcur) if hf[j] == 0), None)
         if zero_at is not None:
-            return ArtinAlgebra(pres, Dcur, table, ech, hf[:zero_at])
-        if Dcur >= D_max:
+            return ArtinAlgebra(pres, Dcur, table, ech, v, hf[:zero_at])
+        if Dcur >= D_MAX:
             raise NotArtinian(
-                f"Hilbert function did not vanish below truncation {D_max}"
+                f"Hilbert function did not vanish below truncation {D_MAX}"
             )
-        Dcur = min(2 * Dcur, D_max)
+        Dcur = min(2 * Dcur, D_MAX)
 
 
 def hilbert_function(pres: IdealPresentation, **kw):
@@ -384,34 +391,14 @@ def hilbert_function(pres: IdealPresentation, **kw):
 # -------------------------------------------------- minimal generator count
 
 
-def min_gens(pres: IdealPresentation, D=None, check_stability=False) -> int:
-    """dim I/nI, computed as a Macaulay-matrix rank difference.
+def min_gens(pres: IdealPresentation, algebra=None) -> int:
+    """v(I) = dim I/nI, read off the quotient's echelon.
 
-    Valid at any truncation degree D with n^D contained in nI; D defaulting
-    to the build truncation (>= socle degree + 2) is always enough.
+    It is the rank the generators add on top of the rows of nI; the build
+    truncation D >= s+2 has n^D <= n * n^(s+1) <= nI, so nothing is lost.
     """
-    if D is None:
-        D = build_quotient(pres).D
-    table = MonomialTable(pres.nvars, D)
-    ech = SparseEchelon(pres.field)
-    gen_rows = []
-    for g in pres.gens:
-        terms = list(g.truncate(D).terms.items())
-        if not terms:
-            continue
-        o = min(sum(m) for m, _ in terms)
-        gen_rows.append(shifted_row(terms, (0,) * pres.nvars, table))
-        for d in range(1, D - o):
-            for mult in monomials_of_degree(pres.nvars, d):
-                row = shifted_row(terms, mult, table)
-                if row:
-                    ech.add(row)
-    v = sum(1 for row in gen_rows if ech.add(row))
-    if check_stability:
-        v2 = min_gens(pres, D=D + 1, check_stability=False)
-        if v2 != v:
-            raise RuntimeError(f"min_gens unstable: {v} at D={D}, {v2} at D={D + 1}")
-    return v
+    A = algebra if algebra is not None else build_quotient(pres)
+    return A.v
 
 
 # ---------------------------------------------------------- leading forms
@@ -428,32 +415,44 @@ class LeadingFormData:
 
 
 def leading_forms(pres: IdealPresentation, algebra=None) -> LeadingFormData:
-    """The ideal of lowest-degree forms of I, with its minimal generator count."""
+    """The ideal I* of lowest-degree forms of I, with its minimal generator
+    count, read off the quotient's echelon.
+
+    For j <= s the basis of I*_j is the degree-j parts of the echelon rows
+    whose pivot has degree j: the pivot is a row's lowest monomial, so these
+    are leading forms of elements of I, triangular in their pivots, and
+    there are dim I*_j of them because j < D.  For j = s+1, s+2 the basis is
+    every monomial of degree j, as n^(s+1) <= I.  Generators born in degree
+    j are those of I*_j outside n * I*_(j-1); none are born past s+1.
+    """
     A = algebra if algebra is not None else build_quotient(pres)
-    f = pres.field
-    s = A.socle_degree
-    dims, new_gens, bases = {}, {}, {}
+    f, h, s, tab = A.field, A.nvars, A.socle_degree, A.table
+    bases = {j: [] for j in range(1, s + 1)}
+    for lead in sorted(A.ech.pivots):
+        j = tab.deg(lead)
+        if j <= s:
+            row = A.ech.pivots[lead]
+            bases[j].append(Polynomial(
+                h, f, {tab.monos[r]: c for r, c in row.items() if tab.deg(r) == j}))
+    for j in (s + 1, s + 2):
+        bases[j] = [Polynomial(h, f, {m: f.rone}) for m in monomials_of_degree(h, j)]
+    table = MonomialTable(h, s + 3)
+    variables = [tuple(int(k == i) for k in range(h)) for i in range(h)]
+    dims, new_gens = {}, {}
     prev_basis = []
     v_star = 0
     for j in range(1, s + 3):
-        table, ech = macaulay_echelon(pres, j + 1)
-        basis = []
-        for lead, row in ech.pivots.items():
-            if table.deg(lead) == j:
-                basis.append(poly_from_row(row, table, f, pres.nvars))
-        basis.sort(key=lambda p: min(mono_key(m) for m in p.terms))
+        basis = bases[j]
         shifted = SparseEchelon(f)
         grown = 0
         for b in prev_basis:
-            for i in range(pres.nvars):
-                q = Polynomial.variable(i, pres.nvars, f) * b
-                row = row_from_poly(q, table)
-                if row and shifted.add(row):
+            terms = list(b.terms.items())
+            for x in variables:
+                if shifted.add(shifted_row(terms, x, table)):
                     grown += 1
         born = len(basis) - grown
         dims[j] = len(basis)
         new_gens[j] = born
-        bases[j] = basis
         v_star += born
         prev_basis = basis
         if j > s + 1 and born:
@@ -516,8 +515,8 @@ def nth_root(A: ArtinAlgebra, a, n: int, allow_extension=False) -> AlgebraElemen
 def row_space_equal(p1: IdealPresentation, p2: IdealPresentation, D: int) -> bool:
     """Do the two ideals agree modulo n^D?"""
     f = common_field(p1.field, p2.field)
-    _, e1 = macaulay_echelon(p1.map_field(f), D)
-    _, e2 = macaulay_echelon(p2.map_field(f), D)
+    _, e1, _ = macaulay_echelon(p1.map_field(f), D)
+    _, e2, _ = macaulay_echelon(p2.map_field(f), D)
     return same_row_space(e1, e2)
 
 
@@ -535,9 +534,9 @@ def field_label(field: Field) -> str:
     return repr(field)
 
 
-def algebra_report(A: ArtinAlgebra, include_v=True) -> dict:
+def algebra_report(A: ArtinAlgebra) -> dict:
     """JSON-ready summary with a stable field order."""
-    report = {
+    return {
         "schema": 1,
         "nvars": A.nvars,
         "field": field_label(A.field),
@@ -551,7 +550,5 @@ def algebra_report(A: ArtinAlgebra, include_v=True) -> dict:
         "gorenstein": A.gorenstein,
         "stretched": A.is_stretched(),
         "almost_stretched": A.is_almost_stretched(),
+        "min_gens": min_gens(A.pres, algebra=A),
     }
-    if include_v:
-        report["min_gens"] = min_gens(A.pres, D=A.D)
-    return report

@@ -23,24 +23,26 @@ from .errors import FieldExtensionRequired, FieldMismatch
 MAX_TOWER_DEPTH = 2
 
 
-def _isqrt_exact(n: int):
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
 def _int_nth_root(n: int, k: int):
-    """Exact k-th root of a nonnegative integer, or None."""
+    """Exact k-th root of a nonnegative integer, or None.
+
+    Integer Newton iteration from 2^ceil(bits/k) >= n^(1/k) decreases
+    strictly until it reaches floor(n^(1/k)); no floating point is involved.
+    """
     if n < 0:
         return None
-    if n in (0, 1):
+    if n < 2:
         return n
-    r = round(n ** (1.0 / k))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c ** k == n:
-            return c
-    return None
+    if k == 2:
+        r = math.isqrt(n)
+    else:
+        r = 1 << -(-n.bit_length() // k)
+        while True:
+            nxt = ((k - 1) * r + n // r ** (k - 1)) // k
+            if nxt >= r:
+                break
+            r = nxt
+    return r if r ** k == n else None
 
 
 class Field:
@@ -127,8 +129,8 @@ class RationalField(Field):
     def rsqrt(self, a):
         if a < 0:
             return None
-        p = _isqrt_exact(a.numerator)
-        q = _isqrt_exact(a.denominator)
+        p = _int_nth_root(a.numerator, 2)
+        q = _int_nth_root(a.denominator, 2)
         if p is None or q is None:
             return None
         return Fraction(p, q)

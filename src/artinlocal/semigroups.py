@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import GcdNotOne, NonMinimalGenerators

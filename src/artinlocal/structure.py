@@ -310,6 +310,28 @@ def recover_almost_stretched_params(pres: IdealPresentation) -> AlmostStretchedP
     return AlmostStretchedParams(h, t, s, a, w, units)
 
 
+# ------------------------------------------------------------ certificates
+
+
+def certify(model: IdealPresentation, witness: RingMap, pres: IdealPresentation,
+            D: int, what: str):
+    """Raise unless the witness is an automorphism carrying the model ideal
+    onto the ideal of pres modulo n^D.
+
+    The linear part must be invertible; the generator images and pres are
+    then compared as truncated row spaces, which proves equality of the
+    ideals once n^D lies in both.
+    """
+    if not witness.is_invertible():
+        raise RuntimeError(f"{what} witness is not invertible")
+    f = witness.field
+    transported = IdealPresentation(
+        [witness.apply(g.map_field(f)) for g in model.gens], model.nvars, f
+    )
+    if not row_space_equal(transported, pres, D):
+        raise RuntimeError(f"{what} failed certification")
+
+
 # ----------------------------------------------------------- unit rescaling
 
 
@@ -351,11 +373,7 @@ def rescale_stretched_units(pres: IdealPresentation, allow_extension=False):
             scale = field.coerce(roots[i - params.tau]).inverse()
         images.append(Polynomial.variable(i, h, field).scale(scale))
     witness = RingMap(images, params.s + 2)
-    transported = IdealPresentation(
-        [witness.apply(g) for g in new_pres.gens], h, field
-    )
-    if not row_space_equal(transported, pres, params.s + 2):
-        raise RuntimeError("unit rescaling failed certification")
+    certify(new_pres, witness, pres, params.s + 2, "unit rescaling")
     return new_pres, witness
 
 
@@ -398,11 +416,7 @@ def normalize_units(pres: IdealPresentation, allow_extension=False):
             Polynomial.variable(2 + k, h, field).scale(field.coerce(r).inverse())
         )
     witness = RingMap(images, s + 2)
-    transported = IdealPresentation(
-        [witness.apply(g) for g in new_pres.gens], h, field
-    )
-    if not row_space_equal(transported, pres, s + 2):
-        raise RuntimeError("unit normalization failed certification")
+    certify(new_pres, witness, pres, s + 2, "unit normalization")
     return new_pres, witness
 
 
@@ -410,7 +424,6 @@ def normalize_units(pres: IdealPresentation, allow_extension=False):
 
 
 def _linear_row(el: AlgebraElement):
-    f = el.algebra.field
     return {
         i: c.val for i, c in enumerate(el.poly.linear_coeffs()) if not c.is_zero()
     }
@@ -542,6 +555,30 @@ def _socle_ratio(A: ArtinAlgebra, prod: AlgebraElement, base: AlgebraElement):
 # -------------------------------------------------------------- normalizers
 
 
+def _diagonalize_units(A: ArtinAlgebra, zs, base: AlgebraElement):
+    """Diagonalize the unit form z_i * z_j = U_ij * base by a congruence.
+
+    Returns the transformed elements and the diagonal units, which must
+    all be nonzero.
+    """
+    f = A.field
+    n = len(zs)
+    U = [[_socle_ratio(A, zs[i] * zs[j], base).val for j in range(n)]
+         for i in range(n)]
+    P, diag = diagonalize_symmetric(U, f)
+    new_zs = []
+    for i in range(n):
+        w = A.element(0)
+        for k in range(n):
+            if not f.riszero(P[k][i]):
+                w = w + zs[k] * Scalar(f, P[k][i])
+        new_zs.append(w)
+    units = tuple(Scalar(f, d) for d in diag)
+    if any(u.is_zero() for u in units):
+        raise RuntimeError("degenerate square unit in the unit form")
+    return new_zs, units
+
+
 def _complete_basis(A: ArtinAlgebra, fixed, rng, count):
     """Extend the linear parts of `fixed` to a basis of m/m^2, preferring
     coordinate variables; returns the new elements."""
@@ -591,31 +628,11 @@ def normalize_stretched(A: ArtinAlgebra, seed=0):
         zs[k] = z - x1 * sol[0]
     units = ()
     if tau < h:
-        base = x1 ** s
-        n = len(zs)
-        U = [[_socle_ratio(A, zs[i] * zs[j], base).val for j in range(n)]
-             for i in range(n)]
-        P, diag = diagonalize_symmetric(U, A.field)
-        new_zs = []
-        for i in range(n):
-            w = A.element(0)
-            for k in range(n):
-                if not A.field.riszero(P[k][i]):
-                    w = w + zs[k] * Scalar(A.field, P[k][i])
-            new_zs.append(w)
-        zs = new_zs
-        units = tuple(Scalar(A.field, d) for d in diag)
-        if any(u.is_zero() for u in units):
-            raise RuntimeError("degenerate square unit in stretched normal form")
+        zs, units = _diagonalize_units(A, zs, x1 ** s)
     params = StretchedParams(h, s, tau, units)
     images = [x1.poly] + [y.poly for y in ys] + [z.poly for z in zs]
     witness = RingMap(images, A.D)
-    model = make_stretched(params)
-    transported = IdealPresentation(
-        [witness.apply(g) for g in model.gens], h, A.field
-    )
-    if not row_space_equal(transported, A.pres, A.D):
-        raise RuntimeError("stretched normalization failed certification")
+    certify(make_stretched(params), witness, A.pres, A.D, "stretched normalization")
     return params, witness
 
 
@@ -647,21 +664,7 @@ def normalize_almost_stretched_gorenstein(A: ArtinAlgebra, seed=0):
     units = ()
     if h > 2:
         base = x1 ** s
-        n = len(zs)
-        U = [[_socle_ratio(A, zs[i] * zs[j], base).val for j in range(n)]
-             for i in range(n)]
-        P, diag = diagonalize_symmetric(U, A.field)
-        new_zs = []
-        for i in range(n):
-            w = A.element(0)
-            for k in range(n):
-                if not A.field.riszero(P[k][i]):
-                    w = w + zs[k] * Scalar(A.field, P[k][i])
-            new_zs.append(w)
-        zs = new_zs
-        units = tuple(Scalar(A.field, d) for d in diag)
-        if any(u.is_zero() for u in units):
-            raise RuntimeError("degenerate square unit")
+        zs, units = _diagonalize_units(A, zs, base)
         # make x2 orthogonal to the z's
         for k, z in enumerate(zs):
             akj = _socle_ratio(A, x2 * z, base)
@@ -710,12 +713,8 @@ def normalize_almost_stretched_gorenstein(A: ArtinAlgebra, seed=0):
     params = AlmostStretchedParams(h, t, s, a_poly, w, units)
     images = [x1.poly, x2.poly] + [z.poly for z in zs]
     witness = RingMap(images, A.D)
-    model = make_almost_stretched(params)
-    transported = IdealPresentation(
-        [witness.apply(g) for g in model.gens], h, A.field
-    )
-    if not row_space_equal(transported, A.pres, A.D):
-        raise RuntimeError("almost-stretched normalization failed certification")
+    certify(make_almost_stretched(params), witness, A.pres, A.D,
+            "almost-stretched normalization")
     return params, witness
 
 

@@ -83,3 +83,19 @@ def test_nth_root_fourth_power():
     a = q(16)
     r = a.nth_root(4)
     assert (r * r * r * r - a).is_zero()
+
+
+@pytest.mark.parametrize("base,k", [
+    (10 ** 20 + 1, 3),
+    (3 ** 233, 3),
+    (2 ** 300 - 1, 2),
+    (12345678901234567890123, 5),
+    (7 ** 50, 8),
+])
+def test_nth_root_of_large_powers_is_exact(base, k):
+    assert QQ.scalar(base ** k).nth_root(k) == q(base)
+    assert QQ.scalar(Fraction(base ** k, 5 ** k)).nth_root(k) == q(Fraction(base, 5))
+    assert QQ.scalar(base ** k + 1).nth_root(k) is None
+    assert QQ.scalar(base ** k - 1).nth_root(k) is None
+    if k % 2:
+        assert QQ.scalar(-base ** k).nth_root(k) == q(-base)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from artinlocal.errors import FieldExtensionRequired, NotStretched
-from artinlocal.polynomials import parse_poly, random_invertible_map
+from artinlocal.polynomials import RingMap, parse_poly, random_invertible_map
 from artinlocal.quotient import (
     IdealPresentation,
     build_quotient,
@@ -17,6 +17,7 @@ from artinlocal.scalars import QQ, Scalar
 from artinlocal.structure import (
     AlmostStretchedParams,
     StretchedParams,
+    certify,
     make_1321_models,
     make_almost_stretched,
     make_stretched,
@@ -134,3 +135,18 @@ def test_1321_models():
         assert A.hf == (1, 3, 2, 1)
         assert A.cm_type == 1
         assert min_gens(pres) == 5
+
+
+def test_certify_accepts_the_identity_and_rejects_wrong_witnesses():
+    pres = make_stretched(StretchedParams(2, 3, 2))  # (x1*x2, x2^2, x1^4)
+    D = build_quotient(pres).D
+
+    def images(*texts):
+        return RingMap([parse_poly(t, 2, QQ) for t in texts], D)
+
+    certify(pres, images("x1", "x2"), pres, D, "identity")
+    certify(pres, images("x1 + x2", "2*x2 + x1^4"), pres, D, "automorphism")
+    with pytest.raises(RuntimeError, match="failed certification"):
+        certify(pres, images("x2", "x1"), pres, D, "swap")
+    with pytest.raises(RuntimeError, match="not invertible"):
+        certify(pres, images("x1", "x1 + x2^2"), pres, D, "singular")
