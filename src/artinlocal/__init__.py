@@ -9,6 +9,7 @@ quadratic extensions.
 """
 
 from .errors import (
+    CertificationFailed,
     FieldExtensionRequired,
     FieldMismatch,
     GcdNotOne,

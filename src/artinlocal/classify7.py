@@ -12,7 +12,8 @@ and within case2b2 the residue p^2 is a complete isomorphism invariant.
 The classifier starts from the canonical quadratic relation coefficient
 a(x1, x2) (see structure.normalize_units), decides the case from residues of
 derived elements, assembles the witness coordinate change following the
-case analysis, and certifies it by a truncated row-space comparison.
+case analysis, and certifies it by containment in the algebra's own
+echelon plus equal colength (structure.certify).
 Square roots that do not exist in the current field are adjoined when
 allow_extension is set (within the tower depth cap).
 """
@@ -21,10 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import (
-    FieldExtensionRequired,
-    WrongHilbertFunction,
-)
+from .errors import WrongHilbertFunction
+from .linalg import solve_dense
 from .polynomials import Polynomial, RingMap, monomials_of_degree, parse_poly
 from .quotient import (
     AlgebraElement,
@@ -37,6 +36,7 @@ from .quotient import (
 )
 from .scalars import Field, QQ, Scalar, adjoin_sqrt
 from .structure import (
+    _sqrt_growing,
     certify,
     make_almost_stretched,
     normalize_almost_stretched_gorenstein,
@@ -113,8 +113,8 @@ def _split_by_vars(a: Polynomial):
 class _Ctx:
     """Mutable classification state: an algebra that may get field-extended."""
 
-    def __init__(self, pres: IdealPresentation, D: int, allow_extension: bool):
-        self.A = build_quotient(pres, D=D)
+    def __init__(self, pres: IdealPresentation, allow_extension: bool):
+        self.A = build_quotient(pres, D=len(TARGET_HF) + 1)
         self.allow_extension = allow_extension
 
     @property
@@ -130,15 +130,10 @@ class _Ctx:
         return self.A.element(el.poly.map_field(self.field))
 
     def sqrt_scalar(self, c: Scalar) -> Scalar:
-        c = self.field.coerce(c)
-        r = c.sqrt()
-        if r is not None:
-            return r
-        if not self.allow_extension:
-            raise FieldExtensionRequired(f"sqrt({c!r}) not in {self.field!r}")
-        ext = adjoin_sqrt(self.field, c)
-        self.A = extend_scalars(self.A, ext)
-        return ext.coerce(c).sqrt()
+        field, r = _sqrt_growing(self.field, c, self.allow_extension)
+        if field != self.field:
+            self.A = extend_scalars(self.A, field)
+        return r
 
     def sqrt_element(self, el: AlgebraElement) -> AlgebraElement:
         """Hensel square root of a unit, extending the field if needed."""
@@ -160,8 +155,6 @@ def _refine_witness(A: ArtinAlgebra, model: IdealPresentation, P, Q, max_iter=15
     decreases and the ring is nilpotent, so the loop terminates quickly.
     Returns the refined witness map x1 -> P, x2 -> Q.
     """
-    from .linalg import solve_dense
-
     f = A.field
     s = A.socle_degree
     gens = [g.map_field(f) for g in model.gens]
@@ -237,7 +230,7 @@ def _partial(g: Polynomial, i: int) -> Polynomial:
 # ------------------------------------------------------------- classifier
 
 
-def classify(a, field: Field = QQ, allow_extension=False, D=8) -> ClassificationResult:
+def classify(a, field: Field = QQ, allow_extension=False) -> ClassificationResult:
     """Classify the algebra k[[x1,x2]] / (x1^3*x2, x2^2 - a*x1*x2 - x1^4)."""
     if isinstance(a, str):
         a = parse_poly(a, 2, field)
@@ -248,7 +241,7 @@ def classify(a, field: Field = QQ, allow_extension=False, D=8) -> Classification
     pres = IdealPresentation(
         [x1p ** 3 * x2p, x2p * x2p - a * x1p * x2p - x1p ** 4], 2, field
     )
-    ctx = _Ctx(pres, D, allow_extension)
+    ctx = _Ctx(pres, allow_extension)
     A = ctx.A
     if A.hf != TARGET_HF:
         raise WrongHilbertFunction(f"got Hilbert function {A.hf}")
@@ -299,7 +292,7 @@ def _classify_case1(ctx: _Ctx, a: Polynomial, details) -> ClassificationResult:
     Q = w * delta
     model = make_model("case1", field=A.field)
     witness = _refine_witness(A, model, P, Q)
-    certify(model, witness, A.pres, A.D, "classification")
+    certify(A, model, witness, "classification")
     return ClassificationResult("case1", None, None, model, witness, A.field, details)
 
 
@@ -313,7 +306,7 @@ def _classify_case2a(ctx: _Ctx, x1e, x2e, d, details) -> ClassificationResult:
     Q = vp * x2e
     model = make_model("case2a", field=A.field)
     witness = _refine_witness(A, model, P, Q)
-    certify(model, witness, A.pres, A.D, "classification")
+    certify(A, model, witness, "classification")
     return ClassificationResult("case2a", None, None, model, witness, A.field, details)
 
 
@@ -325,7 +318,7 @@ def _classify_case2b1(ctx: _Ctx, x1e, x2e, d, details) -> ClassificationResult:
     Q = x1e
     model = make_model("case2b1", field=A.field)
     witness = _refine_witness(A, model, P, Q)
-    certify(model, witness, A.pres, A.D, "classification")
+    certify(A, model, witness, "classification")
     return ClassificationResult("case2b1", None, None, model, witness, A.field, details)
 
 
@@ -344,7 +337,7 @@ def _classify_case2b2(ctx: _Ctx, x1e, x2e, d, details) -> ClassificationResult:
     Y = x2e + p_el * X * X
     model = make_model("case2b2", p=pbar, field=A.field)
     witness = _refine_witness(A, model, X, Y)
-    certify(model, witness, A.pres, A.D, "classification")
+    certify(A, model, witness, "classification")
     details["pbar"] = pbar
     return ClassificationResult(
         "case2b2", pbar, pbar * pbar, model, witness, A.field, details
@@ -376,8 +369,7 @@ def classify_ideal(pres: IdealPresentation, allow_extension=False, seed=0) -> Cl
     total = core.witness.map_field(final).then(w2.map_field(final)).then(
         w1.map_field(final)
     )
-    D = build_quotient(pres.map_field(final)).D
-    certify(core.model, total, pres, D, "composite classification")
+    certify(A, core.model, total, "composite classification")
     return ClassificationResult(
         core.case, core.p, core.p_squared, core.model, total, final, core.details
     )
@@ -439,8 +431,6 @@ def contains_split_quadric(pres: IdealPresentation, max_iter=10) -> bool:
     z1, z2 = A.element(l1), A.element(l2)
     corr = [m for d in range(2, A.socle_degree + 1)
             for m in monomials_of_degree(2, d)]
-    from .linalg import solve_dense
-
     for _ in range(max_iter):
         r = z1 * z2
         if r.is_zero():

@@ -29,7 +29,7 @@ from .quotient import (
     field_label,
     hilbert_function,
 )
-from .scalars import QQ, Scalar
+from .scalars import QQ
 from .semigroups import (
     check_rgs,
     min_presentation_size,
@@ -58,6 +58,7 @@ ERROR_CODES = {
     errors.NonMinimalGenerators: "non-minimal-generators",
     errors.GcdNotOne: "gcd-not-one",
     errors.SearchExhausted: "search-exhausted",
+    errors.CertificationFailed: "certification-failed",
     FileNotFoundError: "missing-file",
     ValueError: "bad-input",
 }
@@ -119,7 +120,7 @@ def cmd_bounds(args) -> int:
 def _scalars(text):
     if not text:
         return ()
-    return tuple(Scalar(QQ, QQ.rfrom(Fraction(t))) for t in text.split(","))
+    return tuple(QQ.scalar(t) for t in text.split(","))
 
 
 def cmd_make(args) -> int:
@@ -130,17 +131,17 @@ def cmd_make(args) -> int:
         units = _scalars(args.units)
         need = args.h - tau if tau < args.h else 0
         if not units and need:
-            units = (Scalar(QQ, QQ.rone),) * need
+            units = (QQ.one,) * need
         params = StretchedParams(args.h, args.s, tau, units)
         pres = make_stretched(params)
     else:
         if args.s is None or args.t is None:
             raise errors.NotApplicable("almost-stretched model needs --t and --s")
         a = parse_poly(args.a or "0", args.h, QQ)
-        w = Scalar(QQ, QQ.rfrom(Fraction(args.w)))
+        w = QQ.scalar(args.w)
         units = _scalars(args.units)
         if not units and args.h > 2:
-            units = (Scalar(QQ, QQ.rone),) * (args.h - 2)
+            units = (QQ.one,) * (args.h - 2)
         params = AlmostStretchedParams(args.h, args.t, args.s, a, w, units)
         pres = make_almost_stretched(params)
     return _emit({"schema": 1, "vars": pres.nvars,
@@ -192,10 +193,8 @@ def _suite_tables(seed) -> dict:
     for h in range(1, 4):
         for s in range(2, 7):
             for tau in range(1, h + 1):
-                units = tuple(
-                    Scalar(QQ, QQ.rfrom(Fraction(rng.randint(1, 9))))
-                    for _ in range(h - tau if tau < h else 0)
-                )
+                units = tuple(QQ.scalar(rng.randint(1, 9))
+                              for _ in range(h - tau if tau < h else 0))
                 pres = make_stretched(StretchedParams(h, s, tau, units))
                 want = (1, h) + (1,) * (s - 1)
                 got = hilbert_function(pres)
@@ -204,11 +203,8 @@ def _suite_tables(seed) -> dict:
         for t in range(2, 6):
             for s in range(t + 1, 7):
                 a = parse_poly("0", h, QQ)
-                w = Scalar(QQ, QQ.rfrom(Fraction(rng.randint(1, 9))))
-                units = tuple(
-                    Scalar(QQ, QQ.rfrom(Fraction(rng.randint(1, 9))))
-                    for _ in range(h - 2)
-                )
+                w = QQ.scalar(rng.randint(1, 9))
+                units = tuple(QQ.scalar(rng.randint(1, 9)) for _ in range(h - 2))
                 pres = make_almost_stretched(
                     AlmostStretchedParams(h, t, s, a, w, units)
                 )
@@ -245,8 +241,7 @@ def _suite_classify7(seed) -> dict:
         result = classify_ideal(moved, allow_extension=True, seed=seed)
         ok = result.case == case
         if case == "case2b2" and ok:
-            ok = result.p_squared is not None and \
-                (result.p_squared - Scalar(QQ, QQ.rfrom(Fraction(9)))).is_zero()
+            ok = result.p_squared is not None and (result.p_squared - 9).is_zero()
         cases.append((f"{case} round trip", ok))
     return _tally(cases)
 

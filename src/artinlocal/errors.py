@@ -43,6 +43,10 @@ class SearchExhausted(RuntimeError):
     """Generic-element search ran out of attempts."""
 
 
+class CertificationFailed(RuntimeError):
+    """A witness does not carry the model ideal onto the input ideal."""
+
+
 class WrongHilbertFunction(ValueError):
     pass
 

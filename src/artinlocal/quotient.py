@@ -423,7 +423,8 @@ def leading_forms(pres: IdealPresentation, algebra=None) -> LeadingFormData:
     are leading forms of elements of I, triangular in their pivots, and
     there are dim I*_j of them because j < D.  For j = s+1, s+2 the basis is
     every monomial of degree j, as n^(s+1) <= I.  Generators born in degree
-    j are those of I*_j outside n * I*_(j-1); none are born past s+1.
+    j are those of I*_j outside n * I*_(j-1); none are born in degree s+2,
+    since n * I*_(s+1) is every form of degree s+2.
     """
     A = algebra if algebra is not None else build_quotient(pres)
     f, h, s, tab = A.field, A.nvars, A.socle_degree, A.table
@@ -436,39 +437,36 @@ def leading_forms(pres: IdealPresentation, algebra=None) -> LeadingFormData:
                 h, f, {tab.monos[r]: c for r, c in row.items() if tab.deg(r) == j}))
     for j in (s + 1, s + 2):
         bases[j] = [Polynomial(h, f, {m: f.rone}) for m in monomials_of_degree(h, j)]
-    table = MonomialTable(h, s + 3)
+    table = MonomialTable(h, s + 2)
     variables = [tuple(int(k == i) for k in range(h)) for i in range(h)]
     dims, new_gens = {}, {}
-    prev_basis = []
-    v_star = 0
-    for j in range(1, s + 3):
-        basis = bases[j]
+    for j in range(1, s + 2):
         shifted = SparseEchelon(f)
-        grown = 0
-        for b in prev_basis:
+        for b in bases.get(j - 1, []):
             terms = list(b.terms.items())
             for x in variables:
-                if shifted.add(shifted_row(terms, x, table)):
-                    grown += 1
-        born = len(basis) - grown
-        dims[j] = len(basis)
-        new_gens[j] = born
-        v_star += born
-        prev_basis = basis
-        if j > s + 1 and born:
-            raise RuntimeError("leading-form generators found past socle degree + 1")
-    return LeadingFormData(dims, new_gens, bases, v_star)
+                shifted.add(shifted_row(terms, x, table))
+        dims[j] = len(bases[j])
+        new_gens[j] = dims[j] - shifted.rank
+    dims[s + 2] = len(bases[s + 2])
+    new_gens[s + 2] = 0
+    return LeadingFormData(dims, new_gens, bases, sum(new_gens.values()))
 
 
 # ------------------------------------------------------------ field change
 
 
 def extend_scalars(A: ArtinAlgebra, field: Field) -> ArtinAlgebra:
-    """The same quotient over a larger coefficient field."""
-    B = build_quotient(A.pres.map_field(field), D=A.D)
-    if B.hf != A.hf:
-        raise RuntimeError("Hilbert function changed under field extension")
-    return B
+    """The same quotient over a larger coefficient field: a rebuild would
+    do the same arithmetic on lifted values, so A's echelon rows are lifted
+    and D, hf, v and the standard basis carry over unchanged."""
+    ech = SparseEchelon(field)
+    ech.pivots = {
+        lead: {r: field.coerce(Scalar(A.field, c)).val for r, c in row.items()}
+        for lead, row in A.ech.pivots.items()
+    }
+    ech.rank = A.ech.rank
+    return ArtinAlgebra(A.pres.map_field(field), A.D, A.table, ech, A.v, A.hf)
 
 
 # ------------------------------------------------------------ Hensel roots
@@ -513,7 +511,12 @@ def nth_root(A: ArtinAlgebra, a, n: int, allow_extension=False) -> AlgebraElemen
 
 
 def row_space_equal(p1: IdealPresentation, p2: IdealPresentation, D: int) -> bool:
-    """Do the two ideals agree modulo n^D?"""
+    """Do the two ideals agree modulo n^D?
+
+    Builds a Macaulay echelon for each ideal and compares their row spaces.
+    The library certifies witnesses with structure.certify instead; this is
+    the independent reference check that the tests and demos use.
+    """
     f = common_field(p1.field, p2.field)
     _, e1, _ = macaulay_echelon(p1.map_field(f), D)
     _, e2, _ = macaulay_echelon(p2.map_field(f), D)

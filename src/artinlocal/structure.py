@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import (
+    CertificationFailed,
     FieldExtensionRequired,
     NotAlmostStretched,
     NotGorenstein,
@@ -26,6 +27,7 @@ from .errors import (
 from .linalg import (
     SparseEchelon,
     diagonalize_symmetric,
+    row_from_poly,
     solve_dense,
 )
 from .polynomials import Polynomial, RingMap, monomials_of_degree
@@ -34,10 +36,11 @@ from .quotient import (
     ArtinAlgebra,
     IdealPresentation,
     build_quotient,
+    extend_scalars,
+    macaulay_echelon,
     nth_root,
-    row_space_equal,
 )
-from .scalars import Field, QQ, Scalar, adjoin_sqrt
+from .scalars import Field, QQ, Scalar, adjoin_sqrt, common_field
 
 
 # ------------------------------------------------------------------ models
@@ -207,14 +210,14 @@ def recover_stretched_params(pres: IdealPresentation) -> StretchedParams:
             unit_gens[sq] = (other[0], Scalar(f, f.rneg(items[other])))
             continue
         raise ValueError("not a canonical stretched presentation")
+    if pairs != {(i, j) for i in range(h) for j in range(i + 1, h)}:
+        raise ValueError("not a canonical stretched presentation")
     if power is not None:
         if unit_gens:
             raise ValueError("mixed canonical shapes")
-        s, tau = power - 1, h
-        want_pairs = {(i, j) for i in range(h) for j in range(i + 1, h)}
-        if pairs != want_pairs or squares != set(range(1, h)):
+        if squares != set(range(1, h)):
             raise ValueError("not a canonical stretched presentation")
-        return StretchedParams(h, s, tau)
+        return StretchedParams(h, power - 1, h)
     if not unit_gens:
         raise ValueError("not a canonical stretched presentation")
     exps = {e for e, _ in unit_gens.values()}
@@ -224,9 +227,6 @@ def recover_stretched_params(pres: IdealPresentation) -> StretchedParams:
     idxs = sorted(unit_gens)
     tau = h - len(idxs)
     if idxs != list(range(tau, h)) or squares != set(range(1, tau)):
-        raise ValueError("not a canonical stretched presentation")
-    want_pairs = {(i, j) for i in range(h) for j in range(i + 1, h)}
-    if pairs != want_pairs:
         raise ValueError("not a canonical stretched presentation")
     units = tuple(unit_gens[i][1] for i in idxs)
     return StretchedParams(h, s, tau, units)
@@ -313,23 +313,36 @@ def recover_almost_stretched_params(pres: IdealPresentation) -> AlmostStretchedP
 # ------------------------------------------------------------ certificates
 
 
-def certify(model: IdealPresentation, witness: RingMap, pres: IdealPresentation,
-            D: int, what: str):
-    """Raise unless the witness is an automorphism carrying the model ideal
-    onto the ideal of pres modulo n^D.
+def certify(A: ArtinAlgebra, model: IdealPresentation, witness: RingMap, what: str):
+    """Raise CertificationFailed unless the witness phi carries the model
+    ideal J onto the ideal I of A (with A's scalars extended to phi's field).
 
-    The linear part must be invertible; the generator images and pres are
-    then compared as truncated row spaces, which proves equality of the
-    ideals once n^D lies in both.
+    Proof, with s the socle degree and D = A.D >= s+2:
+    * phi has invertible linear part and no constant terms, so it is an
+      automorphism of k[[x]] fixing every n^j: phi(J) + n^D and J + n^D
+      have the same colength.
+    * Each g(phi), g a model generator, reduces to zero in A.ech, so it lies
+      in I + n^D = I (n^D <= n^(s+1) <= I): phi(J) + n^D <= I.
+    * The model's echelon at D must give colength(J + n^D) = A.length; then
+      the inclusion is an equality, and n^D <= n * n^(s+1) <= nI <= phi(J) +
+      n^(D+1), so Nakayama gives n^D <= phi(J), hence phi(J) = I.
+    Conversely phi(J) = I passes every check.
     """
     if not witness.is_invertible():
-        raise RuntimeError(f"{what} witness is not invertible")
-    f = witness.field
-    transported = IdealPresentation(
-        [witness.apply(g.map_field(f)) for g in model.gens], model.nvars, f
-    )
-    if not row_space_equal(transported, pres, D):
-        raise RuntimeError(f"{what} failed certification")
+        raise CertificationFailed(f"{what} witness is not invertible")
+    f = common_field(A.field, witness.field)
+    if f != A.field:
+        A = extend_scalars(A, f)
+    images = [im.map_field(f) for im in witness.images]
+    for g in model.gens:
+        image = g.map_field(f).substitute(images, A.D)
+        if not A.ech.contains(row_from_poly(image, A.table)):
+            raise CertificationFailed(
+                f"{what} failed certification: a model generator maps outside the ideal")
+    table, ech, _ = macaulay_echelon(model, A.D)
+    if len(table.monos) - ech.rank != A.length:
+        raise CertificationFailed(
+            f"{what} failed certification: the model has another colength")
 
 
 # ----------------------------------------------------------- unit rescaling
@@ -354,7 +367,8 @@ def rescale_stretched_units(pres: IdealPresentation, allow_extension=False):
 
     Returns (new_presentation, witness) where witness maps the canonical
     variables of the new presentation into the old coordinates; the ideal
-    equality is certified by a truncated row-space comparison.
+    equality is certified by containment in the input's echelon and equal
+    colength (see certify).
     """
     params = recover_stretched_params(pres)
     field = pres.field
@@ -366,14 +380,10 @@ def rescale_stretched_units(pres: IdealPresentation, allow_extension=False):
     new_params = StretchedParams(params.h, params.s, params.tau, ones)
     new_pres = make_stretched(new_params)
     h = params.h
-    images = []
-    for i in range(h):
-        scale = field.one
-        if i >= params.tau and params.tau < h:
-            scale = field.coerce(roots[i - params.tau]).inverse()
-        images.append(Polynomial.variable(i, h, field).scale(scale))
+    scales = [field.one] * params.tau + [field.coerce(r).inverse() for r in roots]
+    images = [Polynomial.variable(i, h, field).scale(c) for i, c in enumerate(scales)]
     witness = RingMap(images, params.s + 2)
-    certify(new_pres, witness, pres, params.s + 2, "unit rescaling")
+    certify(build_quotient(pres), new_pres, witness, "unit rescaling")
     return new_pres, witness
 
 
@@ -399,24 +409,16 @@ def normalize_units(pres: IdealPresentation, allow_extension=False):
     h, t, s = params.h, params.t, params.s
     v = field.coerce(v)
     # a'(x1, x2) = v^{-1} * a(x1, v*x2)
-    a_old = params.a.map_field(field)
-    a_terms = {}
-    for m, c in a_old.terms.items():
-        scale = field.rmul(c, (v ** (m[1] - 1)).val if m[1] >= 1 else field.rinv(v.val))
-        a_terms[m] = scale
-    a_new = Polynomial(h, field, a_terms)
+    a_new = Polynomial(h, field, {m: field.rmul(c, (v ** (m[1] - 1)).val)
+                                  for m, c in params.a.map_field(field).terms.items()})
     new_params = AlmostStretchedParams(
         h, t, s, a_new, field.one, tuple(field.one for _ in roots)
     )
     new_pres = make_almost_stretched(new_params)
-    images = [Polynomial.variable(0, h, field)]
-    images.append(Polynomial.variable(1, h, field).scale(v.inverse()))
-    for k, r in enumerate(roots):
-        images.append(
-            Polynomial.variable(2 + k, h, field).scale(field.coerce(r).inverse())
-        )
+    scales = [field.one, v.inverse()] + [field.coerce(r).inverse() for r in roots]
+    images = [Polynomial.variable(i, h, field).scale(c) for i, c in enumerate(scales)]
     witness = RingMap(images, s + 2)
-    certify(new_pres, witness, pres, s + 2, "unit normalization")
+    certify(build_quotient(pres), new_pres, witness, "unit normalization")
     return new_pres, witness
 
 
@@ -599,8 +601,8 @@ def normalize_stretched(A: ArtinAlgebra, seed=0):
     """Parameters and witness coordinate change onto the stretched model.
 
     The witness maps canonical variable i+1 to a representative of the i-th
-    element of the constructed basis; certification compares truncated row
-    spaces of the transported model and the input ideal.
+    element of the constructed basis; it is certified by containment of the
+    transported model in A's echelon and equal colength (see certify).
     """
     if not A.is_stretched():
         raise NotStretched(f"Hilbert function {A.hf} is not stretched")
@@ -632,7 +634,7 @@ def normalize_stretched(A: ArtinAlgebra, seed=0):
     params = StretchedParams(h, s, tau, units)
     images = [x1.poly] + [y.poly for y in ys] + [z.poly for z in zs]
     witness = RingMap(images, A.D)
-    certify(make_stretched(params), witness, A.pres, A.D, "stretched normalization")
+    certify(A, make_stretched(params), witness, "stretched normalization")
     return params, witness
 
 
@@ -713,7 +715,7 @@ def normalize_almost_stretched_gorenstein(A: ArtinAlgebra, seed=0):
     params = AlmostStretchedParams(h, t, s, a_poly, w, units)
     images = [x1.poly, x2.poly] + [z.poly for z in zs]
     witness = RingMap(images, A.D)
-    certify(make_almost_stretched(params), witness, A.pres, A.D,
+    certify(A, make_almost_stretched(params), witness,
             "almost-stretched normalization")
     return params, witness
 

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import artinlocal.structure as structure
 from artinlocal.cli import main
+from artinlocal.quotient import IdealPresentation
 
 
 def run(capsys, *argv):
@@ -63,6 +65,16 @@ def test_classify7_subcommand(tmp_path, capsys):
     code, out, _ = run(capsys, "classify7", path, "--allow-extensions")
     assert code == 0
     assert json.loads(out)["case"] == "case1"
+
+
+def test_certification_error_record(tmp_path, capsys, monkeypatch):
+    # a model of colength 6 for an algebra of length 5 cannot be certified
+    wrong = IdealPresentation.from_strings(["x1*x2", "x2^2", "x1^6"], 2)
+    monkeypatch.setattr(structure, "make_stretched", lambda params: wrong)
+    path = write_ideal(tmp_path, "vars: 2\nx1*x2\nx2^2\nx1^5\n")
+    code, _, err = run(capsys, "normalize", path)
+    assert code == 1
+    assert json.loads(err)["error"]["code"] == "certification-failed"
 
 
 def test_semigroup_subcommand(capsys):

@@ -1,11 +1,19 @@
 """Canonical stretched / almost-stretched models and their normalizers."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from artinlocal.errors import FieldExtensionRequired, NotStretched
-from artinlocal.polynomials import RingMap, parse_poly, random_invertible_map
+from artinlocal.classify7 import make_model
+from artinlocal.errors import CertificationFailed, FieldExtensionRequired, NotStretched
+from artinlocal.polynomials import (
+    Polynomial,
+    RingMap,
+    monomials_of_degree,
+    parse_poly,
+    random_invertible_map,
+)
 from artinlocal.quotient import (
     IdealPresentation,
     build_quotient,
@@ -139,14 +147,74 @@ def test_1321_models():
 
 def test_certify_accepts_the_identity_and_rejects_wrong_witnesses():
     pres = make_stretched(StretchedParams(2, 3, 2))  # (x1*x2, x2^2, x1^4)
-    D = build_quotient(pres).D
+    A = build_quotient(pres)
 
     def images(*texts):
-        return RingMap([parse_poly(t, 2, QQ) for t in texts], D)
+        return RingMap([parse_poly(t, 2, QQ) for t in texts], A.D)
 
-    certify(pres, images("x1", "x2"), pres, D, "identity")
-    certify(pres, images("x1 + x2", "2*x2 + x1^4"), pres, D, "automorphism")
+    certify(A, pres, images("x1", "x2"), "identity")
+    certify(A, pres, images("x1 + x2", "2*x2 + x1^4"), "automorphism")
     with pytest.raises(RuntimeError, match="failed certification"):
-        certify(pres, images("x2", "x1"), pres, D, "swap")
-    with pytest.raises(RuntimeError, match="not invertible"):
-        certify(pres, images("x1", "x1 + x2^2"), pres, D, "singular")
+        certify(A, pres, images("x2", "x1"), "swap")
+    with pytest.raises(CertificationFailed, match="not invertible"):
+        certify(A, pres, images("x1", "x1 + x2^2"), "singular")
+    # contained in the ideal, but of colength 6 against 5
+    sub = IdealPresentation.from_strings(["x1*x2", "x2^2", "x1^5"], 2)
+    with pytest.raises(CertificationFailed, match="failed certification"):
+        certify(A, sub, images("x1", "x2"), "proper subideal")
+
+
+def agreement_models():
+    a = parse_poly("1 + x1", 2, QQ)
+    return [
+        ("stretched h=2 s=4 tau=1", make_stretched(StretchedParams(2, 4, 1, (q(3),)))),
+        ("stretched h=3 s=3 tau=2", make_stretched(StretchedParams(3, 3, 2, (q(2),)))),
+        ("stretched h=3 s=3 tau=3", make_stretched(StretchedParams(3, 3, 3))),
+        ("almost h=2 t=3 s=5", make_almost_stretched(
+            AlmostStretchedParams(2, 3, 5, a, q(2)))),
+        ("almost h=3 t=2 s=4", make_almost_stretched(AlmostStretchedParams(
+            3, 2, 4, parse_poly("x2", 3, QQ), q(1), (q(3),)))),
+        ("case1", make_model("case1")),
+        ("case2a", make_model("case2a")),
+        ("case2b1", make_model("case2b1")),
+        ("case2b2", make_model("case2b2", p=3)),
+    ]
+
+
+@pytest.mark.parametrize("label,model", agreement_models(),
+                         ids=[label for label, _ in agreement_models()])
+def test_certify_agrees_with_row_space_equality(label, model):
+    """certify accepts a witness exactly when the transported model and the
+    input ideal have the same truncated row space (the reference check)."""
+    rng = random.Random(f"certify {label}")
+    h = model.nvars
+    s = build_quotient(model).socle_degree
+    phi = random_invertible_map(h, QQ, s + 2, rng)
+    # truncating at s+2 keeps the ideal: what is cut off lies in n * n^(s+1)
+    pres = IdealPresentation([im for im in map(phi.apply, model.gens)
+                              if not im.is_zero()], h, QQ)
+    A = build_quotient(pres)
+    true = list(phi.images)
+    perturbed = list(true)
+    k = rng.randrange(h)
+    mono = rng.choice(monomials_of_degree(h, 2))
+    c = QQ.rfrom(rng.choice((-2, -1, 1, 2)))
+    perturbed[k] = perturbed[k] + Polynomial(h, QQ, {mono: c})
+    swapped = [true[1], true[0]] + true[2:]
+    singular = [true[0], true[0] + Polynomial(h, QQ, {mono: QQ.rone})] + true[2:]
+    verdicts = {}
+    for name, images in (("true", true), ("perturbed", perturbed),
+                         ("swapped", swapped), ("singular", singular)):
+        witness = RingMap(images, A.D)
+        try:
+            certify(A, model, witness, name)
+            accepted = True
+        except CertificationFailed:
+            accepted = False
+        transported = [witness.apply(g) for g in model.gens]
+        transported = [g for g in transported if not g.is_zero()]
+        reference = bool(transported) and row_space_equal(
+            IdealPresentation(transported, h, QQ), pres, A.D)
+        assert accepted == reference, name
+        verdicts[name] = accepted
+    assert verdicts["true"] and not verdicts["singular"]
