@@ -69,8 +69,6 @@ from .structure import (
     normalize_almost_stretched_gorenstein,
     normalize_stretched,
     normalize_units,
-    recover_almost_stretched_params,
-    recover_stretched_params,
 )
 from .classify7 import (
     ClassificationResult,

@@ -38,10 +38,8 @@ from .scalars import Field, QQ, Scalar, adjoin_sqrt
 from .structure import (
     _sqrt_growing,
     certify,
-    make_almost_stretched,
     normalize_almost_stretched_gorenstein,
     normalize_units,
-    recover_almost_stretched_params,
     solve_scalar_combo,
 )
 
@@ -120,9 +118,6 @@ class _Ctx:
     @property
     def field(self):
         return self.A.field
-
-    def el(self, poly_or_text):
-        return self.A.element(poly_or_text)
 
     def lift(self, el: AlgebraElement) -> AlgebraElement:
         if el.algebra is self.A:
@@ -360,9 +355,8 @@ def classify_ideal(pres: IdealPresentation, allow_extension=False, seed=0) -> Cl
             f"expected Hilbert function {TARGET_HF}, got {A.hf}"
         )
     params, w1 = normalize_almost_stretched_gorenstein(A, seed=seed)
-    canon = make_almost_stretched(params)
-    unitfree, w2 = normalize_units(canon, allow_extension=allow_extension)
-    a = recover_almost_stretched_params(unitfree).a
+    unitfree, w2 = normalize_units(params, allow_extension=allow_extension)
+    a = unitfree.a
     a2 = Polynomial(2, a.field, {(m[0], m[1]): c for m, c in a.terms.items()})
     core = classify(a2, field=a.field, allow_extension=allow_extension)
     final = core.field

@@ -111,12 +111,6 @@ class SparseEchelon:
     def contains(self, row) -> bool:
         return not self.reduce(row)
 
-    def copy(self) -> "SparseEchelon":
-        out = SparseEchelon(self.field)
-        out.pivots = {k: dict(v) for k, v in self.pivots.items()}
-        out.rank = self.rank
-        return out
-
 
 def same_row_space(e1: SparseEchelon, e2: SparseEchelon) -> bool:
     if set(e1.pivots) != set(e2.pivots):

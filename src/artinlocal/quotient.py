@@ -145,9 +145,7 @@ class ArtinAlgebra:
         ]
         self.std_pos = {r: i for i, r in enumerate(self.std)}
         self.length = len(self.std)
-        self._mult = {}
         self._socle = None
-        self._power_ech = {}
 
     # ----- basic data
 
@@ -198,16 +196,12 @@ class ArtinAlgebra:
 
     # ----- multiplication matrices (columns over the standard basis)
 
-    def mult_matrix(self, i):
-        """Column-major matrix of multiplication by x_{i+1}."""
-        if i not in self._mult:
-            cols = []
-            xi = Polynomial.variable(i, self.nvars, self.field)
-            for r in self.std:
-                m = self.table.monos[r]
-                cols.append(self.coords(xi * Polynomial(self.nvars, self.field, {m: self.field.rone})))
-            self._mult[i] = cols
-        return self._mult[i]
+    def mult_matrix(self, el: "AlgebraElement"):
+        """Column-major matrix of multiplication by el: column i holds the
+        coordinates of el times the i-th standard monomial."""
+        f = self.field
+        return [self.coords(el.poly * Polynomial(self.nvars, f, {self.table.monos[r]: f.rone}))
+                for r in self.std]
 
     # ----- socle and type
 
@@ -217,7 +211,7 @@ class ArtinAlgebra:
             e = self.length
             rows = []
             for i in range(self.nvars):
-                cols = self.mult_matrix(i)
+                cols = self.mult_matrix(self.variable(i))
                 for r in range(e):
                     rows.append([cols[c][r] for c in range(e)])
             basis = nullspace_dense(rows, self.field)
@@ -244,29 +238,21 @@ class ArtinAlgebra:
 
     # ----- powers of the maximal ideal
 
-    def power_echelon(self, j) -> SparseEchelon:
-        """Echelon of the coordinate span of m^j (as a subspace of A)."""
-        j = max(j, 0)
-        key = min(j, self.socle_degree + 1)
-        if key not in self._power_ech:
-            ech = SparseEchelon(self.field)
-            for d in range(key, self.socle_degree + 1):
-                for m in monomials_of_degree(self.nvars, d):
-                    coords = self.coords(
-                        Polynomial(self.nvars, self.field, {m: self.field.rone})
-                    )
-                    row = {i: c for i, c in enumerate(coords)
-                           if not self.field.riszero(c)}
-                    if row:
-                        ech.add(row)
-            self._power_ech[key] = ech
-        return self._power_ech[key]
-
     def in_power(self, el, j) -> bool:
-        """Is the element in m^j?"""
+        """Is the element in m^j?
+
+        The coordinate span of m^j is that of the standard monomials of
+        degree >= j.  MonomialTable ranks go up with degree, and a pivot row's
+        pivot is its lowest rank, so every other entry of a pivot row has
+        degree >= that of its pivot.  Reducing a row supported in degree >= j
+        therefore never creates terms of lower degree: the coordinates of any
+        monomial of degree >= j, which span m^j, sit at standard monomials of
+        degree >= j, and each such standard monomial is its own coordinate
+        vector.  The standard basis is sorted by rank, so the positions of
+        degree < j are the first sum(hf[:j]).
+        """
         coords = el.coords() if isinstance(el, AlgebraElement) else self.coords(el)
-        row = {i: c for i, c in enumerate(coords) if not self.field.riszero(c)}
-        return self.power_echelon(j).contains(row)
+        return all(self.field.riszero(c) for c in coords[:sum(self.hf[:max(j, 0)])])
 
 
 class AlgebraElement:

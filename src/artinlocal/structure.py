@@ -6,9 +6,10 @@ Artinian local algebras.
 generators (Hilbert function (1, h, 2, ..., 2, 1, ..., 1)).  Both classes
 admit canonical ideal presentations parameterized by a handful of scalars,
 and every algebra in the class can be carried onto its canonical model by an
-explicit change of coordinates.  This module builds the models, recovers the
-parameters from an arbitrary presentation, and produces the witness
-coordinate change.
+explicit change of coordinates.  This module builds the models (only
+make_stretched and make_almost_stretched know their syntax), and its
+normalizers recover the parameters from an arbitrary presentation together
+with the witness coordinate change.
 """
 
 from __future__ import annotations
@@ -166,150 +167,6 @@ def make_1321_models():
     return first, second
 
 
-# -------------------------------------------------- parameter recovery from
-# canonical-shape presentations (syntactic)
-
-
-def _single_term(g):
-    if len(g.terms) != 1:
-        return None
-    (m, c), = g.terms.items()
-    return m, c
-
-
-def recover_stretched_params(pres: IdealPresentation) -> StretchedParams:
-    """Read (h, s, tau, units) off a presentation in canonical stretched shape."""
-    h, f = pres.nvars, pres.field
-    pairs, squares, unit_gens, power = set(), set(), {}, None
-    for g in pres.gens:
-        st = _single_term(g)
-        if st is not None:
-            m, c = st
-            if f.riszero(f.rsub(c, f.rone)):
-                nz = [i for i, e in enumerate(m) if e]
-                if len(nz) == 2 and all(m[i] == 1 for i in nz):
-                    pairs.add(tuple(nz))
-                    continue
-                if len(nz) == 1 and m[nz[0]] == 2 and nz[0] > 0:
-                    squares.add(nz[0])
-                    continue
-                if len(nz) == 1 and nz[0] == 0 and m[0] >= 3:
-                    power = m[0]
-                    continue
-            raise ValueError("not a canonical stretched presentation")
-        if len(g.terms) == 2:
-            items = dict(g.terms)
-            sq = next((i for i in range(1, h)
-                       if tuple(2 if j == i else 0 for j in range(h)) in items), None)
-            if sq is None:
-                raise ValueError("not a canonical stretched presentation")
-            msq = tuple(2 if j == sq else 0 for j in range(h))
-            other = next(m for m in items if m != msq)
-            if any(other[1:]) or not f.riszero(f.rsub(items[msq], f.rone)):
-                raise ValueError("not a canonical stretched presentation")
-            unit_gens[sq] = (other[0], Scalar(f, f.rneg(items[other])))
-            continue
-        raise ValueError("not a canonical stretched presentation")
-    if pairs != {(i, j) for i in range(h) for j in range(i + 1, h)}:
-        raise ValueError("not a canonical stretched presentation")
-    if power is not None:
-        if unit_gens:
-            raise ValueError("mixed canonical shapes")
-        if squares != set(range(1, h)):
-            raise ValueError("not a canonical stretched presentation")
-        return StretchedParams(h, power - 1, h)
-    if not unit_gens:
-        raise ValueError("not a canonical stretched presentation")
-    exps = {e for e, _ in unit_gens.values()}
-    if len(exps) != 1:
-        raise ValueError("inconsistent socle powers")
-    s = exps.pop()
-    idxs = sorted(unit_gens)
-    tau = h - len(idxs)
-    if idxs != list(range(tau, h)) or squares != set(range(1, tau)):
-        raise ValueError("not a canonical stretched presentation")
-    units = tuple(unit_gens[i][1] for i in idxs)
-    return StretchedParams(h, s, tau, units)
-
-
-def recover_almost_stretched_params(pres: IdealPresentation) -> AlmostStretchedParams:
-    """Read the canonical almost-stretched Gorenstein data off a presentation."""
-    h, f = pres.nvars, pres.field
-    pairs, unit_gens, t_exp, quad = set(), {}, None, None
-    for g in pres.gens:
-        st = _single_term(g)
-        if st is not None:
-            m, c = st
-            nz = [i for i, e in enumerate(m) if e]
-            if not f.riszero(f.rsub(c, f.rone)):
-                raise ValueError("not a canonical almost-stretched presentation")
-            if len(nz) == 2 and all(m[i] == 1 for i in nz):
-                pairs.add(tuple(nz))
-                continue
-            if len(nz) == 2 and nz == [0, 1] and m[1] == 1 and m[0] >= 2:
-                t_exp = m[0]
-                continue
-            raise ValueError("not a canonical almost-stretched presentation")
-        msq2 = tuple(2 if j == 1 else 0 for j in range(h))
-        if msq2 in g.terms:
-            quad = g
-            continue
-        items = dict(g.terms)
-        sq = next((i for i in range(2, h)
-                   if tuple(2 if j == i else 0 for j in range(h)) in items), None)
-        if sq is None or len(items) != 2:
-            raise ValueError("not a canonical almost-stretched presentation")
-        msq = tuple(2 if j == sq else 0 for j in range(h))
-        other = next(m for m in items if m != msq)
-        if any(other[1:]) or not f.riszero(f.rsub(items[msq], f.rone)):
-            raise ValueError("not a canonical almost-stretched presentation")
-        unit_gens[sq] = (other[0], Scalar(f, f.rneg(items[other])))
-    if quad is None or t_exp is None:
-        raise ValueError("not a canonical almost-stretched presentation")
-    want_pairs = {(0, j) for j in range(2, h)} | {
-        (i, j) for i in range(1, h) for j in range(i + 1, h)
-    }
-    if pairs != want_pairs:
-        raise ValueError("not a canonical almost-stretched presentation")
-    t = t_exp
-    idxs = sorted(unit_gens)
-    if idxs != list(range(2, h)):
-        raise ValueError("not a canonical almost-stretched presentation")
-    exps = {e for e, _ in unit_gens.values()}
-    if len(exps) > 1:
-        raise ValueError("inconsistent socle powers")
-    # split the distinguished quadric: x2^2 - a*x1*x2 - w*x1^(s-t+1)
-    msq2 = tuple(2 if j == 1 else 0 for j in range(h))
-    w = None
-    w_exp = None
-    a_terms = {}
-    for m, c in quad.terms.items():
-        if m == msq2:
-            if not f.riszero(f.rsub(c, f.rone)):
-                raise ValueError("distinguished quadric must be monic in x2^2")
-            continue
-        if any(m[2:]):
-            raise ValueError("distinguished quadric involves extra variables")
-        if m[1] == 0:
-            if w is not None:
-                raise ValueError("multiple pure-x1 terms in the quadric")
-            w = Scalar(f, f.rneg(c))
-            w_exp = m[0]
-            continue
-        if m[0] == 0:
-            raise ValueError("quadric term not divisible by x1*x2")
-        am = (m[0] - 1, m[1] - 1) + (0,) * (h - 2)
-        a_terms[am] = f.rneg(c)
-    if w is None:
-        raise ValueError("missing unit term in the distinguished quadric")
-    s = w_exp + t - 1
-    if exps and exps != {s}:
-        raise ValueError("inconsistent socle powers")
-    units = tuple(unit_gens[i][1] for i in idxs)
-    a = Polynomial(h, f, a_terms)
-    return AlmostStretchedParams(h, t, s, a, w, units)
-
-
 # ------------------------------------------------------------ certificates
 
 
@@ -362,64 +219,44 @@ def _sqrt_growing(field: Field, u: Scalar, allow_extension: bool):
     return field, r
 
 
-def rescale_stretched_units(pres: IdealPresentation, allow_extension=False):
-    """Carry a canonical stretched presentation to the one with all units 1.
+def normalize_units(params, allow_extension=False):
+    """Carry a canonical model onto the one with every unit parameter 1.
 
-    Returns (new_presentation, witness) where witness maps the canonical
-    variables of the new presentation into the old coordinates; the ideal
-    equality is certified by containment in the input's echelon and equal
-    colength (see certify).
+    params is a StretchedParams or an AlmostStretchedParams.  Returns
+    (unit_free_params, witness), where the witness maps the variables of
+    make_*(unit_free_params) into those of make_*(params):
+    * stretched: every unit u_i becomes 1, by x_i -> x_i / sqrt(u_i);
+    * almost stretched: w and u_3..u_h become 1, by x2 -> x2 / v with
+      v^2 = w and x_i -> x_i / sqrt(u_i), and a is conjugated to
+      a'(x1, x2) = v^-1 a(x1, v x2).
+    A square root missing from the field raises FieldExtensionRequired,
+    unless allow_extension adjoins it.  Before returning, the witness is
+    certified: certify(build_quotient(make_*(params)),
+    make_*(unit_free_params), witness, ...).
     """
-    params = recover_stretched_params(pres)
-    field = pres.field
+    stretched = isinstance(params, StretchedParams)
+    make = make_stretched if stretched else make_almost_stretched
+    field = params.field
     roots = []
-    for u in params.units:
+    for u in ([] if stretched else [params.w]) + list(params.units):
         field, r = _sqrt_growing(field, u, allow_extension)
         roots.append(r)
+    scales = [field.coerce(r).inverse() for r in roots]
     ones = tuple(field.one for _ in params.units)
-    new_params = StretchedParams(params.h, params.s, params.tau, ones)
-    new_pres = make_stretched(new_params)
     h = params.h
-    scales = [field.one] * params.tau + [field.coerce(r).inverse() for r in roots]
+    if stretched:
+        new = StretchedParams(h, params.s, params.tau, ones)
+        scales = [field.one] * params.tau + scales
+    else:
+        v = field.coerce(roots[0])
+        a = Polynomial(h, field, {m: field.rmul(c, (v ** (m[1] - 1)).val)
+                                  for m, c in params.a.map_field(field).terms.items()})
+        new = AlmostStretchedParams(h, params.t, params.s, a, field.one, ones)
+        scales = [field.one] + scales
     images = [Polynomial.variable(i, h, field).scale(c) for i, c in enumerate(scales)]
     witness = RingMap(images, params.s + 2)
-    certify(build_quotient(pres), new_pres, witness, "unit rescaling")
-    return new_pres, witness
-
-
-def normalize_units(pres: IdealPresentation, allow_extension=False):
-    """Push all unit parameters of a canonical presentation to 1.
-
-    Dispatches on the shape: canonical stretched presentations go through
-    rescale_stretched_units; otherwise the almost-stretched Gorenstein
-    rescaling below applies (w and u_3..u_h become 1, a is conjugated)."""
-    try:
-        recover_stretched_params(pres)
-    except ValueError:
-        pass
-    else:
-        return rescale_stretched_units(pres, allow_extension=allow_extension)
-    params = recover_almost_stretched_params(pres)
-    field = pres.field
-    field, v = _sqrt_growing(field, params.w, allow_extension)
-    roots = []
-    for u in params.units:
-        field, r = _sqrt_growing(field, u, allow_extension)
-        roots.append(r)
-    h, t, s = params.h, params.t, params.s
-    v = field.coerce(v)
-    # a'(x1, x2) = v^{-1} * a(x1, v*x2)
-    a_new = Polynomial(h, field, {m: field.rmul(c, (v ** (m[1] - 1)).val)
-                                  for m, c in params.a.map_field(field).terms.items()})
-    new_params = AlmostStretchedParams(
-        h, t, s, a_new, field.one, tuple(field.one for _ in roots)
-    )
-    new_pres = make_almost_stretched(new_params)
-    scales = [field.one, v.inverse()] + [field.coerce(r).inverse() for r in roots]
-    images = [Polynomial.variable(i, h, field).scale(c) for i, c in enumerate(scales)]
-    witness = RingMap(images, s + 2)
-    certify(build_quotient(pres), new_pres, witness, "unit normalization")
-    return new_pres, witness
+    certify(build_quotient(make(params)), make(new), witness, "unit normalization")
+    return new, witness
 
 
 # ---------------------------------------------------------- generic search
@@ -432,10 +269,16 @@ def _linear_row(el: AlgebraElement):
 
 
 def _graded_classes_independent(A: ArtinAlgebra, elems, j) -> bool:
-    """Are the classes of the given elements independent in m^j / m^(j+1)?"""
-    ech = A.power_echelon(j + 1).copy()
+    """Are the classes of the given elements independent modulo m^(j+1)?
+
+    The coordinate span of m^(j+1) is that of the standard monomials of
+    degree > j (see ArtinAlgebra.in_power), so it suffices that the
+    coordinates at the positions of degree <= j are independent.
+    """
+    low = sum(A.hf[:j + 1])
+    ech = SparseEchelon(A.field)
     for el in elems:
-        row = {i: c for i, c in enumerate(el.coords()) if not A.field.riszero(c)}
+        row = {i: c for i, c in enumerate(el.coords()[:low]) if not A.field.riszero(c)}
         if not ech.add(row):
             return False
     return True
@@ -504,22 +347,10 @@ def find_lean_basis(A: ArtinAlgebra, seed=0, budget=100):
 # ----------------------------------------------------- element linear algebra
 
 
-def _mult_matrix_by_element(A: ArtinAlgebra, el: AlgebraElement):
-    """Column-major matrix of multiplication by el over the standard basis."""
-    cols = []
-    for r in A.std:
-        m = A.table.monos[r]
-        basis = AlgebraElement(
-            A, Polynomial(A.nvars, A.field, {m: A.field.rone})
-        )
-        cols.append((el * basis).coords())
-    return cols
-
-
 def solve_element_combo(A: ArtinAlgebra, coeffs, rhs: AlgebraElement):
     """Solve sum_i coeffs[i] * z_i = rhs for unknown elements z_i, if possible."""
     e = A.length
-    mats = [_mult_matrix_by_element(A, c) for c in coeffs]
+    mats = [A.mult_matrix(c) for c in coeffs]
     rows = []
     for r in range(e):
         row = []

@@ -1,11 +1,12 @@
 """Slow reference paths for the invariants read off the shared echelon.
 
 These are the separate-echelon computations the library used before it
-read v(I) and the leading-form ideal off the quotient's own Macaulay
-echelon: one echelon of nI plus the generators for the generator count,
-and one full echelon per degree for the leading forms.  They build their
-own echelons from the linalg primitives, so they share no code with the
-paths they check beyond sparse row reduction itself.
+read v(I), the leading-form ideal and the m-adic filtration off the
+quotient's own Macaulay echelon: one echelon of nI plus the generators for
+the generator count, one full echelon per degree for the leading forms,
+and one echelon of the coordinates of m^j for membership in m^j.  They
+build their own echelons from the linalg primitives, so they share no code
+with the paths they check beyond sparse row reduction itself.
 """
 
 from artinlocal.linalg import (
@@ -82,6 +83,39 @@ def oracle_leading_forms(pres, s):
         v_star += len(basis) - grown
         prev_basis = basis
     return dims, new_gens, bases, v_star
+
+
+def oracle_power_echelon(A, j):
+    """Echelon of the coordinate span of m^j inside A: the coordinates of
+    every monomial of degree j..s."""
+    f = A.field
+    ech = SparseEchelon(f)
+    for d in range(max(j, 0), A.socle_degree + 1):
+        for m in monomials_of_degree(A.nvars, d):
+            coords = A.coords(Polynomial(A.nvars, f, {m: f.rone}))
+            row = {i: c for i, c in enumerate(coords) if not f.riszero(c)}
+            if row:
+                ech.add(row)
+    return ech
+
+
+def oracle_in_power(power_ech, A, el):
+    """Is el in m^j, given the oracle echelon of m^j?"""
+    row = {i: c for i, c in enumerate(el.coords()) if not A.field.riszero(c)}
+    return power_ech.contains(row)
+
+
+def oracle_classes_independent(next_power_ech, A, elems):
+    """Are the classes of elems independent modulo m^(j+1), given the oracle
+    echelon of m^(j+1)?"""
+    ech = SparseEchelon(A.field)
+    ech.pivots = {k: dict(v) for k, v in next_power_ech.pivots.items()}
+    ech.rank = next_power_ech.rank
+    for el in elems:
+        if not ech.add({i: c for i, c in enumerate(el.coords())
+                        if not A.field.riszero(c)}):
+            return False
+    return True
 
 
 def same_span(polys1, polys2, field, nvars, D):

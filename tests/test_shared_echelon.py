@@ -1,9 +1,12 @@
 """Invariants read off the quotient's one echelon against the slow paths.
 
-hf, v(I) and the leading-form ideal I* all come from the Macaulay echelon
-that build_quotient keeps.  Each is checked here against a separate-echelon
-oracle (tests/echelon_oracles.py) on a seeded grid and on
-hypothesis-generated ideals, both also moved by random coordinate changes.
+hf, v(I), the leading-form ideal I* and membership in the powers of the
+maximal ideal all come from the Macaulay echelon that build_quotient keeps.
+Each is checked here against a separate-echelon oracle
+(tests/echelon_oracles.py) on a seeded grid and on hypothesis-generated
+ideals, both also moved by random coordinate changes.  For monomial
+ideals the invariants are also checked against combinatorial counts, before
+and after a random coordinate change.
 """
 
 import random
@@ -30,13 +33,17 @@ from artinlocal.scalars import QQ, Scalar
 from artinlocal.structure import (
     AlmostStretchedParams,
     StretchedParams,
+    _graded_classes_independent,
     make_almost_stretched,
     make_stretched,
 )
 
 from echelon_oracles import (
+    oracle_classes_independent,
+    oracle_in_power,
     oracle_leading_forms,
     oracle_min_gens,
+    oracle_power_echelon,
     same_span,
     separate_echelon,
 )
@@ -93,6 +100,37 @@ def check_against_oracles(pres):
     assert data.bases.keys() == bases.keys()
     for j in bases:
         assert same_span(data.bases[j], bases[j], A.field, A.nvars, j + 1), j
+    check_powers_against_oracle(A)
+
+
+def random_elements(A, rng, count=4):
+    """Elements with a few random terms of degree lo..s+1, for random lo."""
+    s = A.socle_degree
+    out = []
+    for _ in range(count):
+        lo = rng.randint(0, s + 1)
+        monos = [m for d in range(lo, s + 2) for m in monomials_of_degree(A.nvars, d)]
+        terms = {m: QQ.rfrom(rng.choice((-3, -2, -1, 1, 2, 3)))
+                 for m in rng.sample(monos, min(3, len(monos)))}
+        out.append(A.element(Polynomial(A.nvars, QQ, terms).map_field(A.field)))
+    return out
+
+
+def check_powers_against_oracle(A):
+    """in_power and the graded independence test against echelons of m^j."""
+    s = A.socle_degree
+    elems = random_elements(A, random.Random(repr(A.pres)))
+    std = [A.element(Polynomial(A.nvars, A.field, {A.table.monos[r]: A.field.rone}))
+           for r in A.std]
+    pairs = [(a, b) for a in elems for b in elems if a is not b]
+    pairs += [(a, a * 2) for a in elems]
+    powers = [oracle_power_echelon(A, j) for j in range(s + 4)]
+    for j in range(s + 3):
+        for el in std + elems:
+            assert A.in_power(el, j) == oracle_in_power(powers[j], A, el), (el, j)
+        for pair in pairs:
+            assert (_graded_classes_independent(A, pair, j)
+                    == oracle_classes_independent(powers[j + 1], A, pair)), (pair, j)
 
 
 def seeded_grid():
@@ -145,3 +183,43 @@ def test_reading_invariants_off_an_algebra_builds_no_echelon(monkeypatch):
     assert leading_forms(pres, algebra=A).v_star == 3
     assert algebra_report(A)["min_gens"] == 2
     assert calls == []
+
+
+def random_monomial_ideal(rng, nvars):
+    """Pure powers (up to x^5 in two variables, x^3 in three) plus a few
+    random monomials of degree 2..3."""
+    gens = [tuple(rng.randint(2, 9 - 2 * nvars) if k == i else 0 for k in range(nvars))
+            for i in range(nvars)]
+    monos = [m for d in (2, 3) for m in monomials_of_degree(nvars, d)]
+    gens += rng.sample(monos, rng.randint(0, 3))
+    return gens
+
+
+def monomial_counts(gens, nvars):
+    """hf and socle dimension of k[x]/(gens) from the standard monomials:
+    those no generator divides, and, for the socle, the standard monomials m
+    whose multiples x_i*m all lie in the ideal."""
+    def in_ideal(m):
+        return any(all(a >= b for a, b in zip(m, g)) for g in gens)
+
+    top = sum(max(g[i] for g in gens) for i in range(nvars))
+    std = [m for d in range(top) for m in monomials_of_degree(nvars, d)
+           if not in_ideal(m)]
+    hf = [0] * (max(sum(m) for m in std) + 1)
+    for m in std:
+        hf[sum(m)] += 1
+    corners = sum(1 for m in std if all(
+        in_ideal(tuple(e + (k == i) for k, e in enumerate(m))) for i in range(nvars)))
+    return tuple(hf), len(std), corners
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(2, 3))
+@settings(max_examples=30, deadline=None)
+def test_monomial_ideals_match_combinatorial_counts_and_survive_moves(seed, nvars):
+    rng = random.Random(seed)
+    gens = random_monomial_ideal(rng, nvars)
+    pres = IdealPresentation([Polynomial(nvars, QQ, {m: QQ.rone}) for m in gens], nvars)
+    hf, length, corners = monomial_counts(gens, nvars)
+    for ideal in (pres, moved(pres, seed)):
+        A = build_quotient(ideal)
+        assert (A.hf, A.length, A.cm_type) == (hf, length, corners)

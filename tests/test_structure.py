@@ -31,8 +31,6 @@ from artinlocal.structure import (
     make_stretched,
     normalize,
     normalize_units,
-    recover_almost_stretched_params,
-    recover_stretched_params,
 )
 
 
@@ -75,32 +73,51 @@ def test_almost_stretched_is_gorenstein():
     assert A.is_almost_stretched()
 
 
-def test_recover_round_trips_syntactically():
-    sp = StretchedParams(4, 5, 2, (q(2), q(5)))
-    assert recover_stretched_params(make_stretched(sp)) == sp
-    ap = AlmostStretchedParams(3, 3, 6, parse_poly("2 + x1^2", 3, QQ),
-                               q(7), (q(2),))
-    got = recover_almost_stretched_params(make_almost_stretched(ap))
-    assert (got.h, got.t, got.s) == (3, 3, 6)
-    assert (got.a - ap.a).is_zero() and (got.w - ap.w).is_zero()
+def unit_free_model_carries_onto(params, new, witness):
+    """Does the witness carry the unit-free model onto the input model?"""
+    make = make_stretched if isinstance(params, StretchedParams) else make_almost_stretched
+    pres = make(params)
+    transported = IdealPresentation([witness.apply(g) for g in make(new).gens])
+    return row_space_equal(transported, pres, build_quotient(pres).D)
 
 
 def test_normalize_units_clears_units():
     sp = StretchedParams(3, 4, 1, (q(4), q(9)))
-    pres = make_stretched(sp)
-    cleared, witness = normalize_units(pres)
-    got = recover_stretched_params(cleared)
-    assert all((u - q(1)).is_zero() for u in got.units)
-    moved = IdealPresentation([witness.apply(g) for g in cleared.gens])
-    assert row_space_equal(moved, pres, build_quotient(pres).D)
+    new, witness = normalize_units(sp)
+    assert (new.h, new.s, new.tau) == (3, 4, 1)
+    assert all((u - q(1)).is_zero() for u in new.units)
+    assert new.field.depth == 0
+    assert unit_free_model_carries_onto(sp, new, witness)
 
 
 def test_normalize_units_may_need_extension():
     sp = StretchedParams(3, 4, 1, (q(2), q(3)))
     with pytest.raises(FieldExtensionRequired):
-        normalize_units(make_stretched(sp))
-    cleared, _ = normalize_units(make_stretched(sp), allow_extension=True)
-    assert cleared.field.depth == 2
+        normalize_units(sp)
+    new, witness = normalize_units(sp, allow_extension=True)
+    assert new.field.depth == 2
+    assert unit_free_model_carries_onto(sp, new, witness)
+
+
+def test_normalize_units_almost_stretched_square_w_stays_rational():
+    # w = 4 = v^2 with v = 2: a'(x1, x2) = a(x1, 2*x2) / 2
+    ap = AlmostStretchedParams(2, 3, 5, parse_poly("1 + x1 + x2", 2, QQ), q(4))
+    new, witness = normalize_units(ap)
+    assert (new.h, new.t, new.s) == (2, 3, 5)
+    assert (new.w - q(1)).is_zero() and new.field.depth == 0
+    assert (new.a - parse_poly("1/2 + 1/2*x1 + x2", 2, QQ)).is_zero()
+    assert unit_free_model_carries_onto(ap, new, witness)
+
+
+def test_normalize_units_almost_stretched_may_need_extension():
+    ap = AlmostStretchedParams(3, 2, 4, parse_poly("x2", 3, QQ), q(2), (q(5),))
+    with pytest.raises(FieldExtensionRequired):
+        normalize_units(ap)
+    new, witness = normalize_units(ap, allow_extension=True)
+    assert (new.w - new.field.one).is_zero()
+    assert all((u - new.field.one).is_zero() for u in new.units)
+    assert new.field.depth >= 1
+    assert unit_free_model_carries_onto(ap, new, witness)
 
 
 def test_normalize_stretched_round_trip():
