@@ -9,7 +9,7 @@ function.
 
 from artinlocal import (
     bound_report,
-    hilbert_function,
+    build_quotient,
     lex_segment,
     min_gens,
 )
@@ -29,7 +29,7 @@ def main():
         p = lex_segment(hf)
         gens = ", ".join(repr(g) for g in p.gens)
         print(f"  HF {hf}: lex ideal ({gens})")
-        print(f"    check: HF = {hilbert_function(p)}, v = {min_gens(p)}")
+        print(f"    check: HF = {build_quotient(p).hf}, v = {min_gens(p)}")
 
 
 if __name__ == "__main__":

@@ -40,8 +40,6 @@ from .quotient import (
     algebra_report,
     build_quotient,
     extend_scalars,
-    hilbert_function,
-    ideals_equal,
     leading_forms,
     min_gens,
     nth_root,
@@ -66,9 +64,6 @@ from .structure import (
     make_almost_stretched,
     make_stretched,
     normalize,
-    normalize_almost_stretched_gorenstein,
-    normalize_stretched,
-    normalize_units,
 )
 from .classify7 import (
     ClassificationResult,

@@ -11,16 +11,18 @@ Every such algebra is isomorphic to exactly one of four models:
 and within case2b2 the residue p^2 is a complete isomorphism invariant.
 The classifier starts from the canonical quadratic relation coefficient
 a(x1, x2) (see structure.normalize_units), decides the case from residues of
-derived elements, assembles the witness coordinate change following the
-case analysis, and certifies it by containment in the algebra's own
-echelon plus equal colength (structure.certify).
+derived elements and assembles a leading witness following the case
+analysis.  classify refines that witness and certifies it once, by
+containment in the algebra's own echelon plus equal colength
+(structure.certify); classify_ideal certifies the composite witness back to
+its input coordinates, and no stage is certified on its own.
 Square roots that do not exist in the current field are adjoined when
 allow_extension is set (within the tower depth cap).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import WrongHilbertFunction
 from .linalg import solve_dense
@@ -36,9 +38,9 @@ from .quotient import (
 )
 from .scalars import Field, QQ, Scalar, adjoin_sqrt
 from .structure import (
+    _almost_stretched_witness,
     _sqrt_growing,
     certify,
-    normalize_almost_stretched_gorenstein,
     normalize_units,
     solve_scalar_combo,
 )
@@ -77,7 +79,6 @@ class ClassificationResult:
     model: IdealPresentation
     witness: RingMap
     field: Field
-    details: dict = dc_field(default_factory=dict)
 
     def as_dict(self):
         return {
@@ -226,7 +227,9 @@ def _partial(g: Polynomial, i: int) -> Polynomial:
 
 
 def classify(a, field: Field = QQ, allow_extension=False) -> ClassificationResult:
-    """Classify the algebra k[[x1,x2]] / (x1^3*x2, x2^2 - a*x1*x2 - x1^4)."""
+    """Classify the algebra k[[x1,x2]] / (x1^3*x2, x2^2 - a*x1*x2 - x1^4).
+
+    The case analysis gives a leading witness, refined and certified here."""
     if isinstance(a, str):
         a = parse_poly(a, 2, field)
     field = a.field if a.field.depth > field.depth else field
@@ -237,33 +240,39 @@ def classify(a, field: Field = QQ, allow_extension=False) -> ClassificationResul
         [x1p ** 3 * x2p, x2p * x2p - a * x1p * x2p - x1p ** 4], 2, field
     )
     ctx = _Ctx(pres, allow_extension)
+    if ctx.A.hf != TARGET_HF:
+        raise WrongHilbertFunction(f"got Hilbert function {ctx.A.hf}")
+    case, p, P, Q = _leading_witness(ctx, a)
     A = ctx.A
-    if A.hf != TARGET_HF:
-        raise WrongHilbertFunction(f"got Hilbert function {A.hf}")
-    abar = a.constant_coeff()
-    details = {"a": a, "abar": abar}
-    if not abar.is_zero():
-        return _classify_case1(ctx, a, details)
+    model = make_model(case, p=p, field=A.field)
+    witness = _refine_witness(A, model, P, Q)
+    certify(A, model, witness, "classification")
+    return ClassificationResult(case, p, None if p is None else p * p,
+                                model, witness, A.field)
+
+
+def _leading_witness(ctx: _Ctx, a: Polynomial):
+    """(case, p, P, Q): the case, its parameter (case2b2 only) and the
+    leading images of x1, x2 in ctx.A, whose field may have grown."""
+    if not a.constant_coeff().is_zero():
+        return _classify_case1(ctx, a)
     b_poly, c_poly = _split_by_vars(a)
     # x2-coordinate with the pure quadratic relation: x2' = v*x2,
     # v^2 = 1 - c*x1 (residue 1, no extension needed)
     A = ctx.A
-    c_el = A.element(c_poly)
-    v = nth_root(A, A.element(1) - c_el * A.variable(0), 2)
+    v = nth_root(A, A.element(1) - A.element(c_poly) * A.variable(0), 2)
     x1e = A.variable(0)
     x2e = v * A.variable(1)
     d = A.element(b_poly) * v.inverse()
     dbar = d.residue()
-    details["dbar"] = dbar
     if dbar.is_zero():
-        return _classify_case2a(ctx, x1e, x2e, d, details)
-    disc = dbar * dbar + 4
-    if disc.is_zero():
-        return _classify_case2b1(ctx, x1e, x2e, d, details)
-    return _classify_case2b2(ctx, x1e, x2e, d, details)
+        return _classify_case2a(ctx, x1e, x2e, d)
+    if (dbar * dbar + 4).is_zero():
+        return _classify_case2b1(ctx, x1e, x2e, d)
+    return _classify_case2b2(ctx, x1e, x2e, d)
 
 
-def _classify_case1(ctx: _Ctx, a: Polynomial, details) -> ClassificationResult:
+def _classify_case1(ctx: _Ctx, a: Polynomial):
     A = ctx.A
     a_el = A.element(a)
     y1, y2 = A.variable(0), A.variable(1)
@@ -279,64 +288,31 @@ def _classify_case1(ctx: _Ctx, a: Polynomial, details) -> ClassificationResult:
     sol = solve_scalar_combo(A, [u ** 6], w ** 4)
     if sol is None:
         raise RuntimeError("case1 socle ratio failed")
-    c = sol[0]
-    delta = ctx.sqrt_scalar(c)
-    A = ctx.A
+    delta = ctx.sqrt_scalar(sol[0])
     u, w = ctx.lift(u), ctx.lift(w)
-    P = u * delta
-    Q = w * delta
-    model = make_model("case1", field=A.field)
-    witness = _refine_witness(A, model, P, Q)
-    certify(A, model, witness, "classification")
-    return ClassificationResult("case1", None, None, model, witness, A.field, details)
+    return "case1", None, u * delta, w * delta
 
 
-def _classify_case2a(ctx: _Ctx, x1e, x2e, d, details) -> ClassificationResult:
+def _classify_case2a(ctx: _Ctx, x1e, x2e, d):
     A = ctx.A
-    f_poly, e_poly = _split_by_vars(d.poly)
-    e_el = A.element(e_poly.substitute([x1e.poly, x2e.poly], A.D)) \
-        if not e_poly.is_zero() else A.element(0)
+    e_el = A.element(_split_by_vars(d.poly)[1].substitute([x1e.poly, x2e.poly], A.D))
     vp = nth_root(A, A.element(1) - e_el * x1e * x1e, 2)
-    P = x1e
-    Q = vp * x2e
-    model = make_model("case2a", field=A.field)
-    witness = _refine_witness(A, model, P, Q)
-    certify(A, model, witness, "classification")
-    return ClassificationResult("case2a", None, None, model, witness, A.field, details)
+    return "case2a", None, x1e, vp * x2e
 
 
-def _classify_case2b1(ctx: _Ctx, x1e, x2e, d, details) -> ClassificationResult:
-    A = ctx.A
-    dbar = d.residue()
+def _classify_case2b1(ctx: _Ctx, x1e, x2e, d):
     # leading candidate whose square dies: x2 - (dbar/2)*x1^2
-    P = x2e - x1e * x1e * (dbar / 2)
-    Q = x1e
-    model = make_model("case2b1", field=A.field)
-    witness = _refine_witness(A, model, P, Q)
-    certify(A, model, witness, "classification")
-    return ClassificationResult("case2b1", None, None, model, witness, A.field, details)
+    return "case2b1", None, x2e - x1e * x1e * (d.residue() / 2), x1e
 
 
-def _classify_case2b2(ctx: _Ctx, x1e, x2e, d, details) -> ClassificationResult:
-    A = ctx.A
-    dbar = d.residue()
+def _classify_case2b2(ctx: _Ctx, x1e, x2e, d):
     c = ctx.sqrt_element(d * d + 4)
-    A = ctx.A
     x1e, x2e, d = ctx.lift(x1e), ctx.lift(x2e), ctx.lift(d)
     e = ctx.sqrt_element(c.inverse() * (-2))
-    A = ctx.A
     x1e, x2e, d, c = ctx.lift(x1e), ctx.lift(x2e), ctx.lift(d), ctx.lift(c)
     p_el = d * c.inverse()
-    pbar = p_el.residue()
     X = x1e * e.inverse()
-    Y = x2e + p_el * X * X
-    model = make_model("case2b2", p=pbar, field=A.field)
-    witness = _refine_witness(A, model, X, Y)
-    certify(A, model, witness, "classification")
-    details["pbar"] = pbar
-    return ClassificationResult(
-        "case2b2", pbar, pbar * pbar, model, witness, A.field, details
-    )
+    return "case2b2", p_el.residue(), X, x2e + p_el * X * X
 
 
 # ------------------------------------------------- classification of ideals
@@ -345,16 +321,19 @@ def _classify_case2b2(ctx: _Ctx, x1e, x2e, d, details) -> ClassificationResult:
 def classify_ideal(pres: IdealPresentation, allow_extension=False, seed=0) -> ClassificationResult:
     """Classify an arbitrary presentation with the target Hilbert function.
 
-    Pipeline: normalize onto the almost-stretched Gorenstein model, push the
-    units to 1, then run the core classifier on the recovered coefficient a;
-    the returned witness is the composition back to the input coordinates.
+    Pipeline: carry the almost-stretched Gorenstein model onto the input,
+    push its units to 1 (normalize_units), and classify the unit-free
+    coefficient a.  Neither stage is certified on its own; the returned
+    witness, their composition back to the input coordinates, is certified
+    here against the input's own echelon.
     """
-    A = build_quotient(pres)
+    # D = s+2 of the target suffices in one build; another hf steps past it
+    A = build_quotient(pres, D=len(TARGET_HF) + 1)
     if A.hf != TARGET_HF:
         raise WrongHilbertFunction(
             f"expected Hilbert function {TARGET_HF}, got {A.hf}"
         )
-    params, w1 = normalize_almost_stretched_gorenstein(A, seed=seed)
+    params, w1 = _almost_stretched_witness(A, seed)
     unitfree, w2 = normalize_units(params, allow_extension=allow_extension)
     a = unitfree.a
     a2 = Polynomial(2, a.field, {(m[0], m[1]): c for m, c in a.terms.items()})
@@ -365,7 +344,7 @@ def classify_ideal(pres: IdealPresentation, allow_extension=False, seed=0) -> Cl
     )
     certify(A, core.model, total, "composite classification")
     return ClassificationResult(
-        core.case, core.p, core.p_squared, core.model, total, final, core.details
+        core.case, core.p, core.p_squared, core.model, total, final
     )
 
 

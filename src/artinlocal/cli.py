@@ -26,8 +26,6 @@ from .quotient import (
     IdealPresentation,
     algebra_report,
     build_quotient,
-    field_label,
-    hilbert_function,
 )
 from .scalars import QQ
 from .semigroups import (
@@ -101,7 +99,7 @@ def _params_dict(kind, params):
 def cmd_hf(args) -> int:
     pres = read_ideal_file(args.ideal)
     return _emit({"schema": 1, "generators": [poly_to_str(g) for g in pres.gens],
-                  "hilbert_function": list(hilbert_function(pres))})
+                  "hilbert_function": list(build_quotient(pres).hf)})
 
 
 def cmd_invariants(args) -> int:
@@ -146,7 +144,7 @@ def cmd_make(args) -> int:
         pres = make_almost_stretched(params)
     return _emit({"schema": 1, "vars": pres.nvars,
                   "generators": [poly_to_str(g) for g in pres.gens],
-                  "hilbert_function": list(hilbert_function(pres))})
+                  "hilbert_function": list(build_quotient(pres).hf)})
 
 
 def cmd_normalize(args) -> int:
@@ -154,7 +152,7 @@ def cmd_normalize(args) -> int:
     kind, params, witness = normalize(pres, seed=args.seed)
     return _emit({"schema": 1, "kind": kind,
                   "params": _params_dict(kind, params),
-                  "field": field_label(params.field),
+                  "field": repr(params.field),
                   "witness_images": [poly_to_str(im) for im in witness.images]})
 
 
@@ -197,7 +195,7 @@ def _suite_tables(seed) -> dict:
                               for _ in range(h - tau if tau < h else 0))
                 pres = make_stretched(StretchedParams(h, s, tau, units))
                 want = (1, h) + (1,) * (s - 1)
-                got = hilbert_function(pres)
+                got = build_quotient(pres).hf
                 cases.append((f"stretched h={h} s={s} tau={tau}", got == want))
     for h in range(2, 4):
         for t in range(2, 6):
@@ -209,7 +207,7 @@ def _suite_tables(seed) -> dict:
                     AlmostStretchedParams(h, t, s, a, w, units)
                 )
                 want = (1, h) + (2,) * (t - 1) + (1,) * (s - t)
-                got = hilbert_function(pres)
+                got = build_quotient(pres).hf
                 cases.append((f"almost h={h} t={t} s={s}", got == want))
     return _tally(cases)
 

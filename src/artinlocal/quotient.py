@@ -5,13 +5,14 @@ truncations).  For a truncation degree D we echelonize the span of
 {m * g : g generator, m monomial, deg(m) + ord(g) < D}; that span equals
 (I + n^D)/n^D where n is the maximal ideal of the power-series ring.  The
 non-pivot ("standard") monomials of degree < D form a vector-space basis of
-R/(I + n^D), and once the Hilbert function vanishes strictly below D it is
-the Hilbert function of A itself.
+R/(I + n^D), and in every degree below D they count the Hilbert function of
+A itself (see build_quotient).
 
 One such echelon per ideal carries every invariant (the method of Lazard,
 "Groebner bases, Gaussian elimination and resolution of systems of algebraic
-equations", 1983).  Write s for the socle degree; the build stops at a D with
-hf(s+1) = 0 and s+1 < D, so D >= s+2.
+equations", 1983).  Write s for the socle degree; the build steps D up by
+one and stops at the first D with hf(s+1) = 0 and s+1 < D, that is at
+D = max(start, s+2).
 
 * Hilbert function.  The pivot of a row is its lowest monomial, so the pivot
   set is the set of lowest monomials of the nonzero elements of the span.
@@ -52,7 +53,7 @@ from .polynomials import (
     monomials_of_degree,
     parse_poly,
 )
-from .scalars import Field, QQ, Scalar, adjoin_sqrt, common_field
+from .scalars import Field, QQ, Scalar, common_field
 
 D_START_FLOOR = 4
 D_MAX = 32
@@ -350,8 +351,17 @@ class AlgebraElement:
 
 
 def build_quotient(pres: IdealPresentation, D=None) -> ArtinAlgebra:
-    """Build the Artinian quotient, doubling the truncation degree until the
-    Hilbert function vanishes strictly below it (NotArtinian past D_MAX)."""
+    """Build the Artinian quotient, stepping the truncation degree up by one
+    until the Hilbert function vanishes strictly below it (NotArtinian past
+    D_MAX).
+
+    The echelon at D spans (I + n^D)/n^D, and for j < D, (I + n^D)*_j =
+    I*_j: an element of order >= D cannot change an initial form of degree
+    j.  So the standard monomials of degree j < D count HF_{R/I}(j), and the
+    first D with a zero below it gives the exact Hilbert function (a zero
+    at j gives n^j <= I + n^(j+1), so n^j <= I by Nakayama).  The build
+    stops at D = max(start, s+2), the least that min_gens and certify need.
+    """
     Dcur = min(D if D is not None else max(D_START_FLOOR, pres.max_degree + 2),
                D_MAX)
     while True:
@@ -367,11 +377,7 @@ def build_quotient(pres: IdealPresentation, D=None) -> ArtinAlgebra:
             raise NotArtinian(
                 f"Hilbert function did not vanish below truncation {D_MAX}"
             )
-        Dcur = min(2 * Dcur, D_MAX)
-
-
-def hilbert_function(pres: IdealPresentation, **kw):
-    return build_quotient(pres, **kw).hf
+        Dcur += 1
 
 
 # -------------------------------------------------- minimal generator count
@@ -458,12 +464,11 @@ def extend_scalars(A: ArtinAlgebra, field: Field) -> ArtinAlgebra:
 # ------------------------------------------------------------ Hensel roots
 
 
-def nth_root(A: ArtinAlgebra, a, n: int, allow_extension=False) -> AlgebraElement:
+def nth_root(A: ArtinAlgebra, a, n: int) -> AlgebraElement:
     """An n-th root of a unit element, by Newton lifting from the residue.
 
-    If the residue has no n-th root in the current field: with
-    allow_extension and n a power of two, the needed square roots are
-    adjoined (within the tower depth cap); otherwise ResidueNotPower.
+    A residue with no n-th root in A's field raises ResidueNotPower; to
+    adjoin one, extend A first (extend_scalars).
     """
     if isinstance(a, (int, Fraction, Scalar, str, Polynomial)):
         a = A.element(a)
@@ -473,14 +478,6 @@ def nth_root(A: ArtinAlgebra, a, n: int, allow_extension=False) -> AlgebraElemen
         raise ValueError("n-th roots only of units")
     r = a.residue().nth_root(n)
     if r is None:
-        if allow_extension and n in (2, 4):
-            target = a.residue()
-            if n == 4:
-                half = nth_root(A, a, 2, allow_extension=True)
-                return nth_root(half.algebra, half, 2, allow_extension=True)
-            ext = adjoin_sqrt(A.field, target)
-            A2 = extend_scalars(A, ext)
-            return nth_root(A2, A2.element(a.poly.map_field(ext)), n)
         raise ResidueNotPower(
             f"residue {a.residue()!r} has no {n}-th root in {A.field!r}"
         )
@@ -509,18 +506,7 @@ def row_space_equal(p1: IdealPresentation, p2: IdealPresentation, D: int) -> boo
     return same_row_space(e1, e2)
 
 
-def ideals_equal(p1: IdealPresentation, p2: IdealPresentation) -> bool:
-    """Equality of the generated ideals, certified at a safe truncation."""
-    A = build_quotient(p1)
-    D = max(A.D, max(g.degree() for g in p2.gens) + 2)
-    return row_space_equal(p1, p2, D)
-
-
 # ----------------------------------------------------------------- reports
-
-
-def field_label(field: Field) -> str:
-    return repr(field)
 
 
 def algebra_report(A: ArtinAlgebra) -> dict:
@@ -528,7 +514,7 @@ def algebra_report(A: ArtinAlgebra) -> dict:
     return {
         "schema": 1,
         "nvars": A.nvars,
-        "field": field_label(A.field),
+        "field": repr(A.field),
         "generators": [repr(g) for g in A.pres.gens],
         "truncation": A.D,
         "hilbert_function": list(A.hf),

@@ -7,9 +7,11 @@ generators (Hilbert function (1, h, 2, ..., 2, 1, ..., 1)).  Both classes
 admit canonical ideal presentations parameterized by a handful of scalars,
 and every algebra in the class can be carried onto its canonical model by an
 explicit change of coordinates.  This module builds the models (only
-make_stretched and make_almost_stretched know their syntax), and its
-normalizers recover the parameters from an arbitrary presentation together
-with the witness coordinate change.
+make_stretched and make_almost_stretched know their syntax).  Its stages
+recover the parameters of an arbitrary presentation together with a witness
+coordinate change, and do not certify it: normalize certifies the witness
+it returns, once (see certify), and classify7.classify_ideal certifies the
+composite of the stages it chains.
 """
 
 from __future__ import annotations
@@ -223,19 +225,24 @@ def normalize_units(params, allow_extension=False):
     """Carry a canonical model onto the one with every unit parameter 1.
 
     params is a StretchedParams or an AlmostStretchedParams.  Returns
-    (unit_free_params, witness), where the witness maps the variables of
+    (unit_free_params, witness), where the witness phi maps the variables of
     make_*(unit_free_params) into those of make_*(params):
     * stretched: every unit u_i becomes 1, by x_i -> x_i / sqrt(u_i);
     * almost stretched: w and u_3..u_h become 1, by x2 -> x2 / v with
       v^2 = w and x_i -> x_i / sqrt(u_i), and a is conjugated to
       a'(x1, x2) = v^-1 a(x1, v x2).
     A square root missing from the field raises FieldExtensionRequired,
-    unless allow_extension adjoins it.  Before returning, the witness is
-    certified: certify(build_quotient(make_*(params)),
-    make_*(unit_free_params), witness, ...).
+    unless allow_extension adjoins it.
+
+    The witness is exact, so it is not certified: phi sends each generator
+    of make_*(unit_free_params) to a nonzero scalar multiple of the one at
+    the same index in make_*(params).  A monomial goes to a multiple of
+    itself, x_i^2 - x1^s to (x_i^2 - u_i x1^s) / u_i, and x2^2 - a' x1 x2 -
+    x1^(s-t+1) to (x2^2 - a x1 x2 - w x1^(s-t+1)) / w, as a'(x1, x2/v) =
+    a(x1, x2) / v.  The conjugation keeps the degree of every term of a, so
+    it commutes with the truncation of a at s.
     """
     stretched = isinstance(params, StretchedParams)
-    make = make_stretched if stretched else make_almost_stretched
     field = params.field
     roots = []
     for u in ([] if stretched else [params.w]) + list(params.units):
@@ -254,9 +261,7 @@ def normalize_units(params, allow_extension=False):
         new = AlmostStretchedParams(h, params.t, params.s, a, field.one, ones)
         scales = [field.one] + scales
     images = [Polynomial.variable(i, h, field).scale(c) for i, c in enumerate(scales)]
-    witness = RingMap(images, params.s + 2)
-    certify(build_quotient(make(params)), make(new), witness, "unit normalization")
-    return new, witness
+    return new, RingMap(images, params.s + 2)
 
 
 # ---------------------------------------------------------- generic search
@@ -428,15 +433,9 @@ def _complete_basis(A: ArtinAlgebra, fixed, rng, count):
     return out
 
 
-def normalize_stretched(A: ArtinAlgebra, seed=0):
-    """Parameters and witness coordinate change onto the stretched model.
-
-    The witness maps canonical variable i+1 to a representative of the i-th
-    element of the constructed basis; it is certified by containment of the
-    transported model in A's echelon and equal colength (see certify).
-    """
-    if not A.is_stretched():
-        raise NotStretched(f"Hilbert function {A.hf} is not stretched")
+def _stretched_witness(A: ArtinAlgebra, seed):
+    """Parameters of A's stretched model and an uncertified witness, which
+    sends x_(i+1) to the i-th element of the constructed basis."""
     h, s, tau = A.embdim, A.socle_degree, A.cm_type
     rng = random.Random(seed)
     (x1,) = find_lean_basis(A, seed=seed)
@@ -464,16 +463,12 @@ def normalize_stretched(A: ArtinAlgebra, seed=0):
         zs, units = _diagonalize_units(A, zs, x1 ** s)
     params = StretchedParams(h, s, tau, units)
     images = [x1.poly] + [y.poly for y in ys] + [z.poly for z in zs]
-    witness = RingMap(images, A.D)
-    certify(A, make_stretched(params), witness, "stretched normalization")
-    return params, witness
+    return params, RingMap(images, A.D)
 
 
-def normalize_almost_stretched_gorenstein(A: ArtinAlgebra, seed=0):
-    """Parameters and witness coordinate change onto the almost-stretched
-    Gorenstein model."""
-    if not A.is_almost_stretched():
-        raise NotAlmostStretched(f"Hilbert function {A.hf} is not almost stretched")
+def _almost_stretched_witness(A: ArtinAlgebra, seed):
+    """Parameters of A's almost-stretched Gorenstein model and an
+    uncertified witness onto it."""
     if not A.gorenstein:
         raise NotGorenstein(f"Cohen-Macaulay type is {A.cm_type}")
     h, s = A.embdim, A.socle_degree
@@ -545,20 +540,22 @@ def normalize_almost_stretched_gorenstein(A: ArtinAlgebra, seed=0):
     a_poly = Polynomial(h, A.field, a_terms)
     params = AlmostStretchedParams(h, t, s, a_poly, w, units)
     images = [x1.poly, x2.poly] + [z.poly for z in zs]
-    witness = RingMap(images, A.D)
-    certify(A, make_almost_stretched(params), witness,
-            "almost-stretched normalization")
-    return params, witness
+    return params, RingMap(images, A.D)
 
 
 def normalize(pres_or_algebra, seed=0):
-    """Dispatch to the applicable normalizer; returns (kind, params, witness)."""
+    """(kind, params, witness) onto the canonical model that A's Hilbert
+    function picks.  The stage of that kind builds the witness, which is
+    certified here, once (see certify)."""
     A = (pres_or_algebra if isinstance(pres_or_algebra, ArtinAlgebra)
          else build_quotient(pres_or_algebra))
     if A.is_stretched():
-        params, witness = normalize_stretched(A, seed=seed)
-        return "stretched", params, witness
-    if A.is_almost_stretched():
-        params, witness = normalize_almost_stretched_gorenstein(A, seed=seed)
-        return "almost_stretched", params, witness
-    raise NotStretched(f"Hilbert function {A.hf} fits neither normal form")
+        kind, stage, make = "stretched", _stretched_witness, make_stretched
+    elif A.is_almost_stretched():
+        kind, stage, make = ("almost_stretched", _almost_stretched_witness,
+                             make_almost_stretched)
+    else:
+        raise NotStretched(f"Hilbert function {A.hf} fits neither normal form")
+    params, witness = stage(A, seed)
+    certify(A, make(params), witness, f"{kind} normalization")
+    return kind, params, witness

@@ -6,7 +6,9 @@ quotient's own Macaulay echelon: one echelon of nI plus the generators for
 the generator count, one full echelon per degree for the leading forms,
 and one echelon of the coordinates of m^j for membership in m^j.  They
 build their own echelons from the linalg primitives, so they share no code
-with the paths they check beyond sparse row reduction itself.
+with the paths they check beyond sparse row reduction itself.  ideals_equal,
+the ideal equality the quotient tests use, is built on the library's
+build_quotient and row_space_equal.
 """
 
 from artinlocal.linalg import (
@@ -18,6 +20,7 @@ from artinlocal.linalg import (
     shifted_row,
 )
 from artinlocal.polynomials import Polynomial, mono_key, monomials_of_degree
+from artinlocal.quotient import build_quotient, row_space_equal
 
 
 def separate_echelon(pres, D):
@@ -128,3 +131,10 @@ def same_span(polys1, polys2, field, nvars, D):
             ech.add(row_from_poly(p, table))
         echs.append(ech)
     return same_row_space(*echs)
+
+
+def ideals_equal(p1, p2):
+    """Equality of the generated ideals, checked at a safe truncation."""
+    A = build_quotient(p1)
+    D = max(A.D, max(g.degree() for g in p2.gens) + 2)
+    return row_space_equal(p1, p2, D)

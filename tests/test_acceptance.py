@@ -21,7 +21,6 @@ from artinlocal.polynomials import (
 from artinlocal.quotient import (
     IdealPresentation,
     build_quotient,
-    hilbert_function,
     leading_forms,
     min_gens,
     nth_root,
@@ -110,7 +109,7 @@ def model_grid():
 def test_criterion_1_hilbert_function_tables():
     failures = []
     for label, pres, hf, _v, _e, _h in model_grid():
-        got = hilbert_function(pres)
+        got = build_quotient(pres).hf
         if got != hf:
             failures.append(f"{label}: hf {got} != {hf}")
     _report(1, failures)
@@ -156,7 +155,7 @@ def test_criterion_3_bound_chain():
             failures.append(f"{label}: {v} outside numeric bounds")
             continue
         v_star = leading_forms(pres).v_star
-        v_lex = len(lex_segment(hilbert_function(pres), nvars=h).gens)
+        v_lex = len(lex_segment(build_quotient(pres).hf, nvars=h).gens)
         if not v <= v_star <= v_lex:
             failures.append(
                 f"{label}: chain {v} <= {v_star} <= {v_lex} broken")

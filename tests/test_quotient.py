@@ -7,19 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artinlocal.errors import NotArtinian, ResidueNotPower
-from artinlocal.polynomials import parse_poly
+from artinlocal.polynomials import parse_poly, random_invertible_map
 from artinlocal.quotient import (
     IdealPresentation,
     algebra_report,
     build_quotient,
-    hilbert_function,
-    ideals_equal,
+    extend_scalars,
     leading_forms,
     min_gens,
     nth_root,
     row_space_equal,
 )
-from artinlocal.scalars import QQ, Scalar
+from artinlocal.scalars import QQ, Scalar, adjoin_sqrt
+
+from echelon_oracles import ideals_equal
 
 
 def pres(*texts, nvars=2):
@@ -35,7 +36,7 @@ def test_monomial_complete_intersection():
 
 def test_node_with_tangency():
     p = pres("x1*x2", "x2^2 - x1^3")
-    assert hilbert_function(p) == (1, 2, 1, 1)
+    assert build_quotient(p).hf == (1, 2, 1, 1)
     assert min_gens(p) == 2
 
 
@@ -49,6 +50,16 @@ def test_leading_forms_pick_up_hidden_generator():
 def test_non_artinian_raises():
     with pytest.raises(NotArtinian):
         build_quotient(pres("x1^2"))
+
+
+def test_moved_fourth_powers_build_at_the_least_truncation():
+    # moved generators have degree 8, so the build starts at D = 10 with no
+    # zero of hf below it; the next step, D = 11 = s+2, is enough
+    cube = pres("x1^4", "x2^4", "x3^4", nvars=3)
+    phi = random_invertible_map(3, QQ, 11, 1)
+    A = build_quotient(IdealPresentation([phi.apply(g) for g in cube.gens]))
+    assert A.hf == (1, 3, 6, 10, 12, 12, 10, 6, 3, 1)
+    assert A.D == A.socle_degree + 2
 
 
 def test_socle_of_gorenstein_is_one_dimensional():
@@ -115,11 +126,11 @@ def test_root_needs_residue_root():
 
 def test_root_via_extension():
     A = build_quotient(pres("x1^3", "x2^2"))
-    a = A.element(parse_poly("2 + x1", 2, QQ))
-    r = nth_root(A, a, 2, allow_extension=True)
-    B = r.algebra
-    lifted = B.element(parse_poly("2 + x1", 2, B.field))
-    assert (r * r - lifted).is_zero()
+    B = extend_scalars(A, adjoin_sqrt(QQ, Scalar(QQ, QQ.rfrom(2))))
+    a = B.element(parse_poly("2 + x1", 2, B.field))
+    r = nth_root(B, a, 2)
+    assert r.algebra is B
+    assert (r * r - a).is_zero()
 
 
 @given(st.integers(min_value=2, max_value=4), st.integers(min_value=2, max_value=4))

@@ -186,9 +186,9 @@ def test_reading_invariants_off_an_algebra_builds_no_echelon(monkeypatch):
 
 
 def random_monomial_ideal(rng, nvars):
-    """Pure powers (up to x^5 in two variables, x^3 in three) plus a few
+    """Pure powers (up to x^5 in two variables, x^4 in three) plus a few
     random monomials of degree 2..3."""
-    gens = [tuple(rng.randint(2, 9 - 2 * nvars) if k == i else 0 for k in range(nvars))
+    gens = [tuple(rng.randint(2, 7 - nvars) if k == i else 0 for k in range(nvars))
             for i in range(nvars)]
     monos = [m for d in (2, 3) for m in monomials_of_degree(nvars, d)]
     gens += rng.sample(monos, rng.randint(0, 3))
