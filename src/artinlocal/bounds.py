@@ -110,28 +110,16 @@ def lex_segment(hf, nvars=None):
     if nvars == 0:
         raise ValueError("need at least one variable")
     s = len(hf) - 1
-    segments = {0: set()}
+    prev, gens = set(), []
     for j in range(1, s + 2):
         # exponent tuples compare lexicographically with x1 > x2 > ...
         monos = sorted(monomials_of_degree(nvars, j), reverse=True)
-        want = len(monos) - (hf[j] if j <= s else 0)
-        seg = set(monos[:want])
-        # closure under multiplication by variables
-        for m in segments[j - 1]:
-            for i in range(nvars):
-                mm = tuple(e + (1 if k == i else 0) for k, e in enumerate(m))
-                if mm not in seg:
-                    raise ValueError("Hilbert function not realizable lex-segment")
-        segments[j] = seg
-    gens = []
-    for j in range(1, s + 2):
-        grown = set()
-        for m in segments[j - 1]:
-            for i in range(nvars):
-                grown.add(tuple(e + (1 if k == i else 0) for k, e in enumerate(m)))
-        born = sorted(segments[j] - grown, reverse=True)
-        for m in born:
-            gens.append(Polynomial(nvars, QQ, {m: QQ.rone}))
+        seg = set(monos[:len(monos) - (hf[j] if j <= s else 0)])
+        grown = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in prev for i in range(nvars)}
+        if not grown <= seg:
+            raise ValueError("Hilbert function not realizable lex-segment")
+        gens += [Polynomial(nvars, QQ, {m: QQ.rone}) for m in sorted(seg - grown, reverse=True)]
+        prev = seg
     return IdealPresentation(gens, nvars, QQ)
 
 

@@ -10,12 +10,13 @@ surviving into the quotient basis.
 
 from __future__ import annotations
 
-from .polynomials import Monomial, Polynomial, mono_mul, monomials_of_degree
+from .polynomials import Polynomial, monomials_of_degree
 from .scalars import Field
 
 
 class MonomialTable:
-    """All monomials of degree < D in nvars variables, sorted ascending."""
+    """All monomials of degree < D in nvars variables, sorted ascending;
+    shift[i][r] is the rank of x_i * monos[r], or None at degree D-1."""
 
     _cache = {}
 
@@ -34,6 +35,8 @@ class MonomialTable:
         for d in range(D):
             self.monos.extend(monomials_of_degree(nvars, d))
         self.index = {m: i for i, m in enumerate(self.monos)}
+        self.shift = [[self.index.get(m[:i] + (m[i] + 1,) + m[i + 1:]) for m in self.monos]
+                      for i in range(nvars)]
 
     def deg(self, rank: int) -> int:
         return sum(self.monos[rank])
@@ -52,17 +55,6 @@ def row_from_poly(p: Polynomial, table: MonomialTable):
 
 def poly_from_row(row, table: MonomialTable, field: Field, nvars: int) -> Polynomial:
     return Polynomial(nvars, field, {table.monos[r]: c for r, c in row.items()})
-
-
-def shifted_row(g_terms, mult: Monomial, table: MonomialTable):
-    """Row of the product (monomial mult) * g, truncated below table.D."""
-    row = {}
-    idx = table.index
-    for m, c in g_terms:
-        r = idx.get(mono_mul(m, mult))
-        if r is not None:
-            row[r] = c
-    return row
 
 
 class SparseEchelon:
@@ -133,7 +125,9 @@ def _rref(M, field: Field):
     Returns (R, pivots, det): R in reduced row echelon form, pivots the
     columns of its leading ones (row i leads in pivots[i]), and det the
     product of the pivots met times the sign of the row swaps, which is
-    det(M) when M is square and invertible.
+    det(M) when M is square and invertible.  A pivot row is zero left of
+    its pivot (pivot columns are cleared, skipped ones zero from the rank
+    down), so each step works on its nonzero columns only.
     """
     R = _rowcopy(M)
     pivots = []
@@ -148,13 +142,17 @@ def _rref(M, field: Field):
         if piv != rank:
             R[rank], R[piv] = R[piv], R[rank]
             det = field.rneg(det)
-        det = field.rmul(det, R[rank][col])
-        inv = field.rinv(R[rank][col])
-        R[rank] = [field.rmul(inv, v) for v in R[rank]]
-        for i in range(len(R)):
-            if i != rank and not field.riszero(R[i][col]):
-                c = R[i][col]
-                R[i] = [field.rsub(a, field.rmul(c, b)) for a, b in zip(R[i], R[rank])]
+        prow = R[rank]
+        det = field.rmul(det, prow[col])
+        inv = field.rinv(prow[col])
+        support = [k for k in range(col, len(prow)) if not field.riszero(prow[k])]
+        for k in support:
+            prow[k] = field.rmul(inv, prow[k])
+        for i, row in enumerate(R):
+            c = row[col]
+            if i != rank and not field.riszero(c):
+                for k in support:
+                    row[k] = field.rsub(row[k], field.rmul(c, prow[k]))
         pivots.append(col)
     return R, pivots, det
 

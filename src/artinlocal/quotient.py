@@ -10,9 +10,11 @@ A itself (see build_quotient).
 
 One such echelon per ideal carries every invariant (the method of Lazard,
 "Groebner bases, Gaussian elimination and resolution of systems of algebraic
-equations", 1983).  Write s for the socle degree; the build steps D up by
-one and stops at the first D with hf(s+1) = 0 and s+1 < D, that is at
-D = max(start, s+2).
+equations", 1983).  The row of m*g is a variable shift of the stored row
+of a divisor (m/x_i)*g, and a multiple is not tried when a divisor's row
+reduced to zero, since its own row would too (see macaulay_echelon).
+Write s for the socle degree; the build steps D up by one and stops at the
+first D with hf(s+1) = 0 and s+1 < D, that is at D = max(start, s+2).
 
 * Hilbert function.  The pivot of a row is its lowest monomial, so the pivot
   set is the set of lowest monomials of the nonzero elements of the span.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import NotArtinian, ResidueNotPower
 from .linalg import (
@@ -45,7 +48,6 @@ from .linalg import (
     poly_from_row,
     row_from_poly,
     same_row_space,
-    shifted_row,
 )
 from .polynomials import (
     Polynomial,
@@ -107,22 +109,35 @@ def macaulay_echelon(pres: IdealPresentation, D: int):
     """Echelonized span of {m*g : deg(m)+ord(g) < D}, with the rank v the
     generators add on top of the rows of nI (deg(m) >= 1), which go in first.
 
+    Rows go in generator by generator, multipliers m in table order, and
+    the row of m*g is the x_i-shift of the stored row of (m/x_i)*g.  It is
+    not tried when the row of a divisor (m/x_i)*g with deg(m/x_i) >= 1 was
+    rejected or skipped (Lazard's criterion).  That row lies in the span of
+    the rows before it (if skipped, by induction); the order on (g, m) is
+    multiplicative, so m*g lies in the span of their x_i-shifts, each earlier
+    or zero mod n^D.  A rejected row changes nothing, so the pivot rows,
+    their order and v are those of trying every row.
+
     Returns (table, ech, v); v = dim I/nI whenever n^D <= nI.
     """
     table = MonomialTable(pres.nvars, D)
     ech = SparseEchelon(pres.field)
     gen_rows = []
     for g in pres.gens:
-        terms = list(g.truncate(D).terms.items())
-        if not terms:
+        row = row_from_poly(g, table)
+        if not row:
             continue
-        o = min(sum(m) for m, _ in terms)
-        gen_rows.append(row_from_poly(g, table))
-        for d in range(1, D - o):
-            for mult in monomials_of_degree(pres.nvars, d):
-                row = shifted_row(terms, mult, table)
-                if row:
-                    ech.add(row)
+        gen_rows.append(row)
+        kept = {0: row}  # multiplier rank -> row of m*g, for the rows kept
+        for r in range(1, comb(pres.nvars + D - 1 - table.deg(min(row)), pres.nvars)):
+            m = table.monos[r]
+            divs = [(table.shift[i], table.index[m[:i] + (e - 1,) + m[i + 1:]])
+                    for i, e in enumerate(m) if e]
+            if all(d in kept for _, d in divs):
+                shift, d = divs[0]
+                row = {shift[k]: c for k, c in kept[d].items() if shift[k] is not None}
+                if ech.add(row):
+                    kept[r] = row
     v = sum(1 for row in gen_rows if ech.add(row))
     return table, ech, v
 
@@ -417,28 +432,32 @@ def leading_forms(pres: IdealPresentation, algebra=None) -> LeadingFormData:
     every monomial of degree j, as n^(s+1) <= I.  Generators born in degree
     j are those of I*_j outside n * I*_(j-1); none are born in degree s+2,
     since n * I*_(s+1) is every form of degree s+2.
+
+    Lowest monomials multiply (the order is multiplicative), and rows with
+    distinct lowest monomials are independent.  So when the x_i*b, b in the
+    basis of I*_(j-1), have dim I*_j distinct lowest monomials, they span
+    I*_j (n * I*_(j-1) <= I*_j) and no generator is born in degree j.
     """
     A = algebra if algebra is not None else build_quotient(pres)
     f, h, s, tab = A.field, A.nvars, A.socle_degree, A.table
-    bases = {j: [] for j in range(1, s + 1)}
+    rows = {j: [] for j in range(s + 1)}  # degree -> basis of I*_j as rank rows
     for lead in sorted(A.ech.pivots):
         j = tab.deg(lead)
         if j <= s:
-            row = A.ech.pivots[lead]
-            bases[j].append(Polynomial(
-                h, f, {tab.monos[r]: c for r, c in row.items() if tab.deg(r) == j}))
+            rows[j].append({r: c for r, c in A.ech.pivots[lead].items() if tab.deg(r) == j})
+    bases = {j: [poly_from_row(row, tab, f, h) for row in rows[j]] for j in range(1, s + 1)}
     for j in (s + 1, s + 2):
         bases[j] = [Polynomial(h, f, {m: f.rone}) for m in monomials_of_degree(h, j)]
-    table = MonomialTable(h, s + 2)
-    variables = [tuple(int(k == i) for k in range(h)) for i in range(h)]
     dims, new_gens = {}, {}
     for j in range(1, s + 2):
-        shifted = SparseEchelon(f)
-        for b in bases.get(j - 1, []):
-            terms = list(b.terms.items())
-            for x in variables:
-                shifted.add(shifted_row(terms, x, table))
         dims[j] = len(bases[j])
+        if len({shift[min(row)] for row in rows[j - 1] for shift in tab.shift}) == dims[j]:
+            new_gens[j] = 0
+            continue
+        shifted = SparseEchelon(f)
+        for row in rows[j - 1]:
+            for shift in tab.shift:
+                shifted.add({shift[r]: c for r, c in row.items()})
         new_gens[j] = dims[j] - shifted.rank
     dims[s + 2] = len(bases[s + 2])
     new_gens[s + 2] = 0

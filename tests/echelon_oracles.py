@@ -6,9 +6,12 @@ quotient's own Macaulay echelon: one echelon of nI plus the generators for
 the generator count, one full echelon per degree for the leading forms,
 and one echelon of the coordinates of m^j for membership in m^j.  They
 build their own echelons from the linalg primitives, so they share no code
-with the paths they check beyond sparse row reduction itself.  ideals_equal,
-the ideal equality the quotient tests use, is built on the library's
-build_quotient and row_space_equal.
+with the paths they check beyond sparse row reduction itself.  The Macaulay
+echelon that tries every multiple m*g, and the dense Gauss-Jordan routine
+that sweeps whole rows, are the references for the row-saving and
+sparse-aware versions the library runs.  ideals_equal, the ideal equality
+the quotient tests use, is built on the library's build_quotient and
+row_space_equal.
 """
 
 from artinlocal.linalg import (
@@ -17,10 +20,20 @@ from artinlocal.linalg import (
     poly_from_row,
     row_from_poly,
     same_row_space,
-    shifted_row,
 )
-from artinlocal.polynomials import Polynomial, mono_key, monomials_of_degree
+from artinlocal.polynomials import Polynomial, mono_key, mono_mul, monomials_of_degree
 from artinlocal.quotient import build_quotient, row_space_equal
+
+
+def shifted_row(g_terms, mult, table):
+    """Row of the product (monomial mult) * g, truncated below table.D."""
+    row = {}
+    idx = table.index
+    for m, c in g_terms:
+        r = idx.get(mono_mul(m, mult))
+        if r is not None:
+            row[r] = c
+    return row
 
 
 def separate_echelon(pres, D):
@@ -40,9 +53,10 @@ def separate_echelon(pres, D):
     return table, ech
 
 
-def oracle_min_gens(pres, D):
-    """dim I/nI as the rank jump of the generators over an echelon of nI,
-    valid for any D with n^D contained in nI."""
+def oracle_macaulay_echelon(pres, D):
+    """(table, ech, v) as quotient.macaulay_echelon returns them, trying
+    every multiple m*g with deg(m) >= 1 before the generators; v = dim I/nI
+    for any D with n^D contained in nI."""
     table = MonomialTable(pres.nvars, D)
     ech = SparseEchelon(pres.field)
     gen_rows = []
@@ -51,13 +65,40 @@ def oracle_min_gens(pres, D):
         if not terms:
             continue
         o = min(sum(m) for m, _ in terms)
-        gen_rows.append(shifted_row(terms, (0,) * pres.nvars, table))
+        gen_rows.append(row_from_poly(g, table))
         for d in range(1, D - o):
             for mult in monomials_of_degree(pres.nvars, d):
                 row = shifted_row(terms, mult, table)
                 if row:
                     ech.add(row)
-    return sum(1 for row in gen_rows if ech.add(row))
+    v = sum(1 for row in gen_rows if ech.add(row))
+    return table, ech, v
+
+
+def oracle_rref(M, field):
+    """(R, pivots, det) as linalg._rref returns them, sweeping whole rows."""
+    R = [list(r) for r in M]
+    pivots = []
+    det = field.rone
+    for col in range(len(R[0]) if R else 0):
+        rank = len(pivots)
+        if rank == len(R):
+            break
+        piv = next((i for i in range(rank, len(R)) if not field.riszero(R[i][col])), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            R[rank], R[piv] = R[piv], R[rank]
+            det = field.rneg(det)
+        det = field.rmul(det, R[rank][col])
+        inv = field.rinv(R[rank][col])
+        R[rank] = [field.rmul(inv, v) for v in R[rank]]
+        for i in range(len(R)):
+            if i != rank and not field.riszero(R[i][col]):
+                c = R[i][col]
+                R[i] = [field.rsub(a, field.rmul(c, b)) for a, b in zip(R[i], R[rank])]
+        pivots.append(col)
+    return R, pivots, det
 
 
 def oracle_leading_forms(pres, s):

@@ -4,9 +4,12 @@ hf, v(I), the leading-form ideal I* and membership in the powers of the
 maximal ideal all come from the Macaulay echelon that build_quotient keeps.
 Each is checked here against a separate-echelon oracle
 (tests/echelon_oracles.py) on a seeded grid and on hypothesis-generated
-ideals, both also moved by random coordinate changes.  For monomial
-ideals the invariants are also checked against combinatorial counts, before
-and after a random coordinate change.
+ideals, both also moved by random coordinate changes.  The echelon itself,
+built from shifted rows with the redundant ones skipped, must equal row for
+row the one that tries every multiple, and the dense routines must give what
+whole-row Gauss-Jordan sweeps give.  For monomial ideals the invariants are
+also checked against combinatorial counts, before and after a random
+coordinate change.
 """
 
 import random
@@ -15,7 +18,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import artinlocal.linalg as linalg
 import artinlocal.quotient as quotient
+from artinlocal.linalg import (
+    SparseEchelon,
+    det_dense,
+    invert_dense,
+    nullspace_dense,
+    solve_dense,
+)
 from artinlocal.polynomials import (
     Polynomial,
     monomials_of_degree,
@@ -27,9 +38,10 @@ from artinlocal.quotient import (
     algebra_report,
     build_quotient,
     leading_forms,
+    macaulay_echelon,
     min_gens,
 )
-from artinlocal.scalars import QQ, Scalar
+from artinlocal.scalars import QQ, Scalar, adjoin_sqrt
 from artinlocal.structure import (
     AlmostStretchedParams,
     StretchedParams,
@@ -42,8 +54,9 @@ from echelon_oracles import (
     oracle_classes_independent,
     oracle_in_power,
     oracle_leading_forms,
-    oracle_min_gens,
+    oracle_macaulay_echelon,
     oracle_power_echelon,
+    oracle_rref,
     same_span,
     separate_echelon,
 )
@@ -81,8 +94,20 @@ def moved(pres, seed):
                              pres.nvars, pres.field)
 
 
+def check_echelon_matches_oracle(pres, D):
+    """The shifted-row echelon is the every-multiple echelon, row for row."""
+    _, ech, v = macaulay_echelon(pres, D)
+    _, oracle, oracle_v = oracle_macaulay_echelon(pres, D)
+    assert list(ech.pivots) == list(oracle.pivots)
+    for lead, row in oracle.pivots.items():
+        assert list(ech.pivots[lead].items()) == list(row.items()), lead
+    assert (ech.rank, v) == (oracle.rank, oracle_v)
+
+
 def check_against_oracles(pres):
     A = build_quotient(pres)
+    check_echelon_matches_oracle(pres, A.D)
+    check_echelon_matches_oracle(pres, A.D + 1)
     s = A.socle_degree
     table, ech = separate_echelon(pres, A.D)
     assert set(ech.pivots) == set(A.ech.pivots)
@@ -91,7 +116,7 @@ def check_against_oracles(pres):
         if r not in ech.pivots:
             hf[table.deg(r)] += 1
     assert tuple(hf[:s + 1]) == A.hf and hf[s + 1] == 0
-    assert min_gens(pres, algebra=A) == oracle_min_gens(pres, A.D) == A.v
+    assert min_gens(pres, algebra=A) == A.v
     data = leading_forms(pres, algebra=A)
     dims, new_gens, bases, v_star = oracle_leading_forms(pres, s)
     assert data.dims == dims
@@ -153,10 +178,102 @@ def seeded_grid():
     return out
 
 
+GRID = seeded_grid()
+
+
 @pytest.mark.parametrize(
-    "pres", [pytest.param(pres, id=label) for label, pres in seeded_grid()])
+    "pres", [pytest.param(pres, id=label) for label, pres in GRID])
 def test_shared_echelon_matches_oracles_on_seeded_grid(pres):
     check_against_oracles(pres)
+
+
+def test_shared_echelon_matches_oracles_over_a_quadratic_extension():
+    F = adjoin_sqrt(QQ, q(2))
+    r2 = F.scalar(F.sqrt_theta)
+    x1, x2, x3 = (Polynomial.variable(i, 3, F) for i in range(3))
+    pres = IdealPresentation([x1 ** 3 + (x2 * x3) ** 2 * r2, x2 ** 3 - x1 ** 4,
+                              x3 ** 3, x1 * x2 - (x3 ** 2) * r2], 3)
+    check_against_oracles(pres)
+    check_against_oracles(moved(pres, 5))
+
+
+def test_macaulay_echelon_tries_fewer_rows_and_keeps_as_many(monkeypatch):
+    pres = moved(IdealPresentation.from_strings(["x1^3", "x2^3", "x3^3"], 3), 11)
+    D = build_quotient(pres).D
+    counts = []
+    original = SparseEchelon.add
+
+    def counting(self, row):
+        kept = original(self, row)
+        counts[-1][0] += 1
+        counts[-1][1] += kept
+        return kept
+
+    monkeypatch.setattr(SparseEchelon, "add", counting)
+    for echelon in (macaulay_echelon, oracle_macaulay_echelon):
+        counts.append([0, 0])
+        echelon(pres, D)
+    (tried, kept), (oracle_tried, oracle_kept) = counts
+    assert tried < oracle_tried
+    assert kept == oracle_kept
+
+
+def test_leading_forms_takes_both_branches_on_seeded_grid(monkeypatch):
+    """Each degree j = 1..s+1 either settles dim n*I*_(j-1) by counting
+    lowest monomials or runs one echelon; the grid must do both."""
+    algebras = [build_quotient(pres) for _, pres in GRID]
+    echelons = []
+
+    class CountingEchelon(SparseEchelon):
+        def __init__(self, field):
+            echelons.append(field)
+            super().__init__(field)
+
+    monkeypatch.setattr(quotient, "SparseEchelon", CountingEchelon)
+    for A in algebras:
+        leading_forms(A.pres, algebra=A)
+    assert 0 < len(echelons) < sum(A.socle_degree + 1 for A in algebras)
+
+
+def random_entry(rng, field):
+    """A small entry of QQ or QQ(sqrt 2), zero about two times in three."""
+    if rng.random() < 0.65:
+        return field.rzero
+    vals = [QQ.rfrom(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            for _ in range(1 if field is QQ else 2)]
+    return vals[0] if field is QQ else tuple(vals)
+
+
+def random_sparse_system(rng, field):
+    """(M, b) with M square half the time; M is often singular and the
+    system often has no solution."""
+    rows = rng.randint(1, 6)
+    cols = rows if rng.random() < 0.5 else rng.randint(1, 7)
+    M = [[random_entry(rng, field) for _ in range(cols)] for _ in range(rows)]
+    return M, [random_entry(rng, field) for _ in range(rows)]
+
+
+@pytest.mark.parametrize("field", [QQ, adjoin_sqrt(QQ, q(2))], ids=["QQ", "QQ(sqrt2)"])
+def test_dense_routines_match_whole_row_sweeps(field, monkeypatch):
+    rng = random.Random(20263)
+    cases = [random_sparse_system(rng, field) for _ in range(150)]
+
+    def results(M, b):
+        out = [linalg._rref(M, field), nullspace_dense(M, field),
+               solve_dense(M, b, field), det_dense(M, field)]
+        if len(M) == len(M[0]):
+            try:
+                out.append(invert_dense(M, field))
+            except ZeroDivisionError:
+                out.append("singular")
+        return out
+
+    got = [results(M, b) for M, b in cases]
+    monkeypatch.setattr(linalg, "_rref", oracle_rref)
+    assert [results(M, b) for M, b in cases] == got
+    assert any(r[2] is None for r in got)
+    assert any(len(r) == 5 and r[4] != "singular" for r in got)
+    assert any(r[4] == "singular" for r in got if len(r) == 5)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(2, 3), st.booleans())
