@@ -36,11 +36,13 @@ from .quotient import (
     macaulay_echelon,
     nth_root,
 )
-from .scalars import Field, QQ, Scalar, adjoin_sqrt
+from .scalars import Field, QQ, Scalar
 from .structure import (
+    AlmostStretchedParams,
     _almost_stretched_witness,
     _sqrt_growing,
     certify,
+    make_almost_stretched,
     normalize_units,
     solve_scalar_combo,
 )
@@ -138,7 +140,11 @@ class _Ctx:
         return nth_root(self.A, el, 2)
 
 
-def _refine_witness(A: ArtinAlgebra, model: IdealPresentation, P, Q, max_iter=15):
+REFINE_STEPS = 15        # witness refinement steps before giving up
+SPLIT_LIFT_STEPS = 10    # factor-lifting steps in contains_split_quadric
+
+
+def _refine_witness(A: ArtinAlgebra, model: IdealPresentation, P, Q):
     """Correct the witness images order by order until the model generators
     vanish exactly in A.
 
@@ -157,7 +163,7 @@ def _refine_witness(A: ArtinAlgebra, model: IdealPresentation, P, Q, max_iter=15
     dX = [_partial(g, 0) for g in gens]
     dY = [_partial(g, 1) for g in gens]
     ngen = len(gens)
-    for _ in range(max_iter):
+    for _ in range(REFINE_STEPS):
         vals = [A.element(g.substitute([P.poly, Q.poly], A.D)) for g in gens]
         if all(v.is_zero() for v in vals):
             return RingMap([P.poly, Q.poly], A.D)
@@ -234,11 +240,9 @@ def classify(a, field: Field = QQ, allow_extension=False) -> ClassificationResul
         a = parse_poly(a, 2, field)
     field = a.field if a.field.depth > field.depth else field
     a = a.map_field(field)
-    x1p = Polynomial.variable(0, 2, field)
-    x2p = Polynomial.variable(1, 2, field)
-    pres = IdealPresentation(
-        [x1p ** 3 * x2p, x2p * x2p - a * x1p * x2p - x1p ** 4], 2, field
-    )
+    # the model truncates a at degree 6; the dropped terms of a*x1*x2 lie in
+    # n^9, inside I whenever the Hilbert function is the target one
+    pres = make_almost_stretched(AlmostStretchedParams(2, 3, 6, a, field.one))
     ctx = _Ctx(pres, allow_extension)
     if ctx.A.hf != TARGET_HF:
         raise WrongHilbertFunction(f"got Hilbert function {ctx.A.hf}")
@@ -336,8 +340,7 @@ def classify_ideal(pres: IdealPresentation, allow_extension=False, seed=0) -> Cl
     params, w1 = _almost_stretched_witness(A, seed)
     unitfree, w2 = normalize_units(params, allow_extension=allow_extension)
     a = unitfree.a
-    a2 = Polynomial(2, a.field, {(m[0], m[1]): c for m, c in a.terms.items()})
-    core = classify(a2, field=a.field, allow_extension=allow_extension)
+    core = classify(a, field=a.field, allow_extension=allow_extension)
     final = core.field
     total = core.witness.map_field(final).then(w2.map_field(final)).then(
         w1.map_field(final)
@@ -361,7 +364,7 @@ def invariant_separates(p, q, field: Field = QQ) -> bool:
 # ----------------------------------------- independent case1 criterion
 
 
-def contains_split_quadric(pres: IdealPresentation, max_iter=10) -> bool:
+def contains_split_quadric(pres: IdealPresentation) -> bool:
     """Does I contain a product of two minimal generators of the maximal
     ideal?  Decided by factoring the unique leading quadric of I and lifting
     the factorization through the filtration; independent of the main
@@ -381,12 +384,8 @@ def contains_split_quadric(pres: IdealPresentation, max_iter=10) -> bool:
     disc = f.rsub(f.rmul(be, be), f.rmul(f.rfrom(4), f.rmul(al, ga)))
     if f.riszero(disc):
         return False
-    work_field = f
-    rd = f.rsqrt(disc)
-    if rd is None:
-        work_field = adjoin_sqrt(f, Scalar(f, disc))
-        rd = work_field.coerce(Scalar(f, disc)).sqrt().val
-    F = work_field
+    F, root = _sqrt_growing(f, Scalar(f, disc), True)
+    rd = root.val
     al, be, ga = (F.coerce(Scalar(f, v)).val for v in (al, be, ga))
     x1 = Polynomial.variable(0, 2, F)
     x2 = Polynomial.variable(1, 2, F)
@@ -404,26 +403,16 @@ def contains_split_quadric(pres: IdealPresentation, max_iter=10) -> bool:
     z1, z2 = A.element(l1), A.element(l2)
     corr = [m for d in range(2, A.socle_degree + 1)
             for m in monomials_of_degree(2, d)]
-    for _ in range(max_iter):
+    mus = [A.element(Polynomial(2, F, {m: F.rone})) for m in corr]
+    for _ in range(SPLIT_LIFT_STEPS):
         r = z1 * z2
         if r.is_zero():
             return True
-        cols = []
-        for m in corr:
-            mu = A.element(Polynomial(2, F, {m: F.rone}))
-            cols.append((z2 * mu).coords())
-        for m in corr:
-            mu = A.element(Polynomial(2, F, {m: F.rone}))
-            cols.append((z1 * mu).coords())
-        rows = [[cols[j][i] for j in range(len(cols))] for i in range(A.length)]
-        sol = solve_dense(rows, [F.rneg(v) for v in r.coords()], F)
+        sol = solve_scalar_combo(A, [z2 * mu for mu in mus] + [z1 * mu for mu in mus], -r)
         if sol is None:
             return False
-        k = len(corr)
-        q1 = Polynomial(2, F, {m: sol[i] for i, m in enumerate(corr)
-                               if not F.riszero(sol[i])})
-        q2 = Polynomial(2, F, {m: sol[k + i] for i, m in enumerate(corr)
-                               if not F.riszero(sol[k + i])})
+        q1, q2 = (Polynomial(2, F, {m: c.val for m, c in zip(corr, part) if not c.is_zero()})
+                  for part in (sol[:len(corr)], sol[len(corr):]))
         z1 = A.element(z1.poly + q1)
         z2 = A.element(z2.poly + q2)
     return False

@@ -196,16 +196,6 @@ def det_dense(M, field: Field):
     return det if len(pivots) == len(M) else field.rzero
 
 
-def invert_dense(M, field: Field):
-    n = len(M)
-    R, pivots, _ = _rref(
-        [list(row) + [field.rone if j == i else field.rzero for j in range(n)]
-         for i, row in enumerate(M)], field)
-    if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError("singular matrix")
-    return [r[n:] for r in R]
-
-
 def diagonalize_symmetric(M, field: Field):
     """Congruence-diagonalize a symmetric matrix: returns (P, diag) with
     P^T M P = diag(diag).  Needs characteristic != 2.

@@ -121,17 +121,6 @@ class Polynomial:
             out.append(self.coeff(m))
         return out
 
-    def homogeneous_part(self, d: int) -> "Polynomial":
-        return Polynomial(
-            self.nvars, self.field,
-            {m: c for m, c in self.terms.items() if sum(m) == d},
-        )
-
-    def lowest_form(self) -> "Polynomial":
-        """Homogeneous part of minimal degree (the local leading form)."""
-        o = self.order()
-        return self.homogeneous_part(o) if o is not None else self
-
     # arithmetic
 
     def _sameify(self, other):
@@ -474,19 +463,12 @@ class RingMap:
             raise ValueError("arity mismatch")
         return p.substitute(self.images, self.D)
 
-    def linear_matrix(self):
-        """Rows = coefficient vectors of the linear parts of the images.
-
-        Entry [i][j] is the x_{j+1}-coefficient of the image of x_{i+1}.
-        """
-        return [[c for c in im.linear_coeffs()] for im in self.images]
-
     def is_invertible(self) -> bool:
         from .linalg import det_dense
 
         if len(self.images) != self.nvars:
             return False
-        rows = [[s.val for s in r] for r in self.linear_matrix()]
+        rows = [[c.val for c in im.linear_coeffs()] for im in self.images]
         return not self.field.riszero(det_dense(rows, self.field))
 
     def map_field(self, field) -> "RingMap":
@@ -496,45 +478,14 @@ class RingMap:
         """Map equivalent to applying self first, then second."""
         return RingMap([second.apply(im) for im in self.images], min(self.D, second.D))
 
-    def inverse(self) -> "RingMap":
-        """Formal inverse n with self.apply circ n.apply = identity mod deg D."""
-        from .linalg import invert_dense
-
-        if not self.is_invertible():
-            raise ValueError("map is not invertible")
-        f = self.field
-        L = [[s.val for s in row] for row in self.linear_matrix()]
-        Linv = invert_dense(L, f)
-        n_imgs = []
-        for j in range(self.nvars):
-            img = Polynomial(self.nvars, f)
-            for i in range(self.nvars):
-                img = img + Polynomial.variable(i, self.nvars, f).scale(
-                    Scalar(f, Linv[j][i])
-                )
-            n_imgs.append(img)
-        cur = RingMap(n_imgs, self.D)
-        xs = [Polynomial.variable(i, self.nvars, f) for i in range(self.nvars)]
-        for _ in range(self.D + 1):
-            errs = [cur.apply(self.images[i]) - xs[i] for i in range(self.nvars)]
-            if all(e.is_zero() for e in errs):
-                return cur
-            new_imgs = []
-            for j in range(self.nvars):
-                corr = Polynomial(self.nvars, f)
-                for i in range(self.nvars):
-                    corr = corr + errs[i].scale(Scalar(f, Linv[j][i]))
-                new_imgs.append(cur.images[j] - corr)
-            cur = RingMap(new_imgs, self.D)
-        raise RuntimeError("inverse iteration failed to converge")
-
     def __repr__(self):
         ims = ", ".join(f"x{i + 1} -> {im!r}" for i, im in enumerate(self.images))
         return f"RingMap({ims}; D={self.D})"
 
 
-def random_invertible_map(nvars, field, D, rng, extra_degree=2) -> RingMap:
-    """Random map with unit linear part and small integer coefficients."""
+def random_invertible_map(nvars, field, D, rng) -> RingMap:
+    """Random map with invertible linear part and small integer coefficients,
+    plus a random sprinkle of degree-2 terms."""
     if isinstance(rng, int):
         rng = random.Random(rng)
     while True:
@@ -555,14 +506,12 @@ def random_invertible_map(nvars, field, D, rng, extra_degree=2) -> RingMap:
         if not m.is_invertible():
             continue
         break
-    # sprinkle higher-order terms
     imgs = []
     for img in m.images:
-        for d in range(2, extra_degree + 1):
-            for mono in monomials_of_degree(nvars, d):
-                if rng.random() < 0.35:
-                    c = rng.randint(-2, 2)
-                    if c:
-                        img = img + Polynomial(nvars, field, {mono: field.rfrom(c)})
+        for mono in monomials_of_degree(nvars, 2):
+            if rng.random() < 0.35:
+                c = rng.randint(-2, 2)
+                if c:
+                    img = img + Polynomial(nvars, field, {mono: field.rfrom(c)})
         imgs.append(img)
     return RingMap(imgs, D)

@@ -52,7 +52,6 @@ from .linalg import (
 from .polynomials import (
     Polynomial,
     mono_key,
-    monomials_of_degree,
     parse_poly,
 )
 from .scalars import Field, QQ, Scalar, common_field
@@ -168,10 +167,6 @@ class ArtinAlgebra:
     @property
     def embdim(self) -> int:
         return self.hf[1] if len(self.hf) > 1 else 0
-
-    @property
-    def multiplicity(self) -> int:
-        return self.length
 
     # ----- normal forms and coordinates
 
@@ -413,25 +408,26 @@ def min_gens(pres: IdealPresentation, algebra=None) -> int:
 
 @dataclass
 class LeadingFormData:
-    """Degreewise description of the associated-graded (leading form) ideal."""
+    """Degreewise counts for the associated-graded (leading form) ideal."""
 
     dims: dict            # degree -> dim of the degree-j graded piece of I*
     new_gens: dict        # degree -> number of minimal generators born there
-    bases: dict           # degree -> list of homogeneous Polynomial
     v_star: int
 
 
 def leading_forms(pres: IdealPresentation, algebra=None) -> LeadingFormData:
-    """The ideal I* of lowest-degree forms of I, with its minimal generator
-    count, read off the quotient's echelon.
+    """The dimensions of the graded pieces of the ideal I* of lowest-degree
+    forms of I, and its minimal generator count, read off the quotient's
+    echelon.
 
-    For j <= s the basis of I*_j is the degree-j parts of the echelon rows
+    For j <= s a basis of I*_j is the degree-j parts of the echelon rows
     whose pivot has degree j: the pivot is a row's lowest monomial, so these
     are leading forms of elements of I, triangular in their pivots, and
-    there are dim I*_j of them because j < D.  For j = s+1, s+2 the basis is
-    every monomial of degree j, as n^(s+1) <= I.  Generators born in degree
-    j are those of I*_j outside n * I*_(j-1); none are born in degree s+2,
-    since n * I*_(s+1) is every form of degree s+2.
+    there are dim I*_j of them because j < D.  For j = s+1, s+2, I*_j is
+    every form of degree j, as n^(s+1) <= I, so dim I*_j = C(h+j-1, j).
+    Generators born in degree j are those of I*_j outside n * I*_(j-1);
+    none are born in degree s+2, since n * I*_(s+1) is every form of
+    degree s+2.
 
     Lowest monomials multiply (the order is multiplicative), and rows with
     distinct lowest monomials are independent.  So when the x_i*b, b in the
@@ -445,12 +441,11 @@ def leading_forms(pres: IdealPresentation, algebra=None) -> LeadingFormData:
         j = tab.deg(lead)
         if j <= s:
             rows[j].append({r: c for r, c in A.ech.pivots[lead].items() if tab.deg(r) == j})
-    bases = {j: [poly_from_row(row, tab, f, h) for row in rows[j]] for j in range(1, s + 1)}
+    dims = {j: len(rows[j]) for j in range(1, s + 1)}
     for j in (s + 1, s + 2):
-        bases[j] = [Polynomial(h, f, {m: f.rone}) for m in monomials_of_degree(h, j)]
-    dims, new_gens = {}, {}
+        dims[j] = comb(h + j - 1, j)
+    new_gens = {}
     for j in range(1, s + 2):
-        dims[j] = len(bases[j])
         if len({shift[min(row)] for row in rows[j - 1] for shift in tab.shift}) == dims[j]:
             new_gens[j] = 0
             continue
@@ -459,9 +454,8 @@ def leading_forms(pres: IdealPresentation, algebra=None) -> LeadingFormData:
             for shift in tab.shift:
                 shifted.add({shift[r]: c for r, c in row.items()})
         new_gens[j] = dims[j] - shifted.rank
-    dims[s + 2] = len(bases[s + 2])
     new_gens[s + 2] = 0
-    return LeadingFormData(dims, new_gens, bases, sum(new_gens.values()))
+    return LeadingFormData(dims, new_gens, sum(new_gens.values()))
 
 
 # ------------------------------------------------------------ field change

@@ -302,7 +302,10 @@ def _candidate_linears(A: ArtinAlgebra, rng):
             yield el
 
 
-def find_lean_basis(A: ArtinAlgebra, seed=0, budget=100):
+LEAN_BASIS_BUDGET = 100  # linear candidates tried before the search gives up
+
+
+def find_lean_basis(A: ArtinAlgebra, seed=0):
     """A power element x1 (and, in the almost-stretched case, a partner x2)
     generating the powers of the maximal ideal degreewise.
 
@@ -315,7 +318,7 @@ def find_lean_basis(A: ArtinAlgebra, seed=0, budget=100):
     rng = random.Random(seed)
     if A.is_stretched():
         cands = _candidate_linears(A, rng)
-        for _ in range(budget):
+        for _ in range(LEAN_BASIS_BUDGET):
             x1 = next(cands)
             if not (x1 ** s).is_zero():
                 return [x1]
@@ -328,7 +331,7 @@ def find_lean_basis(A: ArtinAlgebra, seed=0, budget=100):
     power_cands = _candidate_linears(A, rng)
     spent = 0
     found_power = False
-    while spent < budget:
+    while spent < LEAN_BASIS_BUDGET:
         x1 = next(power_cands)
         spent += 1
         if (x1 ** s).is_zero():
@@ -352,31 +355,26 @@ def find_lean_basis(A: ArtinAlgebra, seed=0, budget=100):
 # ----------------------------------------------------- element linear algebra
 
 
+def _solve_columns(A: ArtinAlgebra, columns, rhs: AlgebraElement):
+    """One solution x of sum_i x_i * columns[i] = rhs.coords(), the columns
+    being coordinate lists over A's standard basis; None if there is none."""
+    rows = [[col[r] for col in columns] for r in range(A.length)]
+    return solve_dense(rows, rhs.coords(), A.field)
+
+
 def solve_element_combo(A: ArtinAlgebra, coeffs, rhs: AlgebraElement):
     """Solve sum_i coeffs[i] * z_i = rhs for unknown elements z_i, if possible."""
     e = A.length
-    mats = [A.mult_matrix(c) for c in coeffs]
-    rows = []
-    for r in range(e):
-        row = []
-        for M in mats:
-            row.extend(M[c][r] for c in range(e))
-        rows.append(row)
-    sol = solve_dense(rows, rhs.coords(), A.field)
+    sol = _solve_columns(A, [col for c in coeffs for col in A.mult_matrix(c)], rhs)
     if sol is None:
         return None
-    out = []
-    for i in range(len(coeffs)):
-        out.append(AlgebraElement(A, A.from_coords(sol[i * e:(i + 1) * e])))
-    return out
+    return [AlgebraElement(A, A.from_coords(sol[i * e:(i + 1) * e]))
+            for i in range(len(coeffs))]
 
 
 def solve_scalar_combo(A: ArtinAlgebra, columns, rhs: AlgebraElement):
     """Solve sum_i c_i * columns[i] = rhs for unknown scalars c_i."""
-    e = A.length
-    cols = [col.coords() for col in columns]
-    rows = [[cols[j][r] for j in range(len(cols))] for r in range(e)]
-    sol = solve_dense(rows, rhs.coords(), A.field)
+    sol = _solve_columns(A, [col.coords() for col in columns], rhs)
     if sol is None:
         return None
     return [Scalar(A.field, c) for c in sol]

@@ -19,7 +19,6 @@ from artinlocal.linalg import (
     SparseEchelon,
     poly_from_row,
     row_from_poly,
-    same_row_space,
 )
 from artinlocal.polynomials import Polynomial, mono_key, mono_mul, monomials_of_degree
 from artinlocal.quotient import build_quotient, row_space_equal
@@ -102,10 +101,10 @@ def oracle_rref(M, field):
 
 
 def oracle_leading_forms(pres, s):
-    """(dims, new_gens, bases, v_star) of I*, from a fresh echelon of
+    """(dims, new_gens, v_star) of I*, from a fresh echelon of
     (I + n^(j+1))/n^(j+1) for every degree j = 1..s+2."""
     f = pres.field
-    dims, new_gens, bases = {}, {}, {}
+    dims, new_gens = {}, {}
     prev_basis = []
     v_star = 0
     for j in range(1, s + 3):
@@ -123,10 +122,9 @@ def oracle_leading_forms(pres, s):
                     grown += 1
         dims[j] = len(basis)
         new_gens[j] = len(basis) - grown
-        bases[j] = basis
         v_star += len(basis) - grown
         prev_basis = basis
-    return dims, new_gens, bases, v_star
+    return dims, new_gens, v_star
 
 
 def oracle_power_echelon(A, j):
@@ -160,18 +158,6 @@ def oracle_classes_independent(next_power_ech, A, elems):
                         if not A.field.riszero(c)}):
             return False
     return True
-
-
-def same_span(polys1, polys2, field, nvars, D):
-    """Do two lists of polynomials of degree < D span the same space?"""
-    table = MonomialTable(nvars, D)
-    echs = []
-    for polys in (polys1, polys2):
-        ech = SparseEchelon(field)
-        for p in polys:
-            ech.add(row_from_poly(p, table))
-        echs.append(ech)
-    return same_row_space(*echs)
 
 
 def ideals_equal(p1, p2):

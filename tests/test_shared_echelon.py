@@ -23,7 +23,6 @@ import artinlocal.quotient as quotient
 from artinlocal.linalg import (
     SparseEchelon,
     det_dense,
-    invert_dense,
     nullspace_dense,
     solve_dense,
 )
@@ -57,7 +56,6 @@ from echelon_oracles import (
     oracle_macaulay_echelon,
     oracle_power_echelon,
     oracle_rref,
-    same_span,
     separate_echelon,
 )
 
@@ -118,13 +116,10 @@ def check_against_oracles(pres):
     assert tuple(hf[:s + 1]) == A.hf and hf[s + 1] == 0
     assert min_gens(pres, algebra=A) == A.v
     data = leading_forms(pres, algebra=A)
-    dims, new_gens, bases, v_star = oracle_leading_forms(pres, s)
+    dims, new_gens, v_star = oracle_leading_forms(pres, s)
     assert data.dims == dims
     assert data.new_gens == new_gens
     assert data.v_star == v_star
-    assert data.bases.keys() == bases.keys()
-    for j in bases:
-        assert same_span(data.bases[j], bases[j], A.field, A.nvars, j + 1), j
     check_powers_against_oracle(A)
 
 
@@ -259,21 +254,13 @@ def test_dense_routines_match_whole_row_sweeps(field, monkeypatch):
     cases = [random_sparse_system(rng, field) for _ in range(150)]
 
     def results(M, b):
-        out = [linalg._rref(M, field), nullspace_dense(M, field),
-               solve_dense(M, b, field), det_dense(M, field)]
-        if len(M) == len(M[0]):
-            try:
-                out.append(invert_dense(M, field))
-            except ZeroDivisionError:
-                out.append("singular")
-        return out
+        return [linalg._rref(M, field), nullspace_dense(M, field),
+                solve_dense(M, b, field), det_dense(M, field)]
 
     got = [results(M, b) for M, b in cases]
     monkeypatch.setattr(linalg, "_rref", oracle_rref)
     assert [results(M, b) for M, b in cases] == got
     assert any(r[2] is None for r in got)
-    assert any(len(r) == 5 and r[4] != "singular" for r in got)
-    assert any(r[4] == "singular" for r in got if len(r) == 5)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(2, 3), st.booleans())
