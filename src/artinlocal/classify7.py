@@ -33,7 +33,6 @@ from .quotient import (
     IdealPresentation,
     build_quotient,
     extend_scalars,
-    macaulay_echelon,
     nth_root,
 )
 from .scalars import Field, QQ, Scalar
@@ -368,16 +367,18 @@ def contains_split_quadric(pres: IdealPresentation) -> bool:
     """Does I contain a product of two minimal generators of the maximal
     ideal?  Decided by factoring the unique leading quadric of I and lifting
     the factorization through the filtration; independent of the main
-    classification flow."""
+    classification flow.  I must be Artinian.
+
+    The echelon rows with a degree-2 pivot have their degree-2 parts in the
+    image of I meet n^2 in n^2/n^3, the same space at every truncation
+    D > 2; when there is one such row, its degree-2 part is the quadric
+    spanning that space, scaled to 1 at its lowest monomial."""
     f = pres.field
-    table, ech, _ = macaulay_echelon(pres, 3)
-    quadrics = [
-        (lead, row) for lead, row in ech.pivots.items() if table.deg(lead) == 2
-    ]
+    A = build_quotient(pres)
+    quadrics = [row for lead, row in A.ech.pivots.items() if A.table.deg(lead) == 2]
     if len(quadrics) != 1:
         return False
-    _, row = quadrics[0]
-    coef = {table.monos[r]: c for r, c in row.items()}
+    coef = {A.table.monos[r]: c for r, c in quadrics[0].items()}
     al = coef.get((2, 0), f.rzero)
     be = coef.get((1, 1), f.rzero)
     ga = coef.get((0, 2), f.rzero)
@@ -399,7 +400,8 @@ def contains_split_quadric(pres: IdealPresentation) -> bool:
     else:
         l1 = x2
         l2 = x1.scale(Scalar(F, be)) + x2.scale(Scalar(F, ga))
-    A = build_quotient(pres.map_field(F))
+    if F is not f:
+        A = extend_scalars(A, F)
     z1, z2 = A.element(l1), A.element(l2)
     corr = [m for d in range(2, A.socle_degree + 1)
             for m in monomials_of_degree(2, d)]

@@ -1,11 +1,20 @@
-"""Exact linear algebra: sparse row reduction keyed by monomial rank, and
-dense Gaussian elimination helpers.
+"""Exact linear algebra: one sparse row echelon, dense solves on top of it,
+and congruence diagonalization.
 
-Sparse rows are dicts {monomial rank -> raw coefficient} relative to a
-MonomialTable; the pivot of a row is its *lowest* monomial in the graded
-order, which is the right convention for local (power series) computations:
-the pivot monomials of an ideal's row space are exactly the monomials not
-surviving into the quotient basis.
+SparseEchelon is the only row reduction.  Sparse rows are dicts
+{column -> raw coefficient}; for Macaulay rows the columns are monomial
+ranks in a MonomialTable.  The pivot of a row is its *lowest* column, which
+is the right convention for local (power series) computations: the pivot
+monomials of an ideal's row space are exactly the monomials not surviving
+into the quotient basis.
+
+solve_dense and nullspace_dense add dense rows to a SparseEchelon and
+back-substitute in decreasing pivot order.  They return what Gauss-Jordan
+elimination returns, value for value: both pivot sets are the columns where
+the rank rises from left to right, a kernel vector is fixed by its entries
+at the non-pivot columns, which both set alike, and arithmetic is exact.  A
+pivot row is zero left of its pivot, so each pivot entry depends only on
+later columns.  diagonalize_symmetric does congruence, not elimination.
 """
 
 from __future__ import annotations
@@ -112,88 +121,54 @@ def same_row_space(e1: SparseEchelon, e2: SparseEchelon) -> bool:
     )
 
 
-# ------------------------------------------------------------ dense helpers
+# ------------------------------------------------------------ dense entry points
 
 
-def _rowcopy(M):
-    return [list(r) for r in M]
+def _echelon(M, field: Field) -> SparseEchelon:
+    """Echelon of the raw-value rows M, added as sparse rows."""
+    ech = SparseEchelon(field)
+    for row in M:
+        ech.add({k: c for k, c in enumerate(row) if not field.riszero(c)})
+    return ech
 
 
-def _rref(M, field: Field):
-    """Gauss-Jordan elimination of a copy of the raw-value rows M.
-
-    Returns (R, pivots, det): R in reduced row echelon form, pivots the
-    columns of its leading ones (row i leads in pivots[i]), and det the
-    product of the pivots met times the sign of the row swaps, which is
-    det(M) when M is square and invertible.  A pivot row is zero left of
-    its pivot (pivot columns are cleared, skipped ones zero from the rank
-    down), so each step works on its nonzero columns only.
-    """
-    R = _rowcopy(M)
-    pivots = []
-    det = field.rone
-    for col in range(len(R[0]) if R else 0):
-        rank = len(pivots)
-        if rank == len(R):
-            break
-        piv = next((i for i in range(rank, len(R)) if not field.riszero(R[i][col])), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            R[rank], R[piv] = R[piv], R[rank]
-            det = field.rneg(det)
-        prow = R[rank]
-        det = field.rmul(det, prow[col])
-        inv = field.rinv(prow[col])
-        support = [k for k in range(col, len(prow)) if not field.riszero(prow[k])]
-        for k in support:
-            prow[k] = field.rmul(inv, prow[k])
-        for i, row in enumerate(R):
-            c = row[col]
-            if i != rank and not field.riszero(c):
-                for k in support:
-                    row[k] = field.rsub(row[k], field.rmul(c, prow[k]))
-        pivots.append(col)
-    return R, pivots, det
-
-
-def rank_dense(M, field: Field) -> int:
-    return len(_rref(M, field)[1])
+def _kernel_vector(ech: SparseEchelon, col, value, n: int):
+    """The length-n kernel vector of ech's rows that is value at the
+    non-pivot column col and 0 at the other non-pivot columns."""
+    f = ech.field
+    x = {col: value}
+    for piv in sorted(ech.pivots, reverse=True):
+        s = f.rzero
+        for k, c in ech.pivots[piv].items():
+            if k != piv and k in x:
+                s = f.rsub(s, f.rmul(c, x[k]))
+        x[piv] = s
+    return [x.get(k, f.rzero) for k in range(n)]
 
 
 def solve_dense(M, b, field: Field):
-    """One solution x of M x = b (lists of raw values), or None."""
+    """One solution x of M x = b (lists of raw values), or None.
+
+    x is the kernel vector of [M | b] that is -1 in b's column, so every
+    non-pivot unknown is 0; there is none if b's column is a pivot."""
     if not M:
         return []
     n = len(M[0])
-    R, pivots, _ = _rref([list(row) + [bi] for row, bi in zip(M, b)], field)
-    if pivots and pivots[-1] == n:
+    ech = _echelon([list(row) + [bi] for row, bi in zip(M, b)], field)
+    if n in ech.pivots:
         return None
-    x = [field.rzero] * n
-    for row, col in zip(R, pivots):
-        x[col] = row[n]
-    return x
+    return _kernel_vector(ech, n, field.rneg(field.rone), n + 1)[:n]
 
 
 def nullspace_dense(M, field: Field):
-    """Basis of the right kernel of M (rows = raw-value lists)."""
+    """Basis of the right kernel of M (rows = raw-value lists): one vector
+    per non-pivot column, 1 there and 0 at the other non-pivot columns."""
     if not M:
         return []
     n = len(M[0])
-    R, pivots, _ = _rref(M, field)
-    basis = []
-    for fc in sorted(set(range(n)) - set(pivots)):
-        v = [field.rzero] * n
-        v[fc] = field.rone
-        for row, col in zip(R, pivots):
-            v[col] = field.rneg(row[fc])
-        basis.append(v)
-    return basis
-
-
-def det_dense(M, field: Field):
-    _, pivots, det = _rref(M, field)
-    return det if len(pivots) == len(M) else field.rzero
+    ech = _echelon(M, field)
+    return [_kernel_vector(ech, fc, field.rone, n)
+            for fc in range(n) if fc not in ech.pivots]
 
 
 def diagonalize_symmetric(M, field: Field):
@@ -201,7 +176,7 @@ def diagonalize_symmetric(M, field: Field):
     P^T M P = diag(diag).  Needs characteristic != 2.
     """
     n = len(M)
-    A = _rowcopy(M)
+    A = [list(r) for r in M]
     P = [[field.rone if i == j else field.rzero for j in range(n)] for i in range(n)]
 
     def col_op(dst, src, c):

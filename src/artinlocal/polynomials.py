@@ -464,12 +464,15 @@ class RingMap:
         return p.substitute(self.images, self.D)
 
     def is_invertible(self) -> bool:
-        from .linalg import det_dense
+        """Do the linear parts of the images have rank nvars?"""
+        from .linalg import SparseEchelon
 
         if len(self.images) != self.nvars:
             return False
-        rows = [[c.val for c in im.linear_coeffs()] for im in self.images]
-        return not self.field.riszero(det_dense(rows, self.field))
+        ech = SparseEchelon(self.field)
+        for im in self.images:
+            ech.add({k: c.val for k, c in enumerate(im.linear_coeffs()) if not c.is_zero()})
+        return ech.rank == self.nvars
 
     def map_field(self, field) -> "RingMap":
         return RingMap([im.map_field(field) for im in self.images], self.D)

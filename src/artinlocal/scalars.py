@@ -127,13 +127,7 @@ class RationalField(Field):
         return not a
 
     def rsqrt(self, a):
-        if a < 0:
-            return None
-        p = _int_nth_root(a.numerator, 2)
-        q = _int_nth_root(a.denominator, 2)
-        if p is None or q is None:
-            return None
-        return Fraction(p, q)
+        return self.rnth_root(a, 2)
 
     def rnth_root(self, a, n):
         if n == 1:

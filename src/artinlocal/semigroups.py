@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GcdNotOne, NonMinimalGenerators
-from .linalg import rank_dense
+from .linalg import SparseEchelon
 from .scalars import QQ
 
 
@@ -223,7 +223,7 @@ def kernel_min_gens(S: NumericalSemigroup, bound=None) -> int:
         if t <= 1:
             continue
         index = {f: i for i, f in enumerate(facs)}
-        rows = []
+        ech = SparseEchelon(QQ)
         for i in range(k):
             below = S.factorizations(m - S.gens[i])
             if len(below) < 2:
@@ -235,11 +235,8 @@ def kernel_min_gens(S: NumericalSemigroup, bound=None) -> int:
                 shifted = tuple(
                     c + (1 if j == i else 0) for j, c in enumerate(u)
                 )
-                row = [QQ.rzero] * t
-                row[index[shifted]] = QQ.rone
-                row[index[base]] = QQ.rfrom(-1)
-                rows.append(row)
-        total += (t - 1) - rank_dense(rows, QQ)
+                ech.add({index[base]: QQ.rfrom(-1), index[shifted]: QQ.rone})
+        total += (t - 1) - ech.rank
     return total
 
 

@@ -7,9 +7,10 @@ the generator count, one full echelon per degree for the leading forms,
 and one echelon of the coordinates of m^j for membership in m^j.  They
 build their own echelons from the linalg primitives, so they share no code
 with the paths they check beyond sparse row reduction itself.  The Macaulay
-echelon that tries every multiple m*g, and the dense Gauss-Jordan routine
-that sweeps whole rows, are the references for the row-saving and
-sparse-aware versions the library runs.  ideals_equal, the ideal equality
+echelon that tries every multiple m*g is the reference for the row-saving
+one the library runs, and dense Gauss-Jordan elimination that sweeps whole
+rows is the reference for the dense solves the library builds on
+SparseEchelon.  ideals_equal, the ideal equality
 the quotient tests use, is built on the library's build_quotient and
 row_space_equal.
 """
@@ -75,10 +76,10 @@ def oracle_macaulay_echelon(pres, D):
 
 
 def oracle_rref(M, field):
-    """(R, pivots, det) as linalg._rref returns them, sweeping whole rows."""
+    """(R, pivots) of whole-row Gauss-Jordan elimination: R in reduced row
+    echelon form, pivots the columns of its leading ones."""
     R = [list(r) for r in M]
     pivots = []
-    det = field.rone
     for col in range(len(R[0]) if R else 0):
         rank = len(pivots)
         if rank == len(R):
@@ -86,10 +87,7 @@ def oracle_rref(M, field):
         piv = next((i for i in range(rank, len(R)) if not field.riszero(R[i][col])), None)
         if piv is None:
             continue
-        if piv != rank:
-            R[rank], R[piv] = R[piv], R[rank]
-            det = field.rneg(det)
-        det = field.rmul(det, R[rank][col])
+        R[rank], R[piv] = R[piv], R[rank]
         inv = field.rinv(R[rank][col])
         R[rank] = [field.rmul(inv, v) for v in R[rank]]
         for i in range(len(R)):
@@ -97,7 +95,37 @@ def oracle_rref(M, field):
                 c = R[i][col]
                 R[i] = [field.rsub(a, field.rmul(c, b)) for a, b in zip(R[i], R[rank])]
         pivots.append(col)
-    return R, pivots, det
+    return R, pivots
+
+
+def oracle_solve(M, b, field):
+    """One solution x of M x = b read off whole-row Gauss-Jordan, or None."""
+    if not M:
+        return []
+    n = len(M[0])
+    R, pivots = oracle_rref([list(row) + [bi] for row, bi in zip(M, b)], field)
+    if pivots and pivots[-1] == n:
+        return None
+    x = [field.rzero] * n
+    for row, col in zip(R, pivots):
+        x[col] = row[n]
+    return x
+
+
+def oracle_nullspace(M, field):
+    """Kernel basis of M read off whole-row Gauss-Jordan."""
+    if not M:
+        return []
+    n = len(M[0])
+    R, pivots = oracle_rref(M, field)
+    basis = []
+    for fc in sorted(set(range(n)) - set(pivots)):
+        v = [field.rzero] * n
+        v[fc] = field.rone
+        for row, col in zip(R, pivots):
+            v[col] = field.rneg(row[fc])
+        basis.append(v)
+    return basis
 
 
 def oracle_leading_forms(pres, s):

@@ -136,7 +136,7 @@ def count_echelons(monkeypatch):
         calls.append(args[1])
         return original(*args, **kwargs)
 
-    for module in (quotient, structure, classify7):
+    for module in (quotient, structure):
         monkeypatch.setattr(module, "macaulay_echelon", counting)
     return calls
 

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in src/."""
+"""Every demo script runs to completion against the library in src/ and
+prints exactly its recorded output in tests/demo_outputs/<stem>.txt."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+OUTPUTS = Path(__file__).resolve().parent / "demo_outputs"
 
 
 def test_demos_are_found():
@@ -21,4 +23,4 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert proc.stdout == (OUTPUTS / f"{demo.stem}.txt").read_text()

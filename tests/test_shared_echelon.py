@@ -7,9 +7,9 @@ Each is checked here against a separate-echelon oracle
 ideals, both also moved by random coordinate changes.  The echelon itself,
 built from shifted rows with the redundant ones skipped, must equal row for
 row the one that tries every multiple, and the dense routines must give what
-whole-row Gauss-Jordan sweeps give.  For monomial ideals the invariants are
-also checked against combinatorial counts, before and after a random
-coordinate change.
+whole-row Gauss-Jordan sweeps give.  For monomial ideals hf, length, type,
+v and v* are also checked against combinatorial counts, before and after a
+random coordinate change.
 """
 
 import random
@@ -18,11 +18,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import artinlocal.linalg as linalg
 import artinlocal.quotient as quotient
 from artinlocal.linalg import (
     SparseEchelon,
-    det_dense,
     nullspace_dense,
     solve_dense,
 )
@@ -54,8 +52,9 @@ from echelon_oracles import (
     oracle_in_power,
     oracle_leading_forms,
     oracle_macaulay_echelon,
+    oracle_nullspace,
     oracle_power_echelon,
-    oracle_rref,
+    oracle_solve,
     separate_echelon,
 )
 
@@ -249,18 +248,13 @@ def random_sparse_system(rng, field):
 
 
 @pytest.mark.parametrize("field", [QQ, adjoin_sqrt(QQ, q(2))], ids=["QQ", "QQ(sqrt2)"])
-def test_dense_routines_match_whole_row_sweeps(field, monkeypatch):
+def test_dense_routines_match_whole_row_sweeps(field):
     rng = random.Random(20263)
     cases = [random_sparse_system(rng, field) for _ in range(150)]
-
-    def results(M, b):
-        return [linalg._rref(M, field), nullspace_dense(M, field),
-                solve_dense(M, b, field), det_dense(M, field)]
-
-    got = [results(M, b) for M, b in cases]
-    monkeypatch.setattr(linalg, "_rref", oracle_rref)
-    assert [results(M, b) for M, b in cases] == got
-    assert any(r[2] is None for r in got)
+    got = [[nullspace_dense(M, field), solve_dense(M, b, field)] for M, b in cases]
+    assert got == [[oracle_nullspace(M, field), oracle_solve(M, b, field)]
+                   for M, b in cases]
+    assert any(r[1] is None for r in got)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(2, 3), st.booleans())
@@ -300,11 +294,16 @@ def random_monomial_ideal(rng, nvars):
 
 
 def monomial_counts(gens, nvars):
-    """hf and socle dimension of k[x]/(gens) from the standard monomials:
-    those no generator divides, and, for the socle, the standard monomials m
-    whose multiples x_i*m all lie in the ideal."""
+    """hf, length and socle dimension of k[x]/(gens) from the standard
+    monomials: those no generator divides, and, for the socle, the standard
+    monomials m whose multiples x_i*m all lie in the ideal.  Last, the
+    minimal generator count: the distinct gens no other generator divides
+    (a pure power can repeat a sampled monomial)."""
+    def divides(g, m):
+        return all(a >= b for a, b in zip(m, g))
+
     def in_ideal(m):
-        return any(all(a >= b for a, b in zip(m, g)) for g in gens)
+        return any(divides(g, m) for g in gens)
 
     top = sum(max(g[i] for g in gens) for i in range(nvars))
     std = [m for d in range(top) for m in monomials_of_degree(nvars, d)
@@ -314,7 +313,9 @@ def monomial_counts(gens, nvars):
         hf[sum(m)] += 1
     corners = sum(1 for m in std if all(
         in_ideal(tuple(e + (k == i) for k, e in enumerate(m))) for i in range(nvars)))
-    return tuple(hf), len(std), corners
+    distinct = set(gens)
+    minimal = [g for g in distinct if not any(h != g and divides(h, g) for h in distinct)]
+    return tuple(hf), len(std), corners, len(minimal)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(2, 3))
@@ -323,7 +324,8 @@ def test_monomial_ideals_match_combinatorial_counts_and_survive_moves(seed, nvar
     rng = random.Random(seed)
     gens = random_monomial_ideal(rng, nvars)
     pres = IdealPresentation([Polynomial(nvars, QQ, {m: QQ.rone}) for m in gens], nvars)
-    hf, length, corners = monomial_counts(gens, nvars)
+    hf, length, corners, mingens = monomial_counts(gens, nvars)
     for ideal in (pres, moved(pres, seed)):
         A = build_quotient(ideal)
         assert (A.hf, A.length, A.cm_type) == (hf, length, corners)
+        assert A.v == leading_forms(ideal, algebra=A).v_star == mingens
