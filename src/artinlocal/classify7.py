@@ -235,6 +235,14 @@ def classify(a, field: Field = QQ, allow_extension=False) -> ClassificationResul
     """Classify the algebra k[[x1,x2]] / (x1^3*x2, x2^2 - a*x1*x2 - x1^4).
 
     The case analysis gives a leading witness, refined and certified here."""
+    A, result = _classify_witness(a, field, allow_extension)
+    certify(A, result.model, result.witness, "classification")
+    return result
+
+
+def _classify_witness(a, field: Field, allow_extension: bool):
+    """(A, result): the algebra of a's relation and its classification, with
+    the refined witness not yet certified."""
     if isinstance(a, str):
         a = parse_poly(a, 2, field)
     field = a.field if a.field.depth > field.depth else field
@@ -249,9 +257,8 @@ def classify(a, field: Field = QQ, allow_extension=False) -> ClassificationResul
     A = ctx.A
     model = make_model(case, p=p, field=A.field)
     witness = _refine_witness(A, model, P, Q)
-    certify(A, model, witness, "classification")
-    return ClassificationResult(case, p, None if p is None else p * p,
-                                model, witness, A.field)
+    return A, ClassificationResult(case, p, None if p is None else p * p,
+                                   model, witness, A.field)
 
 
 def _leading_witness(ctx: _Ctx, a: Polynomial):
@@ -326,9 +333,9 @@ def classify_ideal(pres: IdealPresentation, allow_extension=False, seed=0) -> Cl
 
     Pipeline: carry the almost-stretched Gorenstein model onto the input,
     push its units to 1 (normalize_units), and classify the unit-free
-    coefficient a.  Neither stage is certified on its own; the returned
-    witness, their composition back to the input coordinates, is certified
-    here against the input's own echelon.
+    coefficient a (_classify_witness).  No stage is certified on its own;
+    the returned witness, their composition back to the input coordinates,
+    is certified here against the input's own echelon.
     """
     # D = s+2 of the target suffices in one build; another hf steps past it
     A = build_quotient(pres, D=len(TARGET_HF) + 1)
@@ -339,7 +346,7 @@ def classify_ideal(pres: IdealPresentation, allow_extension=False, seed=0) -> Cl
     params, w1 = _almost_stretched_witness(A, seed)
     unitfree, w2 = normalize_units(params, allow_extension=allow_extension)
     a = unitfree.a
-    core = classify(a, field=a.field, allow_extension=allow_extension)
+    _, core = _classify_witness(a, a.field, allow_extension)
     final = core.field
     total = core.witness.map_field(final).then(w2.map_field(final)).then(
         w1.map_field(final)

@@ -8,6 +8,36 @@ is the right convention for local (power series) computations: the pivot
 monomials of an ideal's row space are exactly the monomials not surviving
 into the quotient basis.
 
+Over QQ the rows SparseEchelon works on are Python ints (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", 1968).  An incoming row of Fractions is cleared of its
+denominators: it is ints / scale, scale their lcm.  Each pivot row is kept
+primitive with a positive integer value L at its pivot.  To clear an entry
+c at the lowest pivot hit, with g = gcd(c, L), the row becomes
+(L/g)*row - (c/g)*pivot row and scale is multiplied by L/g; when L/g != 1
+the gcd of scale and the row's entries is divided out of both, so the
+factors the multiplication put in do not pile up.  Only the entries that
+survive reduce become Fractions again, as Fraction(v, scale).  Over a
+quadratic tower the rows are raw values and every pivot row is scaled to
+1 at its pivot, so the multipliers are (1, c).  The field supplies the
+working form (the w* methods of the fields in scalars), and one loop
+serves both.
+
+The answers do not depend on that working form.  A fully reduced row, one
+with no pivot column in its support, is unique: two reductions of a row
+differ by an element of the span with no pivot column in its support, and
+a nonzero element of the span has a pivot column as its lowest column, so
+the difference is 0.  After each step the working row is a nonzero
+multiple of the row that eliminating with normalized rows has at that
+step, so the same entries vanish in the same order and the dicts come out
+in the same order too.  Hence pivot sets, pivot rows (the reduced row
+divided by its pivot entry), reduce, nf and coords are the values that
+eliminating with rows normalized to 1 gives, value for value.  No value is inexact: the working rows only add, subtract and
+multiply ints and divide them exactly (by a gcd), they never reach
+RationalField.rinv or rdiv (1 / a of ints is a float), and every value
+handed out is a Fraction built from two ints.  pivots keeps each pivot
+row as raw values scaled to 1 at its pivot, for the callers that read it.
+
 solve_dense and nullspace_dense add dense rows to a SparseEchelon and
 back-substitute in decreasing pivot order.  They return what Gauss-Jordan
 elimination returns, value for value: both pivot sets are the columns where
@@ -67,50 +97,73 @@ def poly_from_row(row, table: MonomialTable, field: Field, nvars: int) -> Polyno
 
 
 class SparseEchelon:
-    """Incremental row echelon form; pivot = lowest monomial rank in a row."""
+    """Incremental row echelon form; pivot = lowest monomial rank in a row.
+
+    pivots holds each pivot row as raw values scaled to 1 at its pivot;
+    the rows reduce works with are kept in the field's working form."""
 
     def __init__(self, field: Field):
         self.field = field
         self.pivots = {}  # pivot rank -> row with that pivot normalized to 1
         self.rank = 0
+        self._work = {}  # pivot rank -> the same row in the field's working form
 
-    def reduce(self, row):
-        """Fully reduce a row: eliminate every pivot rank from its support."""
+    @classmethod
+    def from_pivots(cls, field: Field, pivots) -> "SparseEchelon":
+        """The echelon whose pivot rows are the given normalized raw rows."""
+        ech = cls(field)
+        for lead, row in pivots.items():
+            ech._work[lead], ech.pivots[lead] = field.wpivot(field.wrow(row)[0], lead)
+        ech.rank = len(pivots)
+        return ech
+
+    def _reduce(self, row):
+        """(working row, scale) of the full reduction of a raw row.
+
+        The multipliers (a, b) make a*c - b*(pivot entry) exactly zero, so
+        the entry at the pivot drops out with the others that cancel."""
         f = self.field
-        row = dict(row)
+        rows = self._work
+        zero, rsub, rmul, riszero = f.wzero, f.rsub, f.rmul, f.riszero
+        row, scale = f.wrow(row)
         while True:
             hit = None
             for r in row:
-                if r in self.pivots and (hit is None or r < hit):
+                if r in rows and (hit is None or r < hit):
                     hit = r
             if hit is None:
-                return row
-            c = row.pop(hit)
-            for r2, c2 in self.pivots[hit].items():
-                if r2 == hit:
-                    continue
-                s = f.rsub(row.get(r2, f.rzero), f.rmul(c, c2))
-                if f.riszero(s):
+                return row, scale
+            prow = rows[hit]
+            a, b = f.wcofactors(row[hit], prow[hit])
+            if a != 1:  # over QQ only: integer cross-multiplication
+                scale *= a
+                row = {r: a * c for r, c in row.items()}
+            for r2, c2 in prow.items():
+                s = rsub(row.get(r2, zero), rmul(b, c2))
+                if riszero(s):
                     row.pop(r2, None)
                 else:
                     row[r2] = s
+            if a != 1:
+                row, scale = f.wdivide(row, scale)
+
+    def reduce(self, row):
+        """Fully reduce a row: eliminate every pivot rank from its support."""
+        return self.field.wraw(*self._reduce(row))
 
     def add(self, row) -> bool:
         """Insert a row; return True if it enlarged the span."""
         f = self.field
-        row = self.reduce(row)
-        row = {r: c for r, c in row.items() if not f.riszero(c)}
+        row = {r: c for r, c in self._reduce(row)[0].items() if not f.riszero(c)}
         if not row:
             return False
         lead = min(row)
-        inv = f.rinv(row[lead])
-        row = {r: f.rmul(c, inv) for r, c in row.items()}
-        self.pivots[lead] = row
+        self._work[lead], self.pivots[lead] = f.wpivot(row, lead)
         self.rank += 1
         return True
 
     def contains(self, row) -> bool:
-        return not self.reduce(row)
+        return not self._reduce(row)[0]
 
 
 def same_row_space(e1: SparseEchelon, e2: SparseEchelon) -> bool:

@@ -465,12 +465,10 @@ def extend_scalars(A: ArtinAlgebra, field: Field) -> ArtinAlgebra:
     """The same quotient over a larger coefficient field: a rebuild would
     do the same arithmetic on lifted values, so A's echelon rows are lifted
     and D, hf, v and the standard basis carry over unchanged."""
-    ech = SparseEchelon(field)
-    ech.pivots = {
+    ech = SparseEchelon.from_pivots(field, {
         lead: {r: field.coerce(Scalar(A.field, c)).val for r, c in row.items()}
         for lead, row in A.ech.pivots.items()
-    }
-    ech.rank = A.ech.rank
+    })
     return ArtinAlgebra(A.pres.map_field(field), A.D, A.table, ech, A.v, A.hf)
 
 

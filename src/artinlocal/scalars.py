@@ -11,6 +11,16 @@ pair ``(a, b)`` of raw base values meaning ``a + b*sqrt(theta)`` for an
 extension).  The ``Scalar`` wrapper pairs a raw value with its field and
 supplies operators; performance-sensitive code (row reduction) works on raw
 values directly through the field methods.
+
+Row reduction (linalg.SparseEchelon) keeps its rows in a *working form*
+that the field chooses, through the ``w*`` methods: over ``QQ`` a row of
+Python ints with one integer scale (the row is ints / scale), over an
+extension the raw row itself with scale 1.  ``wcofactors`` gives the
+multipliers (a, b) that clear one entry by cross-multiplication,
+a*row - b*pivot row; over an extension a is 1 because pivot rows are
+scaled to 1 at their pivot.  Working ints never reach ``rinv`` or
+``rdiv`` (``1 / a`` of two ints is a float); ``wraw`` turns them back
+into ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -145,6 +155,53 @@ class RationalField(Field):
     def rstr(self, a):
         return str(a)
 
+    # ----- working form of echelon rows: ints over one integer scale
+
+    wzero = 0
+
+    def wrow(self, row):
+        """(ints, scale) with row = ints / scale: scale is the lcm of the
+        denominators."""
+        scale = 1
+        for c in row.values():
+            d = c.denominator
+            if scale % d:
+                scale = math.lcm(scale, d)
+        if scale == 1:
+            return {r: c.numerator for r, c in row.items()}, 1
+        return {r: c.numerator * (scale // c.denominator) for r, c in row.items()}, scale
+
+    def wcofactors(self, c, lead):
+        """(a, b) with a*c = b*lead and a > 0 least, for lead > 0."""
+        g = math.gcd(c, lead)
+        return lead // g, c // g
+
+    def wdivide(self, row, scale):
+        """(row / g, scale / g) for g the gcd of scale and the entries; the
+        gcd is taken pairwise, since an argument tuple of every length
+        would fill the interpreter's tuple free lists."""
+        g = scale
+        for c in row.values():
+            g = math.gcd(g, c)
+            if g == 1:
+                return row, scale
+        return {r: c // g for r, c in row.items()}, scale // g
+
+    def wpivot(self, row, lead):
+        """(working, raw) forms of a nonzero pivot row with no zero entry:
+        the primitive integer row positive at lead, and the row scaled to 1
+        there."""
+        row = self.wdivide(row, 0)[0]
+        if row[lead] < 0:
+            row = {r: -v for r, v in row.items()}
+        top = row[lead]
+        return row, {r: Fraction(v, top) for r, v in row.items()}
+
+    def wraw(self, row, scale):
+        if scale == 1:
+            return {r: Fraction(v) for r, v in row.items()}
+        return {r: Fraction(v, scale) for r, v in row.items()}
+
     def rlift(self, s):
         if isinstance(s.field, RationalField):
             return s.val
@@ -181,6 +238,7 @@ class QuadraticExtension(Field):
         self.rzero = (base.rzero, base.rzero)
         self.rone = (base.rone, base.rzero)
         self.sqrt_theta = (base.rzero, base.rone)
+        self.wzero = self.rzero
 
     def rfrom(self, x):
         if isinstance(x, tuple) and len(x) == 2:
@@ -268,6 +326,22 @@ class QuadraticExtension(Field):
             if r is not None:
                 return (r, self.base.rzero)
         return None
+
+    # ----- working form of echelon rows: raw rows, pivots scaled to 1
+
+    def wrow(self, row):
+        return dict(row), 1
+
+    def wcofactors(self, c, lead):
+        return 1, c
+
+    def wpivot(self, row, lead):
+        inv = self.rinv(row[lead])
+        raw = {r: self.rmul(c, inv) for r, c in row.items()}
+        return raw, raw
+
+    def wraw(self, row, scale):
+        return row
 
     def rstr(self, x):
         B = self.base

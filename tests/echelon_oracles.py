@@ -5,24 +5,68 @@ read v(I), the leading-form ideal and the m-adic filtration off the
 quotient's own Macaulay echelon: one echelon of nI plus the generators for
 the generator count, one full echelon per degree for the leading forms,
 and one echelon of the coordinates of m^j for membership in m^j.  They
-build their own echelons from the linalg primitives, so they share no code
-with the paths they check beyond sparse row reduction itself.  The Macaulay
-echelon that tries every multiple m*g is the reference for the row-saving
-one the library runs, and dense Gauss-Jordan elimination that sweeps whole
-rows is the reference for the dense solves the library builds on
-SparseEchelon.  ideals_equal, the ideal equality
-the quotient tests use, is built on the library's build_quotient and
-row_space_equal.
+build their echelons on OracleEchelon, elimination with every row scaled
+to 1 at its pivot and every operation a field operation on raw values,
+where the library's SparseEchelon runs on integer rows over QQ.  So they
+share no row reduction with the paths they check.  The Macaulay echelon that
+tries every multiple m*g is the reference for the row-saving one the
+library runs, and dense Gauss-Jordan elimination that sweeps whole rows is
+the reference for the dense solves the library builds on SparseEchelon.
+ideals_equal, the ideal equality the quotient tests use, is built on the
+library's build_quotient and row_space_equal.
 """
 
-from artinlocal.linalg import (
-    MonomialTable,
-    SparseEchelon,
-    poly_from_row,
-    row_from_poly,
-)
+from artinlocal.linalg import MonomialTable, poly_from_row, row_from_poly
 from artinlocal.polynomials import Polynomial, mono_key, mono_mul, monomials_of_degree
 from artinlocal.quotient import build_quotient, row_space_equal
+
+
+class OracleEchelon:
+    """Row echelon form with every row normalized to 1 at its pivot, the
+    lowest rank in its support; raw field values throughout."""
+
+    def __init__(self, field):
+        self.field = field
+        self.pivots = {}  # pivot rank -> row with that pivot normalized to 1
+        self.rank = 0
+
+    def reduce(self, row):
+        """Fully reduce a row: eliminate every pivot rank from its support."""
+        f = self.field
+        row = dict(row)
+        while True:
+            hit = None
+            for r in row:
+                if r in self.pivots and (hit is None or r < hit):
+                    hit = r
+            if hit is None:
+                return row
+            c = row.pop(hit)
+            for r2, c2 in self.pivots[hit].items():
+                if r2 == hit:
+                    continue
+                s = f.rsub(row.get(r2, f.rzero), f.rmul(c, c2))
+                if f.riszero(s):
+                    row.pop(r2, None)
+                else:
+                    row[r2] = s
+
+    def add(self, row) -> bool:
+        """Insert a row; return True if it enlarged the span."""
+        f = self.field
+        row = self.reduce(row)
+        row = {r: c for r, c in row.items() if not f.riszero(c)}
+        if not row:
+            return False
+        lead = min(row)
+        inv = f.rinv(row[lead])
+        row = {r: f.rmul(c, inv) for r, c in row.items()}
+        self.pivots[lead] = row
+        self.rank += 1
+        return True
+
+    def contains(self, row) -> bool:
+        return not self.reduce(row)
 
 
 def shifted_row(g_terms, mult, table):
@@ -39,7 +83,7 @@ def shifted_row(g_terms, mult, table):
 def separate_echelon(pres, D):
     """Echelon of {m*g : deg(m) + ord(g) < D}, generator by generator."""
     table = MonomialTable(pres.nvars, D)
-    ech = SparseEchelon(pres.field)
+    ech = OracleEchelon(pres.field)
     for g in pres.gens:
         terms = list(g.truncate(D).terms.items())
         if not terms:
@@ -58,7 +102,7 @@ def oracle_macaulay_echelon(pres, D):
     every multiple m*g with deg(m) >= 1 before the generators; v = dim I/nI
     for any D with n^D contained in nI."""
     table = MonomialTable(pres.nvars, D)
-    ech = SparseEchelon(pres.field)
+    ech = OracleEchelon(pres.field)
     gen_rows = []
     for g in pres.gens:
         terms = list(g.truncate(D).terms.items())
@@ -140,7 +184,7 @@ def oracle_leading_forms(pres, s):
         basis = [poly_from_row(row, table, f, pres.nvars)
                  for lead, row in ech.pivots.items() if table.deg(lead) == j]
         basis.sort(key=lambda p: min(mono_key(m) for m in p.terms))
-        shifted = SparseEchelon(f)
+        shifted = OracleEchelon(f)
         grown = 0
         for b in prev_basis:
             for i in range(pres.nvars):
@@ -159,7 +203,7 @@ def oracle_power_echelon(A, j):
     """Echelon of the coordinate span of m^j inside A: the coordinates of
     every monomial of degree j..s."""
     f = A.field
-    ech = SparseEchelon(f)
+    ech = OracleEchelon(f)
     for d in range(max(j, 0), A.socle_degree + 1):
         for m in monomials_of_degree(A.nvars, d):
             coords = A.coords(Polynomial(A.nvars, f, {m: f.rone}))
@@ -178,7 +222,7 @@ def oracle_in_power(power_ech, A, el):
 def oracle_classes_independent(next_power_ech, A, elems):
     """Are the classes of elems independent modulo m^(j+1), given the oracle
     echelon of m^(j+1)?"""
-    ech = SparseEchelon(A.field)
+    ech = OracleEchelon(A.field)
     ech.pivots = {k: dict(v) for k, v in next_power_ech.pivots.items()}
     ech.rank = next_power_ech.rank
     for el in elems:

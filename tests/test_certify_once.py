@@ -2,9 +2,9 @@
 witness is still rejected there.
 
 The stages (structure._stretched_witness, structure._almost_stretched_witness,
-structure.normalize_units and classify7._refine_witness) build witnesses
-without certifying them; normalize, classify and classify_ideal certify the
-witness they return.  Each test below breaks one stage so that it returns
+structure.normalize_units, classify7._classify_witness and
+classify7._refine_witness) build witnesses without certifying them;
+normalize, classify and classify_ideal certify the witness they return.  Each test below breaks one stage so that it returns
 its witness with the image of x1 doubled, checks with the reference
 row_space_equal that this witness is really wrong, and asserts that the
 entry point raises CertificationFailed.
@@ -112,7 +112,9 @@ def test_classify_ideal_rejects_a_wrong_unit_stage(monkeypatch):
                             make_almost_stretched(params))
 
 
-def test_classify_rejects_a_wrong_refined_witness(monkeypatch):
+def break_refinement(monkeypatch):
+    """Make _refine_witness return its witness doubled; returns the list of
+    (A, model, wrong witness) of the broken calls."""
     original = classify7._refine_witness
     calls = []
 
@@ -121,8 +123,24 @@ def test_classify_rejects_a_wrong_refined_witness(monkeypatch):
         return calls[-1][2]
 
     monkeypatch.setattr(classify7, "_refine_witness", broken)
+    return calls
+
+
+def test_classify_rejects_a_wrong_refined_witness(monkeypatch):
+    calls = break_refinement(monkeypatch)
     with pytest.raises(CertificationFailed):
         classify(parse_poly("x1^2", 2, QQ))
+    [(A, model, wrong)] = calls
+    assert not carries_onto(wrong, model, A.pres)
+
+
+def test_classify_ideal_rejects_a_wrong_refined_witness(monkeypatch):
+    # the classify stage is uncertified inside classify_ideal, so only the
+    # composite certificate stands between the wrong witness and the answer
+    pres = moved(make_model("case2a"), 5)
+    calls = break_refinement(monkeypatch)
+    with pytest.raises(CertificationFailed, match="composite"):
+        classify_ideal(pres, allow_extension=True)
     [(A, model, wrong)] = calls
     assert not carries_onto(wrong, model, A.pres)
 
@@ -142,14 +160,14 @@ def count_echelons(monkeypatch):
 
 
 @pytest.mark.parametrize("case,p", CASES, ids=[case for case, _ in CASES])
-def test_classify_ideal_makes_at_most_four_echelons(monkeypatch, case, p):
-    # the input's build, classify's build, and one model echelon for each
-    # of the two certificates
+def test_classify_ideal_makes_at_most_three_echelons(monkeypatch, case, p):
+    # the input's build, the classify stage's build, and one model echelon
+    # for the one certificate
     calls = count_echelons(monkeypatch)
     for pres in (make_model(case, p=p), moved(make_model(case, p=p), 3)):
         calls.clear()
         assert classify_ideal(pres, allow_extension=True).case == case
-        assert len(calls) <= 4
+        assert len(calls) <= 3
 
 
 def test_normalize_units_builds_no_echelon(monkeypatch):

@@ -7,9 +7,11 @@ Each is checked here against a separate-echelon oracle
 ideals, both also moved by random coordinate changes.  The echelon itself,
 built from shifted rows with the redundant ones skipped, must equal row for
 row the one that tries every multiple, and the dense routines must give what
-whole-row Gauss-Jordan sweeps give.  For monomial ideals hf, length, type,
-v and v* are also checked against combinatorial counts, before and after a
-random coordinate change.
+whole-row Gauss-Jordan sweeps give.  SparseEchelon, on integer rows over
+QQ, must give the normalized-row OracleEchelon's pivot rows, reduce and
+contains on seeded rows, and every value it hands out over QQ must be a
+Fraction.  For monomial ideals hf, length, type, v and v* are also checked
+against combinatorial counts, before and after a random coordinate change.
 """
 
 import random
@@ -48,6 +50,7 @@ from artinlocal.structure import (
 )
 
 from echelon_oracles import (
+    OracleEchelon,
     oracle_classes_independent,
     oracle_in_power,
     oracle_leading_forms,
@@ -195,15 +198,17 @@ def test_macaulay_echelon_tries_fewer_rows_and_keeps_as_many(monkeypatch):
     pres = moved(IdealPresentation.from_strings(["x1^3", "x2^3", "x3^3"], 3), 11)
     D = build_quotient(pres).D
     counts = []
-    original = SparseEchelon.add
 
-    def counting(self, row):
-        kept = original(self, row)
-        counts[-1][0] += 1
-        counts[-1][1] += kept
-        return kept
+    def counting(original):
+        def add(self, row):
+            kept = original(self, row)
+            counts[-1][0] += 1
+            counts[-1][1] += kept
+            return kept
+        return add
 
-    monkeypatch.setattr(SparseEchelon, "add", counting)
+    for cls in (SparseEchelon, OracleEchelon):
+        monkeypatch.setattr(cls, "add", counting(cls.add))
     for echelon in (macaulay_echelon, oracle_macaulay_echelon):
         counts.append([0, 0])
         echelon(pres, D)
@@ -255,6 +260,87 @@ def test_dense_routines_match_whole_row_sweeps(field):
     assert got == [[oracle_nullspace(M, field), oracle_solve(M, b, field)]
                    for M, b in cases]
     assert any(r[1] is None for r in got)
+
+
+def random_row_entry(rng, field):
+    """A nonzero entry: over QQ half the time a numerator of up to 64 bits
+    over a denominator up to 10^6, else a small fraction; over QQ(sqrt 2) a
+    pair of small fractions."""
+    if field is QQ:
+        if rng.random() < 0.5:
+            return Fraction(rng.randint(1, 2 ** 64) * rng.choice((-1, 1)),
+                            rng.randint(1, 10 ** 6))
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+    return (Fraction(rng.randint(1, 4) * rng.choice((-1, 1)), rng.randint(1, 3)),
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+
+def random_row(rng, field, rows, ncols=16):
+    """A sparse row on ncols columns; a third of the time a combination of
+    two of the given rows, so that it lies in their span."""
+    if len(rows) >= 2 and rng.random() < 0.35:
+        row = {}
+        for src in rng.sample(rows, 2):
+            c = random_row_entry(rng, field)
+            for k, v in src.items():
+                row[k] = field.radd(row.get(k, field.rzero), field.rmul(c, v))
+        return {k: v for k, v in row.items() if not field.riszero(v)}
+    return {k: random_row_entry(rng, field)
+            for k in rng.sample(range(ncols), rng.randint(1, 5))}
+
+
+@pytest.mark.parametrize("field", [QQ, adjoin_sqrt(QQ, q(2))], ids=["QQ", "QQ(sqrt2)"])
+def test_sparse_echelon_matches_the_normalized_row_oracle(field):
+    """Integer rows over QQ (normalized rows over the tower) give the
+    normalized-row elimination's pivot rows item for item, its rank, its
+    reduce output and its contains, on 240 seeded rows."""
+    rng = random.Random(20265)
+    kept = []
+    for _ in range(8):
+        ech, oracle = SparseEchelon(field), OracleEchelon(field)
+        rows = []
+        for _ in range(30):
+            row = random_row(rng, field, rows)
+            rows.append(row)
+            kept.append(ech.add(row))
+            assert kept[-1] == oracle.add(row)
+            for probe in (row, random_row(rng, field, rows)):
+                assert (list(ech.reduce(probe).items())
+                        == list(oracle.reduce(probe).items()))
+                assert ech.contains(probe) == oracle.contains(probe)
+        assert list(ech.pivots) == list(oracle.pivots)
+        for lead, row in oracle.pivots.items():
+            assert list(ech.pivots[lead].items()) == list(row.items()), lead
+        assert ech.rank == oracle.rank
+    assert any(kept) and not all(kept)
+
+
+def check_values_are_fractions(A):
+    """Over QQ every value that the echelon, nf, coords and the dense solves
+    hand out is a Fraction, never an int or a float."""
+    def exact(values):
+        return all(type(c) is Fraction for c in values)
+
+    assert all(exact(row.values()) for row in A.ech.pivots.values())
+    elems = random_elements(A, random.Random(repr(A.pres)))
+    for a in elems:
+        for b in elems:
+            p = a.poly * b.poly + a.poly
+            assert exact(A.coords(p)) and exact(A.nf(p).terms.values())
+    rows = [A.coords(el.poly) for el in elems]
+    cols = [list(col) for col in zip(*rows)]
+    for M in (rows, cols):
+        assert all(exact(v) for v in nullspace_dense(M, QQ))
+    x = solve_dense(cols, rows[0], QQ)
+    assert x is not None and exact(x)
+    y = solve_dense(cols, A.coords(elems[0].poly * elems[1].poly), QQ)
+    assert y is None or exact(y)
+
+
+@pytest.mark.parametrize(
+    "pres", [pytest.param(pres, id=label) for label, pres in GRID])
+def test_values_over_qq_are_fractions_on_seeded_grid(pres):
+    check_values_are_fractions(build_quotient(pres))
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(2, 3), st.booleans())
