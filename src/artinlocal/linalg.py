@@ -32,11 +32,21 @@ multiple of the row that eliminating with normalized rows has at that
 step, so the same entries vanish in the same order and the dicts come out
 in the same order too.  Hence pivot sets, pivot rows (the reduced row
 divided by its pivot entry), reduce, nf and coords are the values that
-eliminating with rows normalized to 1 gives, value for value.  No value is inexact: the working rows only add, subtract and
-multiply ints and divide them exactly (by a gcd), they never reach
-RationalField.rinv or rdiv (1 / a of ints is a float), and every value
-handed out is a Fraction built from two ints.  pivots keeps each pivot
-row as raw values scaled to 1 at its pivot, for the callers that read it.
+eliminating with rows normalized to 1 gives, value for value.  This holds
+for any nonzero multiple of a row, so add also takes a row already in
+working form, ints over any scale: macaulay_echelon clears each generator
+row once and adds its variable shifts as they are, and add copies a row
+before it reduces it in place.  No value is inexact: the working rows only
+add, subtract and multiply ints and divide them exactly (by a gcd), they
+never reach RationalField.rinv or rdiv (1 / a of ints is a float), and
+every value handed out is a Fraction built from two ints.
+
+The echelon stores its pivot rows only in working form.  leads is a live
+view of the pivot columns, for membership and counting.  pivots builds the
+raw rows, each scaled to 1 at its pivot (Fraction(v, L) over QQ), in
+insertion order, on every read; only the readers of row values need it
+(leading forms, extend_scalars, the kernel vectors, the split-quadric
+test), and each reads it once.
 
 solve_dense and nullspace_dense add dense rows to a SparseEchelon and
 back-substitute in decreasing pivot order.  They return what Gauss-Jordan
@@ -99,33 +109,47 @@ def poly_from_row(row, table: MonomialTable, field: Field, nvars: int) -> Polyno
 class SparseEchelon:
     """Incremental row echelon form; pivot = lowest monomial rank in a row.
 
-    pivots holds each pivot row as raw values scaled to 1 at its pivot;
-    the rows reduce works with are kept in the field's working form."""
+    The pivot rows are kept only in the field's working form; leads is a
+    live view of the pivot ranks, and pivots builds the raw rows on each
+    read."""
 
     def __init__(self, field: Field):
         self.field = field
-        self.pivots = {}  # pivot rank -> row with that pivot normalized to 1
-        self.rank = 0
-        self._work = {}  # pivot rank -> the same row in the field's working form
+        self._work = {}  # pivot rank -> pivot row in the field's working form
+        self.leads = self._work.keys()
+
+    @property
+    def rank(self) -> int:
+        return len(self._work)
+
+    @property
+    def pivots(self):
+        """{pivot rank: raw row scaled to 1 at its pivot}, in insertion order;
+        a new dict on every read."""
+        wraw = self.field.wraw
+        return {lead: wraw(row, row[lead]) for lead, row in self._work.items()}
 
     @classmethod
     def from_pivots(cls, field: Field, pivots) -> "SparseEchelon":
         """The echelon whose pivot rows are the given normalized raw rows."""
         ech = cls(field)
         for lead, row in pivots.items():
-            ech._work[lead], ech.pivots[lead] = field.wpivot(field.wrow(row)[0], lead)
-        ech.rank = len(pivots)
+            ech._work[lead] = field.wpivot(field.wrow(row)[0], lead)
         return ech
 
-    def _reduce(self, row):
-        """(working row, scale) of the full reduction of a raw row.
+    def _reduce(self, row, scale=None):
+        """(working row, scale) of the full reduction of a row: a raw row,
+        or with a scale a working row, which is left as it is.
 
         The multipliers (a, b) make a*c - b*(pivot entry) exactly zero, so
         the entry at the pivot drops out with the others that cancel."""
         f = self.field
         rows = self._work
         zero, rsub, rmul, riszero = f.wzero, f.rsub, f.rmul, f.riszero
-        row, scale = f.wrow(row)
+        if scale is None:
+            row, scale = f.wrow(row)
+        else:
+            row = dict(row)
         while True:
             hit = None
             for r in row:
@@ -148,18 +172,19 @@ class SparseEchelon:
                 row, scale = f.wdivide(row, scale)
 
     def reduce(self, row):
-        """Fully reduce a row: eliminate every pivot rank from its support."""
+        """Fully reduce a raw row: eliminate every pivot rank from its support."""
         return self.field.wraw(*self._reduce(row))
 
-    def add(self, row) -> bool:
-        """Insert a row; return True if it enlarged the span."""
+    def add(self, row, scale=None) -> bool:
+        """Insert a raw row, or a working row over the given scale (see
+        _reduce); return True if it enlarged the span.  The row passed in
+        is not changed."""
         f = self.field
-        row = {r: c for r, c in self._reduce(row)[0].items() if not f.riszero(c)}
+        row = {r: c for r, c in self._reduce(row, scale)[0].items() if not f.riszero(c)}
         if not row:
             return False
         lead = min(row)
-        self._work[lead], self.pivots[lead] = f.wpivot(row, lead)
-        self.rank += 1
+        self._work[lead] = f.wpivot(row, lead)
         return True
 
     def contains(self, row) -> bool:
@@ -167,7 +192,7 @@ class SparseEchelon:
 
 
 def same_row_space(e1: SparseEchelon, e2: SparseEchelon) -> bool:
-    if set(e1.pivots) != set(e2.pivots):
+    if set(e1.leads) != set(e2.leads):
         return False
     return all(e2.contains(r) for r in e1.pivots.values()) and all(
         e1.contains(r) for r in e2.pivots.values()
@@ -185,14 +210,13 @@ def _echelon(M, field: Field) -> SparseEchelon:
     return ech
 
 
-def _kernel_vector(ech: SparseEchelon, col, value, n: int):
-    """The length-n kernel vector of ech's rows that is value at the
-    non-pivot column col and 0 at the other non-pivot columns."""
-    f = ech.field
+def _kernel_vector(f: Field, pivots, col, value, n: int):
+    """The length-n kernel vector of the raw pivot rows that is value at
+    the non-pivot column col and 0 at the other non-pivot columns."""
     x = {col: value}
-    for piv in sorted(ech.pivots, reverse=True):
+    for piv in sorted(pivots, reverse=True):
         s = f.rzero
-        for k, c in ech.pivots[piv].items():
+        for k, c in pivots[piv].items():
             if k != piv and k in x:
                 s = f.rsub(s, f.rmul(c, x[k]))
         x[piv] = s
@@ -208,9 +232,9 @@ def solve_dense(M, b, field: Field):
         return []
     n = len(M[0])
     ech = _echelon([list(row) + [bi] for row, bi in zip(M, b)], field)
-    if n in ech.pivots:
+    if n in ech.leads:
         return None
-    return _kernel_vector(ech, n, field.rneg(field.rone), n + 1)[:n]
+    return _kernel_vector(field, ech.pivots, n, field.rneg(field.rone), n + 1)[:n]
 
 
 def nullspace_dense(M, field: Field):
@@ -219,9 +243,9 @@ def nullspace_dense(M, field: Field):
     if not M:
         return []
     n = len(M[0])
-    ech = _echelon(M, field)
-    return [_kernel_vector(ech, fc, field.rone, n)
-            for fc in range(n) if fc not in ech.pivots]
+    pivots = _echelon(M, field).pivots
+    return [_kernel_vector(field, pivots, fc, field.rone, n)
+            for fc in range(n) if fc not in pivots]
 
 
 def diagonalize_symmetric(M, field: Field):

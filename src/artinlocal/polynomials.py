@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .errors import FieldMismatch, ParseError
 from .scalars import Field, QQ, Scalar, common_field
@@ -51,17 +52,14 @@ def mono_str(m: Monomial) -> str:
 
 
 def monomials_of_degree(nvars: int, d: int):
-    """All exponent tuples of total degree d, in descending graded order ties."""
+    """All exponent tuples of total degree d, sorted by mono_key: one per
+    multiset of d variable indices."""
     out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), d, nvars)
+    for picks in combinations_with_replacement(range(nvars), d):
+        e = [0] * nvars
+        for i in picks:
+            e[i] += 1
+        out.append(tuple(e))
     out.sort(key=mono_key)
     return out
 

@@ -108,36 +108,59 @@ def macaulay_echelon(pres: IdealPresentation, D: int):
     """Echelonized span of {m*g : deg(m)+ord(g) < D}, with the rank v the
     generators add on top of the rows of nI (deg(m) >= 1), which go in first.
 
-    Rows go in generator by generator, multipliers m in table order, and
-    the row of m*g is the x_i-shift of the stored row of (m/x_i)*g.  It is
-    not tried when the row of a divisor (m/x_i)*g with deg(m/x_i) >= 1 was
-    rejected or skipped (Lazard's criterion).  That row lies in the span of
-    the rows before it (if skipped, by induction); the order on (g, m) is
-    multiplicative, so m*g lies in the span of their x_i-shifts, each earlier
-    or zero mod n^D.  A rejected row changes nothing, so the pivot rows,
-    their order and v are those of trying every row.
+    Rows go in generator by generator, multipliers m in table order, and a
+    row of m*g is not tried when the row of a divisor (m/x_i)*g with
+    deg(m/x_i) >= 1 was rejected or skipped (Lazard's criterion).  That
+    row lies in the span of the rows before it (if skipped, by induction);
+    the order on (g, m) is multiplicative, so m*g lies in the span of their
+    x_i-shifts, each earlier or zero mod n^D.  A rejected row changes
+    nothing, so the pivot rows, their order and v are those of trying
+    every row.
+
+    The multipliers go one degree at a time.  The candidates of degree d+1
+    are the shifts x_i*m of the multipliers m of degree d whose rows were
+    kept (m = 1 is always kept).  A multiplier m' of degree d+1 is hit once
+    for each x_i in its support with m'/x_i kept, so it is tried exactly
+    when its hits number the variables in its support, which is when every
+    divisor was kept: the rule above.  Within a degree the candidates go in
+    ascending rank, and table ranks ascend with degree, so the rows tried
+    and their order are those of the rule above in table order.  The row of
+    m'*g is the x_i-shift of the row of m*g, truncated below D: the same
+    terms in the same order for every such i.  Each generator row is put in
+    the field's working form once, and its shifts are added in that form.
 
     Returns (table, ech, v); v = dim I/nI whenever n^D <= nI.
     """
+    f = pres.field
     table = MonomialTable(pres.nvars, D)
-    ech = SparseEchelon(pres.field)
+    monos, shifts = table.monos, table.shift
+    ech = SparseEchelon(f)
     gen_rows = []
     for g in pres.gens:
         row = row_from_poly(g, table)
         if not row:
             continue
-        gen_rows.append(row)
-        kept = {0: row}  # multiplier rank -> row of m*g, for the rows kept
-        for r in range(1, comb(pres.nvars + D - 1 - table.deg(min(row)), pres.nvars)):
-            m = table.monos[r]
-            divs = [(table.shift[i], table.index[m[:i] + (e - 1,) + m[i + 1:]])
-                    for i, e in enumerate(m) if e]
-            if all(d in kept for _, d in divs):
-                shift, d = divs[0]
-                row = {shift[k]: c for k, c in kept[d].items() if shift[k] is not None}
-                if ech.add(row):
-                    kept[r] = row
-    v = sum(1 for row in gen_rows if ech.add(row))
+        gen_rows.append(f.wrow(row))
+        layer = {0: gen_rows[-1]}  # multiplier rank -> working row of m*g, for the rows kept
+        for _ in range(D - 1 - table.deg(min(row))):
+            hits, source = {}, {}
+            for k, work in layer.items():
+                for shift in shifts:
+                    c = shift[k]
+                    if c in hits:
+                        hits[c] += 1
+                    else:
+                        hits[c] = 1
+                        source[c] = shift, work
+            layer = {}
+            for c in sorted(hits):
+                m = monos[c]
+                if hits[c] == len(m) - m.count(0):
+                    shift, (w, scale) = source[c]
+                    w = {shift[r]: v for r, v in w.items() if shift[r] is not None}
+                    if ech.add(w, scale):
+                        layer[c] = w, scale
+    v = sum(1 for row, scale in gen_rows if ech.add(row, scale))
     return table, ech, v
 
 
@@ -155,7 +178,7 @@ class ArtinAlgebra:
         self.hf = tuple(hf)
         self.socle_degree = len(hf) - 1
         self.std = [
-            i for i in range(len(table.monos)) if i not in ech.pivots
+            i for i in range(len(table.monos)) if i not in ech.leads
             and table.deg(i) <= self.socle_degree
         ]
         self.std_pos = {r: i for i, r in enumerate(self.std)}
@@ -217,21 +240,28 @@ class ArtinAlgebra:
     # ----- socle and type
 
     def socle(self):
-        """(dimension, basis elements) of the annihilator of the maximal ideal."""
+        """(dimension, basis elements) of the annihilator of the maximal ideal.
+
+        It is the common kernel of multiplication by x_1..x_h on the
+        standard basis.  The column of a standard monomial m under x_i
+        holds the coordinates of x_i*m: the echelon's reduction of the row
+        {shift[i][m]: 1}, which is what coords(x_i*m) reduces (x_i*m has
+        degree <= s+1 < D).  The basis is kept as polynomials, so the
+        algebra holds no reference to itself."""
         if self._socle is None:
-            e = self.length
+            f, pos, e = self.field, self.std_pos, self.length
             rows = []
-            for i in range(self.nvars):
-                cols = self.mult_matrix(self.variable(i))
-                for r in range(e):
-                    rows.append([cols[c][r] for c in range(e)])
-            basis = nullspace_dense(rows, self.field)
-            elems = [AlgebraElement(self, self.from_coords(v)) for v in basis]
-            elems.sort(key=lambda el: min(
-                (mono_key(m) for m in el.poly.terms), default=(0, ())
-            ))
-            self._socle = (len(basis), elems)
-        return self._socle
+            for shift in self.table.shift:
+                block = [[f.rzero] * e for _ in range(e)]
+                for col, m in enumerate(self.std):
+                    for r, c in self.ech.reduce({shift[m]: f.rone}).items():
+                        if r in pos:
+                            block[pos[r]][col] = c
+                rows += block
+            basis = [self.from_coords(v) for v in nullspace_dense(rows, f)]
+            basis.sort(key=lambda p: min((mono_key(m) for m in p.terms), default=(0, ())))
+            self._socle = basis
+        return len(self._socle), [AlgebraElement(self, p) for p in self._socle]
 
     @property
     def cm_type(self) -> int:
@@ -378,7 +408,7 @@ def build_quotient(pres: IdealPresentation, D=None) -> ArtinAlgebra:
         table, ech, v = macaulay_echelon(pres, Dcur)
         hf = [0] * Dcur
         for i in range(len(table.monos)):
-            if i not in ech.pivots:
+            if i not in ech.leads:
                 hf[table.deg(i)] += 1
         zero_at = next((j for j in range(Dcur) if hf[j] == 0), None)
         if zero_at is not None:
@@ -437,10 +467,11 @@ def leading_forms(pres: IdealPresentation, algebra=None) -> LeadingFormData:
     A = algebra if algebra is not None else build_quotient(pres)
     f, h, s, tab = A.field, A.nvars, A.socle_degree, A.table
     rows = {j: [] for j in range(s + 1)}  # degree -> basis of I*_j as rank rows
-    for lead in sorted(A.ech.pivots):
+    pivots = A.ech.pivots
+    for lead in sorted(pivots):
         j = tab.deg(lead)
         if j <= s:
-            rows[j].append({r: c for r, c in A.ech.pivots[lead].items() if tab.deg(r) == j})
+            rows[j].append({r: c for r, c in pivots[lead].items() if tab.deg(r) == j})
     dims = {j: len(rows[j]) for j in range(1, s + 1)}
     for j in (s + 1, s + 2):
         dims[j] = comb(h + j - 1, j)

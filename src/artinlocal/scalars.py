@@ -188,14 +188,13 @@ class RationalField(Field):
         return {r: c // g for r, c in row.items()}, scale // g
 
     def wpivot(self, row, lead):
-        """(working, raw) forms of a nonzero pivot row with no zero entry:
-        the primitive integer row positive at lead, and the row scaled to 1
-        there."""
+        """Working form of a nonzero pivot row with no zero entry: the
+        primitive integer row positive at lead.  wraw(row, row[lead]) is
+        the row scaled to 1 there."""
         row = self.wdivide(row, 0)[0]
         if row[lead] < 0:
             row = {r: -v for r, v in row.items()}
-        top = row[lead]
-        return row, {r: Fraction(v, top) for r, v in row.items()}
+        return row
 
     def wraw(self, row, scale):
         if scale == 1:
@@ -337,8 +336,7 @@ class QuadraticExtension(Field):
 
     def wpivot(self, row, lead):
         inv = self.rinv(row[lead])
-        raw = {r: self.rmul(c, inv) for r, c in row.items()}
-        return raw, raw
+        return {r: self.rmul(c, inv) for r, c in row.items()}
 
     def wraw(self, row, scale):
         return row

@@ -10,13 +10,26 @@ to 1 at its pivot and every operation a field operation on raw values,
 where the library's SparseEchelon runs on integer rows over QQ.  So they
 share no row reduction with the paths they check.  The Macaulay echelon that
 tries every multiple m*g is the reference for the row-saving one the
-library runs, and dense Gauss-Jordan elimination that sweeps whole rows is
-the reference for the dense solves the library builds on SparseEchelon.
+library runs, and the loop that lists every multiplier's divisors is the
+reference for the one that builds each degree's candidates from the rows
+kept in the degree before.  Dense Gauss-Jordan elimination that sweeps
+whole rows is the reference for the dense solves the library builds on
+SparseEchelon, and the socle from the multiplication matrices of the
+variables' normal forms is the reference for the one built from table
+shifts.
 ideals_equal, the ideal equality the quotient tests use, is built on the
 library's build_quotient and row_space_equal.
 """
 
-from artinlocal.linalg import MonomialTable, poly_from_row, row_from_poly
+from math import comb
+
+from artinlocal.linalg import (
+    MonomialTable,
+    SparseEchelon,
+    nullspace_dense,
+    poly_from_row,
+    row_from_poly,
+)
 from artinlocal.polynomials import Polynomial, mono_key, mono_mul, monomials_of_degree
 from artinlocal.quotient import build_quotient, row_space_equal
 
@@ -117,6 +130,48 @@ def oracle_macaulay_echelon(pres, D):
                     ech.add(row)
     v = sum(1 for row in gen_rows if ech.add(row))
     return table, ech, v
+
+
+def divisor_list_macaulay_echelon(pres, D):
+    """(table, ech, v) by the divisor-list loop on SparseEchelon: every
+    multiplier m in table order, tried when the rows of all its divisors
+    m/x_i were kept, as the x_i-shift of the raw row of (m/x_i)*g for the
+    first such i."""
+    table = MonomialTable(pres.nvars, D)
+    ech = SparseEchelon(pres.field)
+    gen_rows = []
+    for g in pres.gens:
+        row = row_from_poly(g, table)
+        if not row:
+            continue
+        gen_rows.append(row)
+        kept = {0: row}  # multiplier rank -> row of m*g, for the rows kept
+        for r in range(1, comb(pres.nvars + D - 1 - table.deg(min(row)), pres.nvars)):
+            m = table.monos[r]
+            divs = [(table.shift[i], table.index[m[:i] + (e - 1,) + m[i + 1:]])
+                    for i, e in enumerate(m) if e]
+            if all(d in kept for _, d in divs):
+                shift, d = divs[0]
+                row = {shift[k]: c for k, c in kept[d].items() if shift[k] is not None}
+                if ech.add(row):
+                    kept[r] = row
+    v = sum(1 for row in gen_rows if ech.add(row))
+    return table, ech, v
+
+
+def oracle_socle(A):
+    """(dimension, basis polynomials) of A's socle: the common kernel of
+    the multiplication matrices of the normal forms of x_1..x_h, each
+    column the coords of a product with a standard monomial."""
+    e = A.length
+    rows = []
+    for i in range(A.nvars):
+        cols = A.mult_matrix(A.variable(i))
+        for r in range(e):
+            rows.append([cols[c][r] for c in range(e)])
+    basis = [A.from_coords(v) for v in nullspace_dense(rows, A.field)]
+    basis.sort(key=lambda p: min((mono_key(m) for m in p.terms), default=(0, ())))
+    return len(basis), basis
 
 
 def oracle_rref(M, field):

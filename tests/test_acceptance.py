@@ -150,12 +150,13 @@ def test_criterion_3_bound_chain():
         A = build_quotient(pres)
         instances.append((f"random #{i}", pres, A.length, A.embdim))
     for label, pres, e, h in instances:
-        v = min_gens(pres)
+        A = build_quotient(pres)
+        v = min_gens(pres, algebra=A)
         if not lower_bound(e, h) <= v <= erv_upper(e, h):
             failures.append(f"{label}: {v} outside numeric bounds")
             continue
-        v_star = leading_forms(pres).v_star
-        v_lex = len(lex_segment(build_quotient(pres).hf, nvars=h).gens)
+        v_star = leading_forms(pres, algebra=A).v_star
+        v_lex = len(lex_segment(A.hf, nvars=h).gens)
         if not v <= v_star <= v_lex:
             failures.append(
                 f"{label}: chain {v} <= {v_star} <= {v_lex} broken")

@@ -1,5 +1,7 @@
 """Artinian quotients: Hilbert functions, socles, generator counts, roots."""
 
+import gc
+import weakref
 from fractions import Fraction
 from itertools import permutations
 
@@ -67,6 +69,18 @@ def test_socle_of_gorenstein_is_one_dimensional():
     tau, elems = A.socle()
     assert tau == 1 == A.cm_type
     assert A.gorenstein
+
+
+def test_an_algebra_whose_socle_was_read_is_freed_without_the_collector():
+    gc.disable()
+    try:
+        A = build_quotient(pres("x1^2 - x2^2", "x1*x2"))
+        assert A.socle()[0] == 1
+        ref = weakref.ref(A)
+        del A
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_min_gens_independent_of_generator_order():

@@ -6,11 +6,12 @@ Each is checked here against a separate-echelon oracle
 (tests/echelon_oracles.py) on a seeded grid and on hypothesis-generated
 ideals, both also moved by random coordinate changes.  The echelon itself,
 built from shifted rows with the redundant ones skipped, must equal row for
-row the one that tries every multiple, and the dense routines must give what
-whole-row Gauss-Jordan sweeps give.  SparseEchelon, on integer rows over
+row the one that tries every multiple and try the rows the divisor-list loop
+tries; the socle must equal the one from multiplication matrices, and the
+dense routines must give what whole-row Gauss-Jordan sweeps give.  SparseEchelon, on integer rows over
 QQ, must give the normalized-row OracleEchelon's pivot rows, reduce and
-contains on seeded rows, and every value it hands out over QQ must be a
-Fraction.  For monomial ideals hf, length, type, v and v* are also checked
+contains on seeded rows, leave the rows it is given unchanged, and every
+value it hands out over QQ must be a Fraction.  For monomial ideals hf, length, type, v and v* are also checked
 against combinatorial counts, before and after a random coordinate change.
 """
 
@@ -51,12 +52,14 @@ from artinlocal.structure import (
 
 from echelon_oracles import (
     OracleEchelon,
+    divisor_list_macaulay_echelon,
     oracle_classes_independent,
     oracle_in_power,
     oracle_leading_forms,
     oracle_macaulay_echelon,
     oracle_nullspace,
     oracle_power_echelon,
+    oracle_socle,
     oracle_solve,
     separate_echelon,
 )
@@ -98,9 +101,10 @@ def check_echelon_matches_oracle(pres, D):
     """The shifted-row echelon is the every-multiple echelon, row for row."""
     _, ech, v = macaulay_echelon(pres, D)
     _, oracle, oracle_v = oracle_macaulay_echelon(pres, D)
-    assert list(ech.pivots) == list(oracle.pivots)
+    pivots = ech.pivots
+    assert list(pivots) == list(oracle.pivots)
     for lead, row in oracle.pivots.items():
-        assert list(ech.pivots[lead].items()) == list(row.items()), lead
+        assert list(pivots[lead].items()) == list(row.items()), lead
     assert (ech.rank, v) == (oracle.rank, oracle_v)
 
 
@@ -110,7 +114,7 @@ def check_against_oracles(pres):
     check_echelon_matches_oracle(pres, A.D + 1)
     s = A.socle_degree
     table, ech = separate_echelon(pres, A.D)
-    assert set(ech.pivots) == set(A.ech.pivots)
+    assert set(ech.pivots) == set(A.ech.leads)
     hf = [0] * A.D
     for r in range(len(table.monos)):
         if r not in ech.pivots:
@@ -122,6 +126,11 @@ def check_against_oracles(pres):
     assert data.dims == dims
     assert data.new_gens == new_gens
     assert data.v_star == v_star
+    dim, basis = A.socle()
+    oracle_dim, oracle_basis = oracle_socle(A)
+    assert dim == oracle_dim == len(basis)
+    assert ([list(el.poly.terms.items()) for el in basis]
+            == [list(p.terms.items()) for p in oracle_basis])
     check_powers_against_oracle(A)
 
 
@@ -195,13 +204,15 @@ def test_shared_echelon_matches_oracles_over_a_quadratic_extension():
 
 
 def test_macaulay_echelon_tries_fewer_rows_and_keeps_as_many(monkeypatch):
+    """The layered loop tries and keeps what the divisor-list loop does,
+    row for row, and tries fewer rows than every multiple for as many kept."""
     pres = moved(IdealPresentation.from_strings(["x1^3", "x2^3", "x3^3"], 3), 11)
     D = build_quotient(pres).D
-    counts = []
+    counts, echelons = [], []
 
     def counting(original):
-        def add(self, row):
-            kept = original(self, row)
+        def add(self, row, *rest):
+            kept = original(self, row, *rest)
             counts[-1][0] += 1
             counts[-1][1] += kept
             return kept
@@ -209,12 +220,27 @@ def test_macaulay_echelon_tries_fewer_rows_and_keeps_as_many(monkeypatch):
 
     for cls in (SparseEchelon, OracleEchelon):
         monkeypatch.setattr(cls, "add", counting(cls.add))
-    for echelon in (macaulay_echelon, oracle_macaulay_echelon):
+    for echelon in (macaulay_echelon, divisor_list_macaulay_echelon,
+                    oracle_macaulay_echelon):
         counts.append([0, 0])
-        echelon(pres, D)
-    (tried, kept), (oracle_tried, oracle_kept) = counts
+        echelons.append(echelon(pres, D))
+    (tried, kept), (listed_tried, listed_kept), (oracle_tried, oracle_kept) = counts
+    assert (tried, kept) == (listed_tried, listed_kept)
     assert tried < oracle_tried
     assert kept == oracle_kept
+    (_, ech, v), (_, listed, listed_v) = echelons[:2]
+    assert list(ech.pivots.items()) == list(listed.pivots.items())
+    assert v == listed_v
+
+
+def test_macaulay_echelon_gives_the_same_rows_twice():
+    """Nothing a call leaves behind (the cached MonomialTable included)
+    changes the next call on the same presentation."""
+    for _, pres in GRID[::4]:
+        D = build_quotient(pres).D
+        (t1, e1, v1), (t2, e2, v2) = (macaulay_echelon(pres, D) for _ in range(2))
+        assert t1 is t2 and v1 == v2
+        assert list(e1.pivots.items()) == list(e2.pivots.items())
 
 
 def test_leading_forms_takes_both_branches_on_seeded_grid(monkeypatch):
@@ -308,11 +334,45 @@ def test_sparse_echelon_matches_the_normalized_row_oracle(field):
                 assert (list(ech.reduce(probe).items())
                         == list(oracle.reduce(probe).items()))
                 assert ech.contains(probe) == oracle.contains(probe)
-        assert list(ech.pivots) == list(oracle.pivots)
+        pivots = ech.pivots
+        assert list(pivots) == list(oracle.pivots) == list(ech.leads)
         for lead, row in oracle.pivots.items():
-            assert list(ech.pivots[lead].items()) == list(row.items()), lead
+            assert list(pivots[lead].items()) == list(row.items()), lead
         assert ech.rank == oracle.rank
     assert any(kept) and not all(kept)
+
+
+@pytest.mark.parametrize("field", [QQ, adjoin_sqrt(QQ, q(2))], ids=["QQ", "QQ(sqrt2)"])
+def test_add_leaves_the_callers_row_unchanged(field):
+    """add copies a raw row and a working row before reducing it in place,
+    and both forms of the same rows give the same pivot rows."""
+    rng = random.Random(20267)
+    raw_ech, work_ech = SparseEchelon(field), SparseEchelon(field)
+    rows = []
+    for _ in range(60):
+        row = random_row(rng, field, rows)
+        rows.append(row)
+        work, scale = field.wrow(row)
+        before = list(row.items()), list(work.items())
+        assert raw_ech.add(row) == work_ech.add(work, scale)
+        assert (list(row.items()), list(work.items())) == before
+    pivots = raw_ech.pivots
+    assert 0 < len(pivots) < len(rows)
+    assert list(pivots.items()) == list(work_ech.pivots.items())
+
+
+@pytest.mark.parametrize("field", [QQ, adjoin_sqrt(QQ, q(2))], ids=["QQ", "QQ(sqrt2)"])
+def test_from_pivots_round_trips(field):
+    rng = random.Random(20269)
+    ech = SparseEchelon(field)
+    rows = []
+    for _ in range(40):
+        rows.append(random_row(rng, field, rows))
+        ech.add(rows[-1])
+    pivots = ech.pivots
+    again = SparseEchelon.from_pivots(field, pivots)
+    assert list(again.pivots.items()) == list(pivots.items())
+    assert list(again.leads) == list(pivots) and again.rank == ech.rank
 
 
 def check_values_are_fractions(A):
