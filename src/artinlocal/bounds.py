@@ -15,9 +15,10 @@ r = e - C(h+t-1, t-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 
-from .polynomials import Polynomial, monomials_of_degree
+from .polynomials import Polynomial, lex_monomials
 from .quotient import IdealPresentation
 from .scalars import QQ
 
@@ -98,6 +99,14 @@ def lex_segment(hf, nvars=None):
 
     Returns an IdealPresentation over QQ whose generators are the minimal
     monomial generators.  Raises ValueError for inadmissible input.
+
+    Its degree-j part L_j is the first C(nvars+j-1, j) - hf[j] monomials of
+    degree j in descending lex order (hf[j] = 0 for j > s).  By Macaulay's
+    theorem (Bruns and Herzog, Cohen-Macaulay Rings, section 4.2) the
+    multiples n * L_(j-1) of a lex segment are again a lex segment, whose
+    complement in degree j has hf[j-1]^<j-1> monomials (n * L_0 is empty).
+    Admissibility says hf[j] <= hf[j-1]^<j-1>, so n * L_(j-1) is the start
+    of L_j, and the generators born in degree j are the rest of L_j.
     """
     hf = list(hf)
     if not hf_admissible(hf):
@@ -110,16 +119,13 @@ def lex_segment(hf, nvars=None):
     if nvars == 0:
         raise ValueError("need at least one variable")
     s = len(hf) - 1
-    prev, gens = set(), []
+    gens = []
     for j in range(1, s + 2):
-        # exponent tuples compare lexicographically with x1 > x2 > ...
-        monos = sorted(monomials_of_degree(nvars, j), reverse=True)
-        seg = set(monos[:len(monos) - (hf[j] if j <= s else 0)])
-        grown = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in prev for i in range(nvars)}
-        if not grown <= seg:
-            raise ValueError("Hilbert function not realizable lex-segment")
-        gens += [Polynomial(nvars, QQ, {m: QQ.rone}) for m in sorted(seg - grown, reverse=True)]
-        prev = seg
+        total = comb(nvars + j - 1, j)
+        grown = total - macaulay_shift(hf[j - 1], j - 1) if j > 1 else 0
+        seg = total - (hf[j] if j <= s else 0)
+        gens += [Polynomial(nvars, QQ, {m: QQ.rone})
+                 for m in islice(lex_monomials(nvars, j), grown, seg)]
     return IdealPresentation(gens, nvars, QQ)
 
 

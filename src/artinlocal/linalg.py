@@ -42,22 +42,31 @@ never reach RationalField.rinv or rdiv (1 / a of ints is a float), and
 every value handed out is a Fraction built from two ints.
 
 The echelon stores its pivot rows only in working form.  leads is a live
-view of the pivot columns, for membership and counting.  pivots builds the
-raw rows, each scaled to 1 at its pivot (Fraction(v, L) over QQ), in
+view of the pivot columns, for membership and counting, and working a live
+read-only view of the working rows themselves.  A reader that needs only
+the span or support of a pivot row reads working, since any nonzero
+multiple of a row has the same ones: leading_forms, and the back-
+substitution of solve_dense and nullspace below.  pivots builds the raw
+rows, each scaled to 1 at its pivot (Fraction(v, L) over QQ), in
 insertion order, on every read; only the readers of row values need it
-(leading forms, extend_scalars, the kernel vectors, the split-quadric
-test), and each reads it once.
+(extend_scalars, the split-quadric test in classify7 and
+same_row_space), and each reads it once.
 
-solve_dense and nullspace_dense add dense rows to a SparseEchelon and
-back-substitute in decreasing pivot order.  They return what Gauss-Jordan
-elimination returns, value for value: both pivot sets are the columns where
-the rank rises from left to right, a kernel vector is fixed by its entries
-at the non-pivot columns, which both set alike, and arithmetic is exact.  A
-pivot row is zero left of its pivot, so each pivot entry depends only on
-later columns.  diagonalize_symmetric does congruence, not elimination.
+solve_dense and nullspace add their rows to a SparseEchelon and
+back-substitute on its working rows in decreasing pivot order.  They
+return what Gauss-Jordan elimination returns, value for value: both pivot
+sets are the columns where the rank rises from left to right, a kernel
+vector is fixed by its entries at the non-pivot columns, which both set
+alike, and arithmetic is exact.  A pivot row is zero left of its pivot, so
+each pivot entry depends only on later columns.  The back-substitution
+keeps the vector as ints over one scale, as _reduce keeps a row, so over
+QQ no working int reaches rdiv.  diagonalize_symmetric does congruence, not
+elimination.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from .polynomials import Polynomial, monomials_of_degree
 from .scalars import Field
@@ -110,13 +119,16 @@ class SparseEchelon:
     """Incremental row echelon form; pivot = lowest monomial rank in a row.
 
     The pivot rows are kept only in the field's working form; leads is a
-    live view of the pivot ranks, and pivots builds the raw rows on each
-    read."""
+    live view of the pivot ranks, working a live read-only view
+    {pivot rank: working row} (over QQ a primitive int row, positive at its
+    pivot; over a tower the raw row scaled to 1 there), and pivots builds
+    the raw rows on each read."""
 
     def __init__(self, field: Field):
         self.field = field
         self._work = {}  # pivot rank -> pivot row in the field's working form
         self.leads = self._work.keys()
+        self.working = MappingProxyType(self._work)
 
     @property
     def rank(self) -> int:
@@ -199,27 +211,35 @@ def same_row_space(e1: SparseEchelon, e2: SparseEchelon) -> bool:
     )
 
 
-# ------------------------------------------------------------ dense entry points
+# ------------------------------------------------------------ solves
 
 
-def _echelon(M, field: Field) -> SparseEchelon:
-    """Echelon of the raw-value rows M, added as sparse rows."""
-    ech = SparseEchelon(field)
-    for row in M:
-        ech.add({k: c for k, c in enumerate(row) if not field.riszero(c)})
-    return ech
+def _kernel_vector(f: Field, rows, col, value, n: int):
+    """The length-n kernel vector of the working pivot rows that is value
+    at the non-pivot column col and 0 at the other non-pivot columns.
 
-
-def _kernel_vector(f: Field, pivots, col, value, n: int):
-    """The length-n kernel vector of the raw pivot rows that is value at
-    the non-pivot column col and 0 at the other non-pivot columns."""
-    x = {col: value}
-    for piv in sorted(pivots, reverse=True):
-        s = f.rzero
-        for k, c in pivots[piv].items():
+    The vector is kept as x / scale in working form.  At pivot p with
+    working entry L the solved entry is -s / L, s the row's sum over the
+    later columns; with (a, b) = wcofactors(s, L) that is -b / a, so x and
+    scale are multiplied by a and x[p] = -b."""
+    x, scale = f.wrow({col: value})
+    radd, rmul = f.radd, f.rmul
+    for piv in sorted(rows, reverse=True):
+        prow = rows[piv]
+        s = f.wzero
+        for k, c in prow.items():
             if k != piv and k in x:
-                s = f.rsub(s, f.rmul(c, x[k]))
-        x[piv] = s
+                s = radd(s, rmul(c, x[k]))
+        if f.riszero(s):
+            continue
+        a, b = f.wcofactors(s, prow[piv])
+        if a != 1:  # over QQ only
+            scale *= a
+            x = {k: a * v for k, v in x.items()}
+        x[piv] = f.rneg(b)
+        if a != 1:
+            x, scale = f.wdivide(x, scale)
+    x = f.wraw(x, scale)
     return [x.get(k, f.rzero) for k in range(n)]
 
 
@@ -231,21 +251,23 @@ def solve_dense(M, b, field: Field):
     if not M:
         return []
     n = len(M[0])
-    ech = _echelon([list(row) + [bi] for row, bi in zip(M, b)], field)
+    ech = SparseEchelon(field)
+    for row, bi in zip(M, b):
+        ech.add({k: c for k, c in enumerate(list(row) + [bi]) if not field.riszero(c)})
     if n in ech.leads:
         return None
-    return _kernel_vector(field, ech.pivots, n, field.rneg(field.rone), n + 1)[:n]
+    return _kernel_vector(field, ech.working, n, field.rneg(field.rone), n + 1)[:n]
 
 
-def nullspace_dense(M, field: Field):
-    """Basis of the right kernel of M (rows = raw-value lists): one vector
-    per non-pivot column, 1 there and 0 at the other non-pivot columns."""
-    if not M:
-        return []
-    n = len(M[0])
-    pivots = _echelon(M, field).pivots
-    return [_kernel_vector(field, pivots, fc, field.rone, n)
-            for fc in range(n) if fc not in pivots]
+def nullspace(rows, n: int, field: Field):
+    """Basis of the right kernel of the sparse rows ({column: nonzero raw
+    value}, columns 0..n-1): one length-n list per non-pivot column, 1
+    there and 0 at the other non-pivot columns."""
+    ech = SparseEchelon(field)
+    for row in rows:
+        ech.add(row)
+    return [_kernel_vector(field, ech.working, fc, field.rone, n)
+            for fc in range(n) if fc not in ech.working]
 
 
 def diagonalize_symmetric(M, field: Field):

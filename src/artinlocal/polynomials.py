@@ -51,17 +51,24 @@ def mono_str(m: Monomial) -> str:
     return "*".join(parts)
 
 
-def monomials_of_degree(nvars: int, d: int):
-    """All exponent tuples of total degree d, sorted by mono_key: one per
-    multiset of d variable indices."""
-    out = []
+def lex_monomials(nvars: int, d: int):
+    """Yield the exponent tuples of total degree d in descending lex order
+    (x1 > x2 > ...), one per multiset of d variable indices.
+
+    combinations_with_replacement gives the sorted index tuples p in
+    ascending order.  If p < q first differ at position k, they agree
+    below p_k in their counts of every index < p_k, and p holds index p_k
+    once more than q does; so the exponent tuple of p is the larger."""
     for picks in combinations_with_replacement(range(nvars), d):
         e = [0] * nvars
         for i in picks:
             e[i] += 1
-        out.append(tuple(e))
-    out.sort(key=mono_key)
-    return out
+        yield tuple(e)
+
+
+def monomials_of_degree(nvars: int, d: int):
+    """All exponent tuples of total degree d, sorted by mono_key."""
+    return sorted(lex_monomials(nvars, d), key=mono_key)
 
 
 # -------------------------------------------------------------- polynomials
@@ -220,6 +227,16 @@ class Polynomial:
         )
 
     def __pow__(self, n: int):
+        """self^n for n >= 0; a single term c*m gives c^n * m^n directly."""
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
+        if n and len(self.terms) == 1:
+            (m, c), = self.terms.items()
+            f = self.field
+            cn = c
+            for _ in range(n - 1):
+                cn = f.rmul(cn, c)
+            return Polynomial(self.nvars, f, {tuple(e * n for e in m): cn})
         out = Polynomial.constant(1, self.nvars, self.field)
         for _ in range(n):
             out = out * self

@@ -44,7 +44,7 @@ from .errors import NotArtinian, ResidueNotPower
 from .linalg import (
     MonomialTable,
     SparseEchelon,
-    nullspace_dense,
+    nullspace,
     poly_from_row,
     row_from_poly,
     same_row_space,
@@ -52,6 +52,7 @@ from .linalg import (
 from .polynomials import (
     Polynomial,
     mono_key,
+    mono_mul,
     parse_poly,
 )
 from .scalars import Field, QQ, Scalar, common_field
@@ -202,10 +203,12 @@ class ArtinAlgebra:
 
     def coords(self, p: Polynomial):
         """Raw coordinate list of nf(p) over the standard-monomial basis."""
-        row = self.ech.reduce(row_from_poly(p.map_field(self.field), self.table))
-        f = self.field
-        out = [f.rzero] * self.length
-        for r, c in row.items():
+        return self._row_coords(row_from_poly(p.map_field(self.field), self.table))
+
+    def _row_coords(self, row):
+        """Raw coordinate list of the reduction of a raw row of the table."""
+        out = [self.field.rzero] * self.length
+        for r, c in self.ech.reduce(row).items():
             pos = self.std_pos.get(r)
             if pos is not None:
                 out[pos] = c
@@ -232,10 +235,20 @@ class ArtinAlgebra:
 
     def mult_matrix(self, el: "AlgebraElement"):
         """Column-major matrix of multiplication by el: column i holds the
-        coordinates of el times the i-th standard monomial."""
-        f = self.field
-        return [self.coords(el.poly * Polynomial(self.nvars, f, {self.table.monos[r]: f.rone}))
-                for r in self.std]
+        coordinates of el times the i-th standard monomial, the reduction
+        of the row {index[t*m]: c} over el's terms c*t.  A product t*m of
+        degree >= D is dropped, as coords drops it: it lies in n^D <= I."""
+        index, monos, terms = self.table.index, self.table.monos, el.poly.terms.items()
+        cols = []
+        for r in self.std:
+            m = monos[r]
+            row = {}
+            for t, c in terms:
+                k = index.get(mono_mul(t, m))
+                if k is not None:
+                    row[k] = c
+            cols.append(self._row_coords(row))
+        return cols
 
     # ----- socle and type
 
@@ -243,22 +256,29 @@ class ArtinAlgebra:
         """(dimension, basis elements) of the annihilator of the maximal ideal.
 
         It is the common kernel of multiplication by x_1..x_h on the
-        standard basis.  The column of a standard monomial m under x_i
-        holds the coordinates of x_i*m: the echelon's reduction of the row
+        standard basis: the sparse system whose row (i, pos) holds, at the
+        column of each standard monomial m, coordinate pos of x_i*m.  That
+        coordinate comes from the echelon's reduction of the row
         {shift[i][m]: 1}, which is what coords(x_i*m) reduces (x_i*m has
-        degree <= s+1 < D).  The basis is kept as polynomials, so the
-        algebra holds no reference to itself."""
+        degree <= s+1 < D); a standard x_i*m, no pivot, is its own
+        reduction.  A standard monomial m of degree s has a zero column and
+        is skipped: x_i*m lies in n^(s+1) <= I, so its reduction is 0.  The
+        kernel vector of each non-pivot column is unique (see linalg), so
+        the basis does not depend on how the system is laid out.  The basis
+        is kept as polynomials, so the algebra holds no reference to
+        itself."""
         if self._socle is None:
-            f, pos, e = self.field, self.std_pos, self.length
-            rows = []
-            for shift in self.table.shift:
-                block = [[f.rzero] * e for _ in range(e)]
-                for col, m in enumerate(self.std):
-                    for r, c in self.ech.reduce({shift[m]: f.rone}).items():
+            f, pos, tab = self.field, self.std_pos, self.table
+            top = sum(self.hf[:-1])  # the standard monomials of degree < s
+            rows = {}
+            for i, shift in enumerate(tab.shift):
+                for col, m in enumerate(self.std[:top]):
+                    k = shift[m]
+                    red = {k: f.rone} if k in pos else self.ech.reduce({k: f.rone})
+                    for r, c in red.items():
                         if r in pos:
-                            block[pos[r]][col] = c
-                rows += block
-            basis = [self.from_coords(v) for v in nullspace_dense(rows, f)]
+                            rows.setdefault((i, pos[r]), {})[col] = c
+            basis = [self.from_coords(v) for v in nullspace(rows.values(), self.length, f)]
             basis.sort(key=lambda p: min((mono_key(m) for m in p.terms), default=(0, ())))
             self._socle = basis
         return len(self._socle), [AlgebraElement(self, p) for p in self._socle]
@@ -339,6 +359,8 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
         out = self.algebra.element(1)
         base = self
         for _ in range(n):
@@ -459,6 +481,13 @@ def leading_forms(pres: IdealPresentation, algebra=None) -> LeadingFormData:
     none are born in degree s+2, since n * I*_(s+1) is every form of
     degree s+2.
 
+    The rows are read in the echelon's working form (ech.working), not as
+    raw rows: the degree-j part of a working row is a nonzero multiple of
+    that of the raw row, and so are its shifts, so the spans, the pivots
+    and the rank of the shifted rows are those of the raw rows.
+    Table ranks ascend with degree, so the degree-j part of a row is its
+    entries of rank below C(h+j, h), the count of monomials of degree <= j.
+
     Lowest monomials multiply (the order is multiplicative), and rows with
     distinct lowest monomials are independent.  So when the x_i*b, b in the
     basis of I*_(j-1), have dim I*_j distinct lowest monomials, they span
@@ -466,24 +495,24 @@ def leading_forms(pres: IdealPresentation, algebra=None) -> LeadingFormData:
     """
     A = algebra if algebra is not None else build_quotient(pres)
     f, h, s, tab = A.field, A.nvars, A.socle_degree, A.table
-    rows = {j: [] for j in range(s + 1)}  # degree -> basis of I*_j as rank rows
-    pivots = A.ech.pivots
-    for lead in sorted(pivots):
-        j = tab.deg(lead)
-        if j <= s:
-            rows[j].append({r: c for r, c in pivots[lead].items() if tab.deg(r) == j})
+    ends = [comb(h + j, h) for j in range(s + 1)]  # ranks of degree <= j are below ends[j]
+    rows = {j: {} for j in range(s + 1)}  # degree -> {pivot: working row}, a basis of I*_j
+    for lead, row in A.ech.working.items():
+        if lead < ends[s]:
+            j = tab.deg(lead)
+            rows[j][lead] = {r: c for r, c in row.items() if r < ends[j]}
     dims = {j: len(rows[j]) for j in range(1, s + 1)}
     for j in (s + 1, s + 2):
         dims[j] = comb(h + j - 1, j)
     new_gens = {}
     for j in range(1, s + 2):
-        if len({shift[min(row)] for row in rows[j - 1] for shift in tab.shift}) == dims[j]:
+        if len({shift[lead] for lead in rows[j - 1] for shift in tab.shift}) == dims[j]:
             new_gens[j] = 0
             continue
         shifted = SparseEchelon(f)
-        for row in rows[j - 1]:
+        for row in rows[j - 1].values():
             for shift in tab.shift:
-                shifted.add({shift[r]: c for r, c in row.items()})
+                shifted.add({shift[r]: c for r, c in row.items()}, 1)
         new_gens[j] = dims[j] - shifted.rank
     new_gens[s + 2] = 0
     return LeadingFormData(dims, new_gens, sum(new_gens.values()))

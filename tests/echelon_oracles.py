@@ -15,8 +15,10 @@ reference for the one that builds each degree's candidates from the rows
 kept in the degree before.  Dense Gauss-Jordan elimination that sweeps
 whole rows is the reference for the dense solves the library builds on
 SparseEchelon, and the socle from the multiplication matrices of the
-variables' normal forms is the reference for the one built from table
-shifts.
+variables' normal forms, with its kernel from that Gauss-Jordan sweep, is
+the reference for the one built from table shifts.  The multiplication
+matrix whose columns are the coordinates of polynomial products is the
+reference for the one that reduces table rows.
 ideals_equal, the ideal equality the quotient tests use, is built on the
 library's build_quotient and row_space_equal.
 """
@@ -26,7 +28,6 @@ from math import comb
 from artinlocal.linalg import (
     MonomialTable,
     SparseEchelon,
-    nullspace_dense,
     poly_from_row,
     row_from_poly,
 )
@@ -159,6 +160,15 @@ def divisor_list_macaulay_echelon(pres, D):
     return table, ech, v
 
 
+def oracle_mult_matrix(A, el):
+    """Column-major matrix of multiplication by el on A's standard basis,
+    each column the coords of the product of el.poly with a standard
+    monomial as polynomials."""
+    f = A.field
+    return [A.coords(el.poly * Polynomial(A.nvars, f, {A.table.monos[r]: f.rone}))
+            for r in A.std]
+
+
 def oracle_socle(A):
     """(dimension, basis polynomials) of A's socle: the common kernel of
     the multiplication matrices of the normal forms of x_1..x_h, each
@@ -166,10 +176,10 @@ def oracle_socle(A):
     e = A.length
     rows = []
     for i in range(A.nvars):
-        cols = A.mult_matrix(A.variable(i))
+        cols = oracle_mult_matrix(A, A.variable(i))
         for r in range(e):
             rows.append([cols[c][r] for c in range(e)])
-    basis = [A.from_coords(v) for v in nullspace_dense(rows, A.field)]
+    basis = [A.from_coords(v) for v in oracle_nullspace(rows, A.field)]
     basis.sort(key=lambda p: min((mono_key(m) for m in p.terms), default=(0, ())))
     return len(basis), basis
 

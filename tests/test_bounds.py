@@ -15,6 +15,7 @@ from artinlocal.bounds import (
     macaulay_shift,
     t_and_r,
 )
+from artinlocal.polynomials import monomials_of_degree
 from artinlocal.quotient import build_quotient, min_gens
 
 
@@ -86,6 +87,49 @@ def test_lex_segment_rejects_inadmissible():
 def test_lex_segment_preserves_hf():
     for hf in [(1, 3, 2, 1), (1, 2, 2, 2, 1, 1, 1), (1, 4, 2, 1, 1)]:
         assert build_quotient(lex_segment(hf)).hf == hf
+
+
+def oracle_lex_segment_gens(hf, nvars):
+    """Exponent tuples of the minimal generators of the lex-segment ideal,
+    built degree by degree: the segment of degree j as a set, minus the
+    multiples of the segment of degree j-1, which must lie in it."""
+    s = len(hf) - 1
+    prev, gens = set(), []
+    for j in range(1, s + 2):
+        monos = sorted(monomials_of_degree(nvars, j), reverse=True)
+        seg = set(monos[:len(monos) - (hf[j] if j <= s else 0)])
+        grown = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in prev for i in range(nvars)}
+        assert grown <= seg
+        gens += sorted(seg - grown, reverse=True)
+        prev = seg
+    return gens
+
+
+def admissible_hfs(h, s_max):
+    """Every admissible Hilbert function (1, h, ...) with socle degree <= s_max."""
+    out, todo = [], [[1, h]]
+    while todo:
+        hf = todo.pop()
+        out.append(tuple(hf))
+        if len(hf) <= s_max:
+            j = len(hf) - 1
+            todo += [hf + [v] for v in range(1, macaulay_shift(hf[j], j) + 1)]
+    return out
+
+
+def test_lex_segment_matches_the_set_difference_oracle():
+    """The generators cut from the lex order by Macaulay's theorem are the
+    ones the segment-minus-multiples construction gives, in the same order,
+    for every admissible hf of h <= 4 up to a socle degree, in h and h + 1
+    variables."""
+    checked = 0
+    for h, s_max in ((1, 8), (2, 7), (3, 4), (4, 3)):
+        for hf in admissible_hfs(h, s_max):
+            for nvars in (h, h + 1):
+                gens = [next(iter(g.terms)) for g in lex_segment(hf, nvars=nvars).gens]
+                assert gens == oracle_lex_segment_gens(hf, nvars), (hf, nvars)
+                checked += 1
+    assert checked > 1000
 
 
 def test_bound_report_dict():

@@ -9,12 +9,15 @@ from artinlocal.errors import ParseError
 from artinlocal.polynomials import (
     Polynomial,
     RingMap,
+    lex_monomials,
     monomials_of_degree,
     parse_poly,
     poly_to_str,
     random_invertible_map,
 )
-from artinlocal.scalars import QQ
+from artinlocal.scalars import QQ, Scalar, adjoin_sqrt
+
+SQRT2 = adjoin_sqrt(QQ, Scalar(QQ, QQ.rfrom(2)))
 
 
 def poly_strategy(nvars=2, max_deg=3):
@@ -92,3 +95,40 @@ def test_random_map_is_invertible(seed):
 def test_monomials_of_degree_counts():
     assert len(list(monomials_of_degree(3, 4))) == 15
     assert list(monomials_of_degree(2, 0)) == [(0, 0)]
+
+
+def test_lex_monomials_are_the_sorted_monomials_descending():
+    for n in range(6):
+        for d in range(9):
+            assert list(lex_monomials(n, d)) == sorted(monomials_of_degree(n, d), reverse=True)
+
+
+def single_terms(field):
+    """A single term c*m in 1..3 variables, c a nonzero value of the field."""
+    rational = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    if field is QQ:
+        coeff = rational.filter(bool).map(QQ.rfrom)
+    else:
+        coeff = st.tuples(rational, rational).filter(any).map(
+            lambda ab: tuple(QQ.rfrom(x) for x in ab))
+    return st.integers(1, 3).flatmap(lambda n: st.builds(
+        lambda m, c: Polynomial(n, field, {m: c}),
+        st.tuples(*[st.integers(0, 3)] * n), coeff))
+
+
+@pytest.mark.parametrize("field", [QQ, SQRT2], ids=["QQ", "QQ(sqrt2)"])
+@given(data=st.data())
+@settings(max_examples=40)
+def test_single_term_power_equals_repeated_multiplication(field, data):
+    p = data.draw(single_terms(field))
+    for n in range(8):
+        want = Polynomial.constant(1, p.nvars, field)
+        for _ in range(n):
+            want = want.mul_trunc(p, None)
+        assert (p ** n).terms == want.terms
+
+
+def test_negative_exponent_raises():
+    for p in (parse_poly("x1", 2, QQ), parse_poly("x1 + x2", 2, QQ)):
+        with pytest.raises(ValueError):
+            p ** -1

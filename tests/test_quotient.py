@@ -124,6 +124,12 @@ def test_square_root_of_unit_series():
     assert (r * r - a).is_zero()
 
 
+def test_negative_power_of_an_element_raises():
+    A = build_quotient(pres("x1^2", "x2^3"))
+    with pytest.raises(ValueError):
+        A.variable(0) ** -2
+
+
 def test_cube_root():
     A = build_quotient(pres("x1^4", "x2^3"))
     a = A.element(parse_poly("8 + x1*x2", 2, QQ))

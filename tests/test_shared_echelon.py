@@ -7,8 +7,10 @@ Each is checked here against a separate-echelon oracle
 ideals, both also moved by random coordinate changes.  The echelon itself,
 built from shifted rows with the redundant ones skipped, must equal row for
 row the one that tries every multiple and try the rows the divisor-list loop
-tries; the socle must equal the one from multiplication matrices, and the
-dense routines must give what whole-row Gauss-Jordan sweeps give.  SparseEchelon, on integer rows over
+tries; the socle must equal the one from multiplication matrices,
+mult_matrix the one from polynomial products, the invariants path must run
+without reading a raw pivot row, and the dense routines must give what
+whole-row Gauss-Jordan sweeps give.  SparseEchelon, on integer rows over
 QQ, must give the normalized-row OracleEchelon's pivot rows, reduce and
 contains on seeded rows, leave the rows it is given unchanged, and every
 value it hands out over QQ must be a Fraction.  For monomial ideals hf, length, type, v and v* are also checked
@@ -22,9 +24,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import artinlocal.quotient as quotient
+from artinlocal.bounds import lex_segment
 from artinlocal.linalg import (
     SparseEchelon,
-    nullspace_dense,
+    nullspace,
     solve_dense,
 )
 from artinlocal.polynomials import (
@@ -57,6 +60,7 @@ from echelon_oracles import (
     oracle_in_power,
     oracle_leading_forms,
     oracle_macaulay_echelon,
+    oracle_mult_matrix,
     oracle_nullspace,
     oracle_power_echelon,
     oracle_socle,
@@ -67,6 +71,11 @@ from echelon_oracles import (
 
 def q(x) -> Scalar:
     return Scalar(QQ, QQ.rfrom(Fraction(x)))
+
+
+def sparse(M, field):
+    """The rows of a dense matrix as {column: nonzero value} dicts."""
+    return [{k: c for k, c in enumerate(row) if not field.riszero(c)} for row in M]
 
 
 def random_ideal(rng, nvars, max_exp=3):
@@ -193,14 +202,59 @@ def test_shared_echelon_matches_oracles_on_seeded_grid(pres):
     check_against_oracles(pres)
 
 
-def test_shared_echelon_matches_oracles_over_a_quadratic_extension():
+def sqrt2_ideal():
+    """An ideal of QQ(sqrt 2)[[x1, x2, x3]] with sqrt 2 in its generators,
+    and sqrt 2 as a raw value."""
     F = adjoin_sqrt(QQ, q(2))
     r2 = F.scalar(F.sqrt_theta)
     x1, x2, x3 = (Polynomial.variable(i, 3, F) for i in range(3))
     pres = IdealPresentation([x1 ** 3 + (x2 * x3) ** 2 * r2, x2 ** 3 - x1 ** 4,
                               x3 ** 3, x1 * x2 - (x3 ** 2) * r2], 3)
+    return pres, r2
+
+
+def test_shared_echelon_matches_oracles_over_a_quadratic_extension():
+    pres, _ = sqrt2_ideal()
     check_against_oracles(pres)
     check_against_oracles(moved(pres, 5))
+
+
+def test_mult_matrix_matches_the_polynomial_product_oracle():
+    """Columns reduced from table rows equal the coords of the polynomial
+    products, for the variables and random elements (whose products reach
+    past the truncation), on the grid, its moved inputs and over QQ(sqrt 2)."""
+    pres, r2 = sqrt2_ideal()
+    ideals = [p for _, p in GRID] + [pres, moved(pres, 5)]
+    for ideal in ideals:
+        A = build_quotient(ideal)
+        elems = [A.variable(i) for i in range(A.nvars)]
+        elems += random_elements(A, random.Random(repr(A.pres)))
+        if A.field is not QQ:
+            elems += [el * r2 + A.variable(0) for el in elems]
+        for el in elems:
+            assert A.mult_matrix(el) == oracle_mult_matrix(A, el), (ideal, el)
+
+
+def test_invariants_path_reads_no_raw_pivot_rows(monkeypatch):
+    """build_quotient, algebra_report (socle, type, v), leading_forms and
+    lex_segment read only the working rows: with SparseEchelon.pivots
+    raising, they still run, and give what they give without the patch."""
+    algebras = [build_quotient(p) for _, p in GRID]
+    want = [(algebra_report(A), leading_forms(A.pres, algebra=A),
+             lex_segment(A.hf, nvars=A.embdim).gens) for A in algebras]
+
+    def no_pivots(self):
+        raise AssertionError("SparseEchelon.pivots read on the invariants path")
+
+    monkeypatch.setattr(SparseEchelon, "pivots", property(no_pivots))
+    with pytest.raises(AssertionError):
+        SparseEchelon(QQ).pivots
+    got = []
+    for _, p in GRID:
+        A = build_quotient(p)
+        got.append((algebra_report(A), leading_forms(p, algebra=A),
+                    lex_segment(A.hf, nvars=A.embdim).gens))
+    assert got == want
 
 
 def test_macaulay_echelon_tries_fewer_rows_and_keeps_as_many(monkeypatch):
@@ -282,7 +336,8 @@ def random_sparse_system(rng, field):
 def test_dense_routines_match_whole_row_sweeps(field):
     rng = random.Random(20263)
     cases = [random_sparse_system(rng, field) for _ in range(150)]
-    got = [[nullspace_dense(M, field), solve_dense(M, b, field)] for M, b in cases]
+    got = [[nullspace(sparse(M, field), len(M[0]), field), solve_dense(M, b, field)]
+           for M, b in cases]
     assert got == [[oracle_nullspace(M, field), oracle_solve(M, b, field)]
                    for M, b in cases]
     assert any(r[1] is None for r in got)
@@ -390,7 +445,7 @@ def check_values_are_fractions(A):
     rows = [A.coords(el.poly) for el in elems]
     cols = [list(col) for col in zip(*rows)]
     for M in (rows, cols):
-        assert all(exact(v) for v in nullspace_dense(M, QQ))
+        assert all(exact(v) for v in nullspace(sparse(M, QQ), len(M[0]), QQ))
     x = solve_dense(cols, rows[0], QQ)
     assert x is not None and exact(x)
     y = solve_dense(cols, A.coords(elems[0].poly * elems[1].poly), QQ)
