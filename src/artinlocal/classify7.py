@@ -17,7 +17,11 @@ containment in the algebra's own echelon plus equal colength
 (structure.certify); classify_ideal certifies the composite witness back to
 its input coordinates, and no stage is certified on its own.
 Square roots that do not exist in the current field are adjoined when
-allow_extension is set (within the tower depth cap).
+allow_extension is set (within the tower depth cap).  A case takes them on
+scalars, from residues, before it builds any element over the larger field
+(case1 the root of a socle ratio, case2b2 those of dbar^2 + 4 and -2/cbar),
+and extends its algebra once (extend_scalars).  Witnesses over nested
+fields compose as they are, over the larger field (Polynomial.substitute).
 """
 
 from __future__ import annotations
@@ -28,14 +32,13 @@ from .errors import WrongHilbertFunction
 from .linalg import solve_dense
 from .polynomials import Polynomial, RingMap, monomials_of_degree, parse_poly
 from .quotient import (
-    AlgebraElement,
     ArtinAlgebra,
     IdealPresentation,
     build_quotient,
     extend_scalars,
     nth_root,
 )
-from .scalars import Field, QQ, Scalar
+from .scalars import Field, QQ, Scalar, common_field
 from .structure import (
     AlmostStretchedParams,
     _almost_stretched_witness,
@@ -110,35 +113,6 @@ def _split_by_vars(a: Polynomial):
     return Polynomial(2, f, b_terms), Polynomial(2, f, c_terms)
 
 
-class _Ctx:
-    """Mutable classification state: an algebra that may get field-extended."""
-
-    def __init__(self, pres: IdealPresentation, allow_extension: bool):
-        self.A = build_quotient(pres, D=len(TARGET_HF) + 1)
-        self.allow_extension = allow_extension
-
-    @property
-    def field(self):
-        return self.A.field
-
-    def lift(self, el: AlgebraElement) -> AlgebraElement:
-        if el.algebra is self.A:
-            return el
-        return self.A.element(el.poly.map_field(self.field))
-
-    def sqrt_scalar(self, c: Scalar) -> Scalar:
-        field, r = _sqrt_growing(self.field, c, self.allow_extension)
-        if field != self.field:
-            self.A = extend_scalars(self.A, field)
-        return r
-
-    def sqrt_element(self, el: AlgebraElement) -> AlgebraElement:
-        """Hensel square root of a unit, extending the field if needed."""
-        self.sqrt_scalar(el.residue())  # may extend self.A
-        el = self.lift(el)
-        return nth_root(self.A, el, 2)
-
-
 REFINE_STEPS = 15        # witness refinement steps before giving up
 SPLIT_LIFT_STEPS = 10    # factor-lifting steps in contains_split_quadric
 
@@ -162,26 +136,25 @@ def _refine_witness(A: ArtinAlgebra, model: IdealPresentation, P, Q):
     dX = [_partial(g, 0) for g in gens]
     dY = [_partial(g, 1) for g in gens]
     ngen = len(gens)
+    last_k = None
     for _ in range(REFINE_STEPS):
         vals = [A.element(g.substitute([P.poly, Q.poly], A.D)) for g in gens]
         if all(v.is_zero() for v in vals):
             return RingMap([P.poly, Q.poly], A.D)
         k = min(v.poly.order() for v in vals if not v.is_zero())
+        if last_k is not None and k < last_k:
+            raise RuntimeError("witness refinement lost ground")
+        last_k = k
         jx = [A.element(g.substitute([P.poly, Q.poly], A.D)) for g in dX]
         jy = [A.element(g.substitute([P.poly, Q.poly], A.D)) for g in dY]
-        directions = []
-        for coord in (0, 1):
-            for m in (m for d in range(2, s + 2)
-                      for m in monomials_of_degree(2, d)):
-                directions.append((coord, A.element(Polynomial(2, f, {m: f.rone}))))
-            directions.append((coord, P))
-            directions.append((coord, Q))
+        monos = [A.element(Polynomial(2, f, {m: f.rone}))
+                 for d in range(2, s + 2) for m in monomials_of_degree(2, d)]
         col_elems = []
-        for coord, delta in directions:
-            jac = jx if coord == 0 else jy
-            stack = [jac[i] * delta for i in range(ngen)]
-            if any(not el.is_zero() for el in stack):
-                col_elems.append((coord, delta, stack))
+        for coord, jac in ((0, jx), (1, jy)):
+            for delta in monos + [P, Q]:
+                stack = [jac[i] * delta for i in range(ngen)]
+                if any(not el.is_zero() for el in stack):
+                    col_elems.append((coord, delta, stack))
         keep = [pos for pos, r in enumerate(A.std) if A.table.deg(r) <= k]
         rows, rhs = [], []
         col_coords = [[col[2][i].coords() for col in col_elems]
@@ -194,21 +167,11 @@ def _refine_witness(A: ArtinAlgebra, model: IdealPresentation, P, Q):
         sol = solve_dense(rows, rhs, f)
         if sol is None:
             raise RuntimeError("witness refinement hit an unsolvable correction")
-        dP = Polynomial(2, f)
-        dQ = Polynomial(2, f)
+        images = [P.poly, Q.poly]
         for c, (coord, delta, _) in zip(sol, col_elems):
             if not f.riszero(c):
-                if coord == 0:
-                    dP = dP + delta.poly.scale(Scalar(f, c))
-                else:
-                    dQ = dQ + delta.poly.scale(Scalar(f, c))
-        P = A.element(P.poly + dP)
-        Q = A.element(Q.poly + dQ)
-        new_vals = [A.element(g.substitute([P.poly, Q.poly], A.D)) for g in gens]
-        new_k = min((v.poly.order() for v in new_vals if not v.is_zero()),
-                    default=None)
-        if new_k is not None and new_k < k:
-            raise RuntimeError("witness refinement lost ground")
+                images[coord] = images[coord] + delta.poly.scale(Scalar(f, c))
+        P, Q = (A.element(im) for im in images)
     raise RuntimeError("witness refinement did not converge")
 
 
@@ -242,48 +205,46 @@ def classify(a, field: Field = QQ, allow_extension=False) -> ClassificationResul
 
 def _classify_witness(a, field: Field, allow_extension: bool):
     """(A, result): the algebra of a's relation and its classification, with
-    the refined witness not yet certified."""
+    the refined witness not yet certified; A is over the result's field."""
     if isinstance(a, str):
         a = parse_poly(a, 2, field)
-    field = a.field if a.field.depth > field.depth else field
+    field = common_field(a.field, field)
     a = a.map_field(field)
     # the model truncates a at degree 6; the dropped terms of a*x1*x2 lie in
     # n^9, inside I whenever the Hilbert function is the target one
     pres = make_almost_stretched(AlmostStretchedParams(2, 3, 6, a, field.one))
-    ctx = _Ctx(pres, allow_extension)
-    if ctx.A.hf != TARGET_HF:
-        raise WrongHilbertFunction(f"got Hilbert function {ctx.A.hf}")
-    case, p, P, Q = _leading_witness(ctx, a)
-    A = ctx.A
+    A = build_quotient(pres, D=len(TARGET_HF) + 1)
+    if A.hf != TARGET_HF:
+        raise WrongHilbertFunction(f"got Hilbert function {A.hf}")
+    A, case, p, P, Q = _leading_witness(A, a, allow_extension)
     model = make_model(case, p=p, field=A.field)
     witness = _refine_witness(A, model, P, Q)
     return A, ClassificationResult(case, p, None if p is None else p * p,
                                    model, witness, A.field)
 
 
-def _leading_witness(ctx: _Ctx, a: Polynomial):
-    """(case, p, P, Q): the case, its parameter (case2b2 only) and the
-    leading images of x1, x2 in ctx.A, whose field may have grown."""
+def _leading_witness(A: ArtinAlgebra, a: Polynomial, allow_extension: bool):
+    """(A, case, p, P, Q): the algebra over the case's field, the case, its
+    parameter (case2b2 only) and the leading images of x1, x2 there."""
     if not a.constant_coeff().is_zero():
-        return _classify_case1(ctx, a)
+        return _classify_case1(A, a, allow_extension)
     b_poly, c_poly = _split_by_vars(a)
     # x2-coordinate with the pure quadratic relation: x2' = v*x2,
     # v^2 = 1 - c*x1 (residue 1, no extension needed)
-    A = ctx.A
     v = nth_root(A, A.element(1) - A.element(c_poly) * A.variable(0), 2)
     x1e = A.variable(0)
     x2e = v * A.variable(1)
     d = A.element(b_poly) * v.inverse()
     dbar = d.residue()
     if dbar.is_zero():
-        return _classify_case2a(ctx, x1e, x2e, d)
+        return _classify_case2a(A, x1e, x2e, d)
     if (dbar * dbar + 4).is_zero():
-        return _classify_case2b1(ctx, x1e, x2e, d)
-    return _classify_case2b2(ctx, x1e, x2e, d)
+        # case2b1: the leading candidate whose square dies, x2 - (dbar/2)*x1^2
+        return A, "case2b1", None, x2e - x1e * x1e * (dbar / 2), x1e
+    return _classify_case2b2(A, x1e, x2e, d, allow_extension)
 
 
-def _classify_case1(ctx: _Ctx, a: Polynomial):
-    A = ctx.A
+def _classify_case1(A: ArtinAlgebra, a: Polynomial, allow_extension: bool):
     a_el = A.element(a)
     y1, y2 = A.variable(0), A.variable(1)
     z1 = a_el * y1 - y2
@@ -298,31 +259,32 @@ def _classify_case1(ctx: _Ctx, a: Polynomial):
     sol = solve_scalar_combo(A, [u ** 6], w ** 4)
     if sol is None:
         raise RuntimeError("case1 socle ratio failed")
-    delta = ctx.sqrt_scalar(sol[0])
-    u, w = ctx.lift(u), ctx.lift(w)
-    return "case1", None, u * delta, w * delta
+    field, delta = _sqrt_growing(A.field, sol[0], allow_extension)
+    A = extend_scalars(A, field)
+    return A, "case1", None, A.element(u.poly) * delta, A.element(w.poly) * delta
 
 
-def _classify_case2a(ctx: _Ctx, x1e, x2e, d):
-    A = ctx.A
+def _classify_case2a(A: ArtinAlgebra, x1e, x2e, d):
     e_el = A.element(_split_by_vars(d.poly)[1].substitute([x1e.poly, x2e.poly], A.D))
     vp = nth_root(A, A.element(1) - e_el * x1e * x1e, 2)
-    return "case2a", None, x1e, vp * x2e
+    return A, "case2a", None, x1e, vp * x2e
 
 
-def _classify_case2b1(ctx: _Ctx, x1e, x2e, d):
-    # leading candidate whose square dies: x2 - (dbar/2)*x1^2
-    return "case2b1", None, x2e - x1e * x1e * (d.residue() / 2), x1e
-
-
-def _classify_case2b2(ctx: _Ctx, x1e, x2e, d):
-    c = ctx.sqrt_element(d * d + 4)
-    x1e, x2e, d = ctx.lift(x1e), ctx.lift(x2e), ctx.lift(d)
-    e = ctx.sqrt_element(c.inverse() * (-2))
-    x1e, x2e, d, c = ctx.lift(x1e), ctx.lift(x2e), ctx.lift(d), ctx.lift(c)
+def _classify_case2b2(A: ArtinAlgebra, x1e, x2e, d, allow_extension: bool):
+    """The roots c of d^2 + 4 and e of -2/c have residues sqrt(dbar^2 + 4)
+    and sqrt(-2/cbar), so both are adjoined on scalars first and A is
+    extended once.  nth_root then takes its residue roots in the final
+    field, and they are the roots adjoined here: a tower's rsqrt of an
+    element lifted from its base returns the base field's root, lifted."""
+    field, cbar = _sqrt_growing(A.field, d.residue() ** 2 + 4, allow_extension)
+    field, _ = _sqrt_growing(field, cbar.inverse() * (-2), allow_extension)
+    A = extend_scalars(A, field)
+    x1e, x2e, d = (A.element(el.poly) for el in (x1e, x2e, d))
+    c = nth_root(A, d * d + 4, 2)
+    e = nth_root(A, c.inverse() * (-2), 2)
     p_el = d * c.inverse()
     X = x1e * e.inverse()
-    return "case2b2", p_el.residue(), X, x2e + p_el * X * X
+    return A, "case2b2", p_el.residue(), X, x2e + p_el * X * X
 
 
 # ------------------------------------------------- classification of ideals
@@ -347,13 +309,10 @@ def classify_ideal(pres: IdealPresentation, allow_extension=False, seed=0) -> Cl
     unitfree, w2 = normalize_units(params, allow_extension=allow_extension)
     a = unitfree.a
     _, core = _classify_witness(a, a.field, allow_extension)
-    final = core.field
-    total = core.witness.map_field(final).then(w2.map_field(final)).then(
-        w1.map_field(final)
-    )
+    total = core.witness.then(w2).then(w1)
     certify(A, core.model, total, "composite classification")
     return ClassificationResult(
-        core.case, core.p, core.p_squared, core.model, total, final
+        core.case, core.p, core.p_squared, core.model, total, core.field
     )
 
 
@@ -407,8 +366,7 @@ def contains_split_quadric(pres: IdealPresentation) -> bool:
     else:
         l1 = x2
         l2 = x1.scale(Scalar(F, be)) + x2.scale(Scalar(F, ga))
-    if F is not f:
-        A = extend_scalars(A, F)
+    A = extend_scalars(A, F)
     z1, z2 = A.element(l1), A.element(l2)
     corr = [m for d in range(2, A.socle_degree + 1)
             for m in monomials_of_degree(2, d)]

@@ -141,14 +141,6 @@ class SparseEchelon:
         wraw = self.field.wraw
         return {lead: wraw(row, row[lead]) for lead, row in self._work.items()}
 
-    @classmethod
-    def from_pivots(cls, field: Field, pivots) -> "SparseEchelon":
-        """The echelon whose pivot rows are the given normalized raw rows."""
-        ech = cls(field)
-        for lead, row in pivots.items():
-            ech._work[lead] = field.wpivot(field.wrow(row)[0], lead)
-        return ech
-
     def _reduce(self, row, scale=None):
         """(working row, scale) of the full reduction of a row: a raw row,
         or with a scale a working row, which is left as it is.
@@ -204,11 +196,10 @@ class SparseEchelon:
 
 
 def same_row_space(e1: SparseEchelon, e2: SparseEchelon) -> bool:
-    if set(e1.leads) != set(e2.leads):
-        return False
-    return all(e2.contains(r) for r in e1.pivots.values()) and all(
-        e1.contains(r) for r in e2.pivots.values()
-    )
+    """Equal pivot sets give equal dimensions, and a subspace of the same
+    dimension is the whole space, so one inclusion decides."""
+    return set(e1.leads) == set(e2.leads) and all(
+        e2.contains(r) for r in e1.pivots.values())
 
 
 # ------------------------------------------------------------ solves

@@ -243,17 +243,21 @@ class Polynomial:
         return out
 
     def substitute(self, images, D) -> "Polynomial":
-        """Evaluate at x_i -> images[i], truncating at degree D throughout."""
+        """Evaluate at x_i -> images[i], truncating at degree D throughout,
+        over the common field of self's and the images' coefficients."""
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
         if not images:
             raise ValueError("no variables")
-        tgt = images[0]
-        f = tgt.field
-        powers = [[Polynomial.constant(1, tgt.nvars, f)] for _ in images]
-        out = Polynomial(tgt.nvars, f)
+        f = self.field
+        for im in images:
+            f = common_field(f, im.field)
+        images = [im.map_field(f) for im in images]
+        nvars = images[0].nvars
+        powers = [[Polynomial.constant(1, nvars, f)] for _ in images]
+        out = Polynomial(nvars, f)
         for m, c in self.terms.items():
-            term = Polynomial.constant(Scalar(self.field, c), tgt.nvars, f)
+            term = Polynomial.constant(Scalar(self.field, c), nvars, f)
             for i, e in enumerate(m):
                 while len(powers[i]) <= e:
                     powers[i].append(powers[i][-1].mul_trunc(images[i], D))

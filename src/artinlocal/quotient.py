@@ -178,10 +178,10 @@ class ArtinAlgebra:
         self.v = v
         self.hf = tuple(hf)
         self.socle_degree = len(hf) - 1
-        self.std = [
-            i for i in range(len(table.monos)) if i not in ech.leads
-            and table.deg(i) <= self.socle_degree
-        ]
+        # hf(s+1) = 0 puts every monomial of degree s+1..D-1 in I (Nakayama),
+        # so each is a pivot: std, the non-pivots, has degree <= s, and a
+        # fully reduced row is supported on std alone.
+        self.std = [i for i in range(len(table.monos)) if i not in ech.leads]
         self.std_pos = {r: i for i, r in enumerate(self.std)}
         self.length = len(self.std)
         self._socle = None
@@ -196,9 +196,7 @@ class ArtinAlgebra:
 
     def nf(self, p: Polynomial) -> Polynomial:
         """Canonical representative: support on standard monomials only."""
-        p = p.map_field(self.field)
-        row = self.ech.reduce(row_from_poly(p, self.table))
-        row = {r: c for r, c in row.items() if r in self.std_pos}
+        row = self.ech.reduce(row_from_poly(p.map_field(self.field), self.table))
         return poly_from_row(row, self.table, self.field, self.nvars)
 
     def coords(self, p: Polynomial):
@@ -209,9 +207,7 @@ class ArtinAlgebra:
         """Raw coordinate list of the reduction of a raw row of the table."""
         out = [self.field.rzero] * self.length
         for r, c in self.ech.reduce(row).items():
-            pos = self.std_pos.get(r)
-            if pos is not None:
-                out[pos] = c
+            out[self.std_pos[r]] = c
         return out
 
     def from_coords(self, coords) -> Polynomial:
@@ -276,8 +272,7 @@ class ArtinAlgebra:
                     k = shift[m]
                     red = {k: f.rone} if k in pos else self.ech.reduce({k: f.rone})
                     for r, c in red.items():
-                        if r in pos:
-                            rows.setdefault((i, pos[r]), {})[col] = c
+                        rows.setdefault((i, pos[r]), {})[col] = c
             basis = [self.from_coords(v) for v in nullspace(rows.values(), self.length, f)]
             basis.sort(key=lambda p: min((mono_key(m) for m in p.terms), default=(0, ())))
             self._socle = basis
@@ -522,13 +517,20 @@ def leading_forms(pres: IdealPresentation, algebra=None) -> LeadingFormData:
 
 
 def extend_scalars(A: ArtinAlgebra, field: Field) -> ArtinAlgebra:
-    """The same quotient over a larger coefficient field: a rebuild would
-    do the same arithmetic on lifted values, so A's echelon rows are lifted
-    and D, hf, v and the standard basis carry over unchanged."""
-    ech = SparseEchelon.from_pivots(field, {
-        lead: {r: field.coerce(Scalar(A.field, c)).val for r, c in row.items()}
-        for lead, row in A.ech.pivots.items()
-    })
+    """The same quotient over a larger coefficient field (A itself when the
+    field is A's): a rebuild would do the same arithmetic on lifted values,
+    so A's echelon rows are lifted and D, hf, v and the standard basis carry
+    over unchanged.
+
+    The lifted pivot rows are added in insertion order.  Each row was
+    reduced against the rows before it when it was inserted, so it has no
+    earlier pivot in its support: its re-add hits no pivot and stores the
+    same row, with the same pivot, scaled to 1 there."""
+    if field == A.field:
+        return A
+    ech = SparseEchelon(field)
+    for row in A.ech.pivots.values():
+        ech.add({r: field.coerce(Scalar(A.field, c)).val for r, c in row.items()})
     return ArtinAlgebra(A.pres.map_field(field), A.D, A.table, ech, A.v, A.hf)
 
 

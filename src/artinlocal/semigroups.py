@@ -173,9 +173,14 @@ def factorization_graph(S: NumericalSemigroup, m) -> FactorizationGraph:
 
 def betti_search_bound(S: NumericalSemigroup) -> int:
     """Upper end of the element range scanned for disconnected
-    factorization graphs: F(S) + 2 * max generator.  Conservative; its
-    adequacy is cross-checked against the kernel oracle on small
-    instances."""
+    factorization graphs: F(S) + 2 * max generator.
+
+    Proof that no such m lies past it.  Factorizations that both use n1
+    are adjacent, so if the graph of m has two components, one of them
+    uses no n1.  Take u in it and i in its support.  If m - n_i - n1 were
+    in S, with factorization w, then w + e_i + e_1 would share i with u
+    and use n1; so m - n_i lies in the Apery set of n1, whose maximum is
+    F + n1, and m <= F + n1 + n_k <= F + 2 * n_k."""
     return S.frobenius + 2 * S.gens[-1]
 
 

@@ -74,7 +74,7 @@ class StretchedParams:
     def field(self) -> Field:
         f = QQ
         for u in self.units:
-            f = u.field if u.field.depth > f.depth else f
+            f = common_field(f, u.field)
         return f
 
 
@@ -132,10 +132,10 @@ class AlmostStretchedParams:
 
     @property
     def field(self) -> Field:
-        f = self.w.field
+        f = common_field(self.w.field, self.a.field)
         for u in self.units:
-            f = u.field if u.field.depth > f.depth else f
-        return f if f.depth >= self.a.field.depth else self.a.field
+            f = common_field(f, u.field)
+        return f
 
 
 def make_almost_stretched(params: AlmostStretchedParams) -> IdealPresentation:
@@ -190,11 +190,9 @@ def certify(A: ArtinAlgebra, model: IdealPresentation, witness: RingMap, what: s
     if not witness.is_invertible():
         raise CertificationFailed(f"{what} witness is not invertible")
     f = common_field(A.field, witness.field)
-    if f != A.field:
-        A = extend_scalars(A, f)
-    images = [im.map_field(f) for im in witness.images]
+    A = extend_scalars(A, f)
     for g in model.gens:
-        image = g.map_field(f).substitute(images, A.D)
+        image = g.map_field(f).substitute(witness.images, A.D)
         if not A.ech.contains(row_from_poly(image, A.table)):
             raise CertificationFailed(
                 f"{what} failed certification: a model generator maps outside the ideal")

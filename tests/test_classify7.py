@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import artinlocal.classify7 as classify7
 from artinlocal.classify7 import (
     TARGET_HF,
     classify,
@@ -58,11 +59,24 @@ def test_case2b2_recovers_p_squared():
         Scalar(QQ, QQ.rfrom(Fraction(9, 13))))).is_zero()
 
 
-def test_nonlinear_a_same_invariant():
+def test_nonlinear_a_same_invariant(monkeypatch):
+    """Both square roots of case2b2 are adjoined on scalars before the
+    algebra is extended, so one extend_scalars call changes the field."""
+    original = classify7.extend_scalars
+    changes = []
+
+    def counting(A, field):
+        changes.append(field != A.field)
+        return original(A, field)
+
+    monkeypatch.setattr(classify7, "extend_scalars", counting)
     r = classify(parse_poly("3*x1 + x2 - x1*x2", 2, QQ), allow_extension=True)
     assert r.case == "case2b2"
     assert (r.p_squared - r.field.coerce(
         Scalar(QQ, QQ.rfrom(Fraction(9, 13))))).is_zero()
+    assert changes == [True]
+    assert (repr(r.p), repr(r.field)) == (
+        "(3/13*sqrt(13))", "QQ[sqrt(13)][sqrt((-2/13*sqrt(13)))]")
 
 
 def test_classify_ideal_round_trip():

@@ -86,6 +86,19 @@ def test_substitute_composes():
     assert (out - want).is_zero()
 
 
+def test_then_composes_maps_over_nested_fields():
+    """A QQ map after a QQ(sqrt 2) map composes over QQ(sqrt 2) as it is,
+    giving the composition of the lifted maps."""
+    r2 = SQRT2.scalar(SQRT2.sqrt_theta)
+    first = RingMap([parse_poly("x1 + x2^2", 2, SQRT2).scale(r2),
+                     parse_poly("x2 - x1*x2", 2, SQRT2)], 6)
+    second = random_invertible_map(2, QQ, 5, 3)
+    got = first.then(second)
+    want = first.then(second.map_field(SQRT2))
+    assert got.field == SQRT2 and got.D == want.D == 5
+    assert got.images == want.images
+
+
 @given(st.integers(min_value=0, max_value=200))
 def test_random_map_is_invertible(seed):
     phi = random_invertible_map(2, QQ, 5, seed)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from artinlocal.errors import GcdNotOne, NonMinimalGenerators
 from artinlocal.semigroups import (
+    betti_search_bound,
     check_rgs,
     enumerate_semigroups,
     factorization_graph,
@@ -101,6 +102,20 @@ def test_oracle_agreement_sample():
     for gens in ([3, 5, 7], [4, 6, 9], [5, 7, 9], [4, 9], [6, 7, 8]):
         S = semigroup_invariants(gens)
         assert min_presentation_size(S) == kernel_min_gens(S)
+
+
+def test_betti_elements_lie_within_the_search_bound():
+    """Every element with a disconnected factorization graph is at most
+    F + n1 + nk (see betti_search_bound), scanning past the bound, and the
+    bound is attained."""
+    attained = 0
+    for S in enumerate_semigroups(8, 3, 24):
+        n1, nk, F = S.gens[0], S.gens[-1], S.frobenius
+        betti = [m for m in range(2 * n1, F + 2 * nk + n1 + 1)
+                 if m in S and factorization_graph(S, m).components > 1]
+        assert betti and max(betti) <= F + n1 + nk <= betti_search_bound(S), S
+        attained += max(betti) == F + n1 + nk
+    assert attained
 
 
 def test_enumerate_respects_caps():

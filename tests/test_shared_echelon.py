@@ -10,7 +10,9 @@ row the one that tries every multiple and try the rows the divisor-list loop
 tries; the socle must equal the one from multiplication matrices,
 mult_matrix the one from polynomial products, the invariants path must run
 without reading a raw pivot row, and the dense routines must give what
-whole-row Gauss-Jordan sweeps give.  SparseEchelon, on integer rows over
+whole-row Gauss-Jordan sweeps give.  extend_scalars must give the algebra
+built over the larger field, pivot row for pivot row, and every monomial
+past the socle degree must be a pivot.  SparseEchelon, on integer rows over
 QQ, must give the normalized-row OracleEchelon's pivot rows, reduce and
 contains on seeded rows, leave the rows it is given unchanged, and every
 value it hands out over QQ must be a Fraction.  For monomial ideals hf, length, type, v and v* are also checked
@@ -40,6 +42,7 @@ from artinlocal.quotient import (
     IdealPresentation,
     algebra_report,
     build_quotient,
+    extend_scalars,
     leading_forms,
     macaulay_echelon,
     min_gens,
@@ -129,6 +132,8 @@ def check_against_oracles(pres):
         if r not in ech.pivots:
             hf[table.deg(r)] += 1
     assert tuple(hf[:s + 1]) == A.hf and hf[s + 1] == 0
+    # so n^(s+1) <= I, and ArtinAlgebra needs no degree filter on std
+    assert all(r in A.ech.leads for r in range(len(A.table.monos)) if A.table.deg(r) > s)
     assert min_gens(pres, algebra=A) == A.v
     data = leading_forms(pres, algebra=A)
     dims, new_gens, v_star = oracle_leading_forms(pres, s)
@@ -416,18 +421,25 @@ def test_add_leaves_the_callers_row_unchanged(field):
     assert list(pivots.items()) == list(work_ech.pivots.items())
 
 
-@pytest.mark.parametrize("field", [QQ, adjoin_sqrt(QQ, q(2))], ids=["QQ", "QQ(sqrt2)"])
-def test_from_pivots_round_trips(field):
-    rng = random.Random(20269)
-    ech = SparseEchelon(field)
-    rows = []
-    for _ in range(40):
-        rows.append(random_row(rng, field, rows))
-        ech.add(rows[-1])
-    pivots = ech.pivots
-    again = SparseEchelon.from_pivots(field, pivots)
-    assert list(again.pivots.items()) == list(pivots.items())
-    assert list(again.leads) == list(pivots) and again.rank == ech.rank
+SQRT2 = adjoin_sqrt(QQ, q(2))
+
+
+@pytest.mark.parametrize("field,grid", [
+    (SQRT2, GRID),
+    # the moved inputs are left out at depth 2: each rebuild there takes seconds
+    (adjoin_sqrt(SQRT2, SQRT2.scalar(3)), [g for g in GRID if not g[0].startswith("moved")]),
+], ids=["QQ(sqrt2)", "QQ(sqrt2)(sqrt3)"])
+def test_extend_scalars_equals_the_rebuild_over_the_larger_field(field, grid):
+    """Re-adding the lifted pivot rows in insertion order stores them as
+    they are: the extended algebra is the one built over the larger field,
+    pivot row for pivot row, and extending to A's own field gives A."""
+    for _, pres in grid:
+        A = build_quotient(pres)
+        assert extend_scalars(A, A.field) is A
+        B = extend_scalars(A, field)
+        C = build_quotient(pres.map_field(field), D=A.D)
+        assert list(B.ech.pivots.items()) == list(C.ech.pivots.items()), pres
+        assert (B.D, B.std, B.hf, B.v) == (C.D, C.std, C.hf, C.v) == (A.D, A.std, A.hf, A.v)
 
 
 def check_values_are_fractions(A):
