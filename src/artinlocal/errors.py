@@ -19,8 +19,8 @@ class ParseError(ValueError):
 
 
 class NotArtinian(ValueError):
-    """The quotient ring has infinite length (Hilbert function never hit 0
-    below the truncation cap)."""
+    """The Hilbert function did not vanish below the truncation cap D_MAX:
+    the quotient is not Artinian, or its socle degree is >= D_MAX - 1."""
 
 
 class NotStretched(ValueError):

@@ -345,22 +345,34 @@ class AlgebraElement:
         return self._mk(-self.poly)
 
     def __mul__(self, other):
+        """The normal form of the product, formed below degree s+1.
+
+        hf(s+1) = 0 puts every monomial of degree s+1..D-1 in I, so each
+        reduces to 0, and nf drops the terms of degree >= D; nf is linear,
+        so the terms mul_trunc leaves out change nothing.  A scalar multiple
+        of a normal form is a normal form, so it is not reduced; a scalar
+        outside A's field raises FieldMismatch."""
+        A = self.algebra
         if isinstance(other, (int, Fraction, Scalar)):
-            return self._mk(self.algebra.nf(self.poly * other))
-        return self._mk(
-            self.algebra.nf(self.poly * self._other(other).poly)
-        )
+            return self._mk(self.poly.scale(A.field.coerce(other)))
+        return self._mk(A.nf(self.poly.mul_trunc(self._other(other).poly,
+                                                 A.socle_degree + 1)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """By squaring: nf is canonical and A associative, so every order
+        of the products gives the same normal form."""
         if n < 0:
             raise ValueError(f"negative exponent {n}")
-        out = self.algebra.element(1)
-        base = self
-        for _ in range(n):
-            out = out * base
-        return out
+        out, base = None, self
+        while n:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return self.algebra.element(1) if out is None else out
 
     def residue(self) -> Scalar:
         return self.poly.constant_coeff()
@@ -372,7 +384,13 @@ class AlgebraElement:
         return self.poly.is_zero()
 
     def coords(self):
-        return self.algebra.coords(self.poly)
+        """The normal form's values at the standard positions: it has no
+        pivot in its support, so it is its own reduction."""
+        A = self.algebra
+        out = [A.field.rzero] * A.length
+        for m, c in self.poly.terms.items():
+            out[A.std_pos[A.table.index[m]]] = c
+        return out
 
     def inverse(self) -> "AlgebraElement":
         """Unit inverse via the finite geometric series."""
@@ -380,7 +398,7 @@ class AlgebraElement:
         if r.is_zero():
             raise ZeroDivisionError("element is not a unit")
         rinv = r.inverse()
-        w = self._mk(self.algebra.nf(self.poly.scale(rinv))) - 1
+        w = self * rinv - 1
         out = self.algebra.element(1)
         power = self.algebra.element(1)
         for _ in range(self.algebra.socle_degree):
@@ -409,8 +427,9 @@ class AlgebraElement:
 
 def build_quotient(pres: IdealPresentation, D=None) -> ArtinAlgebra:
     """Build the Artinian quotient, stepping the truncation degree up by one
-    until the Hilbert function vanishes strictly below it (NotArtinian past
-    D_MAX).
+    until the Hilbert function vanishes strictly below it.  Past D_MAX it
+    raises NotArtinian: the ideal is not Artinian, or its socle degree is
+    at least D_MAX - 1.
 
     The echelon at D spans (I + n^D)/n^D, and for j < D, (I + n^D)*_j =
     I*_j: an element of order >= D cannot change an initial form of degree
@@ -432,8 +451,8 @@ def build_quotient(pres: IdealPresentation, D=None) -> ArtinAlgebra:
             return ArtinAlgebra(pres, Dcur, table, ech, v, hf[:zero_at])
         if Dcur >= D_MAX:
             raise NotArtinian(
-                f"Hilbert function did not vanish below truncation {D_MAX}"
-            )
+                f"not Artinian, or socle degree >= {D_MAX - 1}: the Hilbert"
+                f" function did not vanish below truncation {D_MAX}")
         Dcur += 1
 
 

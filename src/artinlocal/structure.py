@@ -176,27 +176,31 @@ def certify(A: ArtinAlgebra, model: IdealPresentation, witness: RingMap, what: s
     """Raise CertificationFailed unless the witness phi carries the model
     ideal J onto the ideal I of A (with A's scalars extended to phi's field).
 
-    Proof, with s the socle degree and D = A.D >= s+2:
+    Proof, with s the socle degree, so n^(s+1) <= I (hf(s+1) = 0):
     * phi has invertible linear part and no constant terms, so it is an
-      automorphism of k[[x]] fixing every n^j: phi(J) + n^D and J + n^D
-      have the same colength.
-    * Each g(phi), g a model generator, reduces to zero in A.ech, so it lies
-      in I + n^D = I (n^D <= n^(s+1) <= I): phi(J) + n^D <= I.
-    * The model's echelon at D must give colength(J + n^D) = A.length; then
-      the inclusion is an equality, and n^D <= n * n^(s+1) <= nI <= phi(J) +
-      n^(D+1), so Nakayama gives n^D <= phi(J), hence phi(J) = I.
+      automorphism of k[[x]] fixing every n^j: phi(J) + n^(s+2) and
+      J + n^(s+2) have the same colength.
+    * Each g(phi), g a model generator, is substituted below degree s+1; it
+      differs from the full g(phi) by an element of n^(s+1) <= I, so the
+      truncation reduces to zero in A.ech exactly when g(phi) lies in
+      I + n^D = I.  So phi(J) + n^(s+2) <= I.
+    * The model's echelon at s+2 must give colength(J + n^(s+2)) =
+      A.length = colength(I); then the inclusion is an equality,
+      I = phi(J) + n^(s+2), and n^(s+2) = n * n^(s+1) <= nI, so
+      I = phi(J) + nI and Nakayama gives phi(J) = I.
     Conversely phi(J) = I passes every check.
     """
     if not witness.is_invertible():
         raise CertificationFailed(f"{what} witness is not invertible")
     f = common_field(A.field, witness.field)
     A = extend_scalars(A, f)
+    s = A.socle_degree
     for g in model.gens:
-        image = g.map_field(f).substitute(witness.images, A.D)
+        image = g.map_field(f).substitute(witness.images, s + 1)
         if not A.ech.contains(row_from_poly(image, A.table)):
             raise CertificationFailed(
                 f"{what} failed certification: a model generator maps outside the ideal")
-    table, ech, _ = macaulay_echelon(model, A.D)
+    table, ech, _ = macaulay_echelon(model, s + 2)
     if len(table.monos) - ech.rank != A.length:
         raise CertificationFailed(
             f"{what} failed certification: the model has another colength")
@@ -300,6 +304,14 @@ def _candidate_linears(A: ArtinAlgebra, rng):
             yield el
 
 
+def _ladder(x: AlgebraElement, n: int):
+    """[1, x, x^2, ..., x^n] for n >= 1, each power the one before times x."""
+    out = [x.algebra.element(1), x]
+    for _ in range(n - 1):
+        out.append(out[-1] * x)
+    return out
+
+
 LEAN_BASIS_BUDGET = 100  # linear candidates tried before the search gives up
 
 
@@ -309,6 +321,7 @@ def find_lean_basis(A: ArtinAlgebra, seed=0):
 
     Generic linear combinations work; the search is a seeded scan over
     coordinate variables followed by random small-integer combinations.
+    The powers of each power candidate are taken once, from one ladder.
     """
     s = A.socle_degree
     if s < 2:
@@ -332,7 +345,8 @@ def find_lean_basis(A: ArtinAlgebra, seed=0):
     while spent < LEAN_BASIS_BUDGET:
         x1 = next(power_cands)
         spent += 1
-        if (x1 ** s).is_zero():
+        powers = _ladder(x1, s)
+        if powers[s].is_zero():
             continue
         found_power = True
         partner_cands = _candidate_linears(A, rng)
@@ -340,7 +354,7 @@ def find_lean_basis(A: ArtinAlgebra, seed=0):
             x2 = next(partner_cands)
             spent += 1
             ok = all(
-                _graded_classes_independent(A, [x1 ** j, x1 ** (j - 1) * x2], j)
+                _graded_classes_independent(A, [powers[j], powers[j - 1] * x2], j)
                 for j in range(2, t + 1)
             )
             if ok:
@@ -473,21 +487,22 @@ def _almost_stretched_witness(A: ArtinAlgebra, seed):
         raise NotGorenstein("socle degree equals the last 2-slot")
     rng = random.Random(seed)
     x1, x2 = find_lean_basis(A, seed=seed)
+    p1 = _ladder(x1, s)
     zs = _complete_basis(A, [x1, x2], rng, h - 2)
     # arrange x1 * z_j = 0
     for k, z in enumerate(zs):
-        sol = solve_element_combo(A, [x1 * x1, x1 * x2], x1 * z)
+        sol = solve_element_combo(A, [p1[2], x1 * x2], x1 * z)
         if sol is None:
             raise RuntimeError("could not clear x1*z products")
         zs[k] = z - x1 * sol[0] - x2 * sol[1]
     # arrange x1^t * x2 = 0
-    sol = solve_element_combo(A, [x1 ** (t + 1)], x1 ** t * x2)
+    sol = solve_element_combo(A, [p1[t + 1]], p1[t] * x2)
     if sol is None:
         raise RuntimeError("could not clear x1^t*x2")
     x2 = x2 - x1 * sol[0]
     units = ()
     if h > 2:
-        base = x1 ** s
+        base = p1[s]
         zs, units = _diagonalize_units(A, zs, base)
         # make x2 orthogonal to the z's
         for k, z in enumerate(zs):
@@ -498,13 +513,12 @@ def _almost_stretched_witness(A: ArtinAlgebra, seed):
     w_exps = list(range(0, t - 1)) or [0]
 
     def solve_relation(x2_el, scalar_w):
-        cols = []
-        for (i, k) in a_monos:
-            cols.append(x1 ** (i + 1) * x2_el ** (k + 1))
+        p2 = _ladder(x2_el, s - 1)
+        cols = [p1[i + 1] * p2[k + 1] for (i, k) in a_monos]
         wslots = [0] if scalar_w else w_exps
         for k in wslots:
-            cols.append(x1 ** (s - t + 1 + k))
-        sol = solve_scalar_combo(A, cols, x2_el * x2_el)
+            cols.append(p1[s - t + 1 + k])
+        sol = solve_scalar_combo(A, cols, p2[2])
         if sol is None:
             return None
         return sol[:len(a_monos)], sol[len(a_monos):]
@@ -516,7 +530,7 @@ def _almost_stretched_witness(A: ArtinAlgebra, seed):
     if any(not c.is_zero() for c in w_coeffs[1:]):
         w_el = A.element(0)
         for k, c in zip(w_exps, w_coeffs):
-            w_el = w_el + x1 ** k * c
+            w_el = w_el + p1[k] * c
         w0 = w_coeffs[0]
         if w0.is_zero():
             raise RuntimeError("unit coefficient has zero residue")

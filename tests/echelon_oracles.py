@@ -18,7 +18,10 @@ SparseEchelon, and the socle from the multiplication matrices of the
 variables' normal forms, with its kernel from that Gauss-Jordan sweep, is
 the reference for the one built from table shifts.  The multiplication
 matrix whose columns are the coordinates of polynomial products is the
-reference for the one that reduces table rows.
+reference for the one that reduces table rows.  The product of elements
+formed in full before its normal form, and powers taken one factor at a
+time from 1, are the reference for the products cut below degree s+1 and
+the powers by squaring.
 ideals_equal, the ideal equality the quotient tests use, is built on the
 library's build_quotient and row_space_equal.
 """
@@ -32,7 +35,7 @@ from artinlocal.linalg import (
     row_from_poly,
 )
 from artinlocal.polynomials import Polynomial, mono_key, mono_mul, monomials_of_degree
-from artinlocal.quotient import build_quotient, row_space_equal
+from artinlocal.quotient import AlgebraElement, build_quotient, row_space_equal
 
 
 class OracleEchelon:
@@ -167,6 +170,21 @@ def oracle_mult_matrix(A, el):
     f = A.field
     return [A.coords(el.poly * Polynomial(A.nvars, f, {A.table.monos[r]: f.rone}))
             for r in A.std]
+
+
+def oracle_mul(a, b):
+    """a*b, the untruncated polynomial product then nf; b is an element of
+    a's algebra or a scalar."""
+    A = a.algebra
+    return AlgebraElement(A, A.nf(a.poly * (b.poly if isinstance(b, AlgebraElement) else b)))
+
+
+def oracle_pow(a, n):
+    """a^n for n >= 0, one factor at a time from 1."""
+    out = a.algebra.element(1)
+    for _ in range(n):
+        out = oracle_mul(out, a)
+    return out
 
 
 def oracle_socle(A):

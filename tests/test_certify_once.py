@@ -7,7 +7,10 @@ classify7._refine_witness) build witnesses without certifying them;
 normalize, classify and classify_ideal certify the witness they return.  Each test below breaks one stage so that it returns
 its witness with the image of x1 doubled, checks with the reference
 row_space_equal that this witness is really wrong, and asserts that the
-entry point raises CertificationFailed.
+entry point raises CertificationFailed.  certify itself substitutes below
+degree s+1 and counts the model's colength modulo n^(s+2): a witness wrong
+only in degree s and a model of the right colength modulo n^(s+1) alone
+are both rejected.
 """
 
 from fractions import Fraction
@@ -25,6 +28,7 @@ from artinlocal.scalars import QQ, Scalar
 from artinlocal.structure import (
     AlmostStretchedParams,
     StretchedParams,
+    certify,
     make_almost_stretched,
     make_stretched,
     normalize,
@@ -176,3 +180,30 @@ def test_normalize_units_builds_no_echelon(monkeypatch):
     normalize_units(AlmostStretchedParams(3, 2, 4, parse_poly("x2", 3, QQ), q(2),
                                           (q(5),)), allow_extension=True)
     assert calls == []
+
+
+def identity(nvars, D):
+    return RingMap([parse_poly(f"x{i + 1}", nvars, QQ) for i in range(nvars)], D)
+
+
+def test_certify_rejects_a_doubled_witness_wrong_only_in_degree_s():
+    # (x1*x2, x1^3 - x2^3) has s = 3; doubling x1 sends x1^3 - x2^3 to
+    # 8*x1^3 - x2^3 = 7*x1^3 mod I, all of it in degree s
+    pres = IdealPresentation.from_strings(["x1*x2", "x1^3 - x2^3"], 2)
+    A = build_quotient(pres)
+    assert A.socle_degree == 3
+    certify(A, pres, identity(2, A.D), "identity")
+    wrong = doubled(identity(2, A.D))
+    assert not carries_onto(wrong, pres, pres)
+    with pytest.raises(CertificationFailed, match="outside the ideal"):
+        certify(A, pres, wrong, "doubled")
+
+
+def test_certify_counts_the_model_colength_modulo_n_to_the_s_plus_2():
+    # A = k[[x1]]/(x1^3): s = 2, length 3.  The model (x1^4) has colength 3
+    # modulo n^3 but 4 modulo n^4, and the identity sends x1^4 into I
+    A = build_quotient(IdealPresentation.from_strings(["x1^3"], 1))
+    assert (A.socle_degree, A.length) == (2, 3)
+    model = IdealPresentation.from_strings(["x1^4"], 1)
+    with pytest.raises(CertificationFailed, match="another colength"):
+        certify(A, model, identity(1, A.D), "x1^4 model")

@@ -8,9 +8,10 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artinlocal.errors import NotArtinian, ResidueNotPower
+from artinlocal.errors import FieldMismatch, NotArtinian, ResidueNotPower
 from artinlocal.polynomials import parse_poly, random_invertible_map
 from artinlocal.quotient import (
+    D_MAX,
     IdealPresentation,
     algebra_report,
     build_quotient,
@@ -52,6 +53,21 @@ def test_leading_forms_pick_up_hidden_generator():
 def test_non_artinian_raises():
     with pytest.raises(NotArtinian):
         build_quotient(pres("x1^2"))
+
+
+def test_socle_degree_at_the_cap_is_reported_as_such():
+    # the Hilbert function must vanish below D_MAX, so s <= D_MAX - 2 builds
+    assert build_quotient(pres("x1^31", "x2")).socle_degree == 30 == D_MAX - 2
+    with pytest.raises(NotArtinian, match=f"socle degree >= {D_MAX - 1}") as err:
+        build_quotient(pres("x1^32", "x2"))
+    assert f"truncation {D_MAX}" in str(err.value)
+
+
+def test_scalar_outside_the_field_still_raises_field_mismatch():
+    A = build_quotient(pres("x1^3", "x2^2"))
+    F = adjoin_sqrt(QQ, Scalar(QQ, QQ.rfrom(2)))
+    with pytest.raises(FieldMismatch):
+        A.variable(0) * F.scalar(F.sqrt_theta)
 
 
 def test_moved_fourth_powers_build_at_the_least_truncation():

@@ -17,6 +17,10 @@ QQ, must give the normalized-row OracleEchelon's pivot rows, reduce and
 contains on seeded rows, leave the rows it is given unchanged, and every
 value it hands out over QQ must be a Fraction.  For monomial ideals hf, length, type, v and v* are also checked
 against combinatorial counts, before and after a random coordinate change.
+Element products cut below degree s+1, scalar multiples, powers by
+squaring, unit inverses and coords read off the normal form must give
+what the untruncated product and the one-factor-at-a-time power give, over
+QQ, QQ(sqrt 2) and a depth-2 tower.
 """
 
 import random
@@ -27,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 import artinlocal.quotient as quotient
 from artinlocal.bounds import lex_segment
+from artinlocal.classify7 import classify_ideal, make_model
 from artinlocal.linalg import (
     SparseEchelon,
     nullspace,
@@ -63,8 +68,10 @@ from echelon_oracles import (
     oracle_in_power,
     oracle_leading_forms,
     oracle_macaulay_echelon,
+    oracle_mul,
     oracle_mult_matrix,
     oracle_nullspace,
+    oracle_pow,
     oracle_power_echelon,
     oracle_socle,
     oracle_solve,
@@ -542,3 +549,55 @@ def test_monomial_ideals_match_combinatorial_counts_and_survive_moves(seed, nvar
         A = build_quotient(ideal)
         assert (A.hf, A.length, A.cm_type) == (hf, length, corners)
         assert A.v == leading_forms(ideal, algebra=A).v_star == mingens
+
+
+def check_element_arithmetic(A, roots=()):
+    """Products, scalar multiples, powers 0..s+2, unit inverses and coords
+    of seeded random elements (terms up to degree s+1) against the oracles;
+    the roots, scalars of A's field, also make elements with them in their
+    coefficients."""
+    s, one = A.socle_degree, A.element(1)
+    elems = random_elements(A, random.Random(repr(A.pres)))
+    elems += [oracle_mul(el, r) + A.variable(0) for el in elems for r in roots]
+    scalars = [2, Fraction(-1, 3), q(5)] + list(roots)
+    for a in elems:
+        for b in elems:
+            prod = a * b
+            assert prod == oracle_mul(a, b), (a, b)
+            assert prod.coords() == A.coords(prod.poly)
+        for c in scalars:
+            assert a * c == oracle_mul(a, c), (a, c)
+        for n in range(s + 3):
+            power = a ** n
+            assert power == oracle_pow(a, n), (a, n)
+            assert power.coords() == A.coords(power.poly)
+        u = a + 1 if a.residue().is_zero() else a
+        assert oracle_mul(u, u.inverse()) == one, u
+
+
+@pytest.mark.parametrize(
+    "pres", [pytest.param(pres, id=label) for label, pres in GRID])
+def test_element_arithmetic_matches_the_oracles_on_seeded_grid(pres):
+    check_element_arithmetic(build_quotient(pres))
+
+
+def test_element_arithmetic_matches_the_oracles_over_a_quadratic_extension():
+    pres, r2 = sqrt2_ideal()
+    for ideal in (pres, moved(pres, 5)):
+        check_element_arithmetic(build_quotient(ideal), [r2])
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(2, 3), st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_element_arithmetic_matches_the_oracles_on_generated_ideals(seed, nvars, move):
+    pres = random_ideal(random.Random(seed), nvars, max_exp=4)
+    check_element_arithmetic(build_quotient(moved(pres, seed) if move else pres))
+
+
+def test_element_arithmetic_matches_the_oracles_over_a_depth_2_tower():
+    model = make_model("case2b2", p=3)
+    F = classify_ideal(model, allow_extension=True).field
+    assert F.depth == 2
+    A = extend_scalars(build_quotient(model), F)
+    roots = [F.coerce(F.base.scalar(F.base.sqrt_theta)), F.scalar(F.sqrt_theta)]
+    check_element_arithmetic(A, roots)
