@@ -8,49 +8,55 @@ is the right convention for local (power series) computations: the pivot
 monomials of an ideal's row space are exactly the monomials not surviving
 into the quotient basis.
 
-Over QQ the rows SparseEchelon works on are Python ints (Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination", 1968).  An incoming row of Fractions is cleared of its
-denominators: it is ints / scale, scale their lcm.  Each pivot row is kept
-primitive with a positive integer value L at its pivot.  To clear an entry
-c at the lowest pivot hit, with g = gcd(c, L), the row becomes
+The rows SparseEchelon works on are fraction-free (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", 1968):
+over QQ Python ints, over a quadratic tower values with denominator 1
+(integer coordinates on the tower's basis, see scalars).  An incoming row
+is cleared of its denominators: it is values / scale, scale their lcm.
+Each pivot row is kept primitive (the gcd of all its integers is 1) with a
+positive rational integer L at its pivot; over a tower the row is first
+multiplied by the conjugates of its pivot entry, whose product with it is
+its norm to QQ, a nonzero rational integer.  To clear an entry c at the
+lowest pivot hit, with g the gcd of L and c's integers, the row becomes
 (L/g)*row - (c/g)*pivot row and scale is multiplied by L/g; when L/g != 1
-the gcd of scale and the row's entries is divided out of both, so the
+the gcd of scale and the row's integers is divided out of both, so the
 factors the multiplication put in do not pile up.  Only the entries that
-survive reduce become Fractions again, as Fraction(v, scale).  Over a
-quadratic tower the rows are raw values and every pivot row is scaled to
-1 at its pivot, so the multipliers are (1, c).  The field supplies the
-working form (the w* methods of the fields in scalars), and one loop
-serves both.
+survive reduce become raw values again, over scale.  The field supplies
+the working form (the w* methods of the fields in scalars), and one loop
+serves every field: no row reduction calls rinv.
 
 The answers do not depend on that working form.  A fully reduced row, one
 with no pivot column in its support, is unique: two reductions of a row
 differ by an element of the span with no pivot column in its support, and
 a nonzero element of the span has a pivot column as its lowest column, so
-the difference is 0.  After each step the working row is a nonzero
-multiple of the row that eliminating with normalized rows has at that
-step, so the same entries vanish in the same order and the dicts come out
-in the same order too.  Hence pivot sets, pivot rows (the reduced row
-divided by its pivot entry), reduce, nf and coords are the values that
-eliminating with rows normalized to 1 gives, value for value.  This holds
-for any nonzero multiple of a row, so add also takes a row already in
-working form, ints over any scale: macaulay_echelon clears each generator
-row once and adds its variable shifts as they are, and add copies a row
-before it reduces it in place.  No value is inexact: the working rows only
-add, subtract and multiply ints and divide them exactly (by a gcd), they
-never reach RationalField.rinv or rdiv (1 / a of ints is a float), and
-every value handed out is a Fraction built from two ints.
+the difference is 0.  After each step the working row is scale times the
+row that eliminating with normalized rows has at that step.  A pivot row
+is L times its normalized row P'; if the row is m*r' with entry c = m*c'
+at the pivot, then (L/g)*row - (c/g)*(L*P') = (L/g)*m*(r' - c'*P'), the
+next normalized row times the new scale.  So the same entries vanish in
+the same order, and the dicts come out in the same order too.  Hence pivot
+sets, pivot rows (the reduced row divided by its pivot entry), reduce, nf
+and coords are the values that eliminating with rows normalized to 1
+gives, value for value.  This holds for any nonzero multiple of a row, so
+add also takes a row already in working form, over any scale:
+macaulay_echelon clears each generator row once and adds its variable
+shifts as they are, extend_scalars re-adds a smaller field's working rows
+as they are, and add copies a row before it reduces it in place.  No value
+is inexact: the working rows only add, subtract and multiply integers and
+divide them exactly (by a gcd), they never reach rinv or rdiv (1 / a of
+ints is a float), and every value handed out is a raw value built from
+ints, over QQ a Fraction.
 
 The echelon stores its pivot rows only in working form.  leads is a live
 view of the pivot columns, for membership and counting, and working a live
 read-only view of the working rows themselves.  A reader that needs only
 the span or support of a pivot row reads working, since any nonzero
 multiple of a row has the same ones: leading_forms, and the back-
-substitution of solve_dense and nullspace below.  pivots builds the raw
-rows, each scaled to 1 at its pivot (Fraction(v, L) over QQ), in
-insertion order, on every read; only the readers of row values need it
-(extend_scalars, the split-quadric test in classify7 and
-same_row_space), and each reads it once.
+substitution of solve_dense and nullspace below, and extend_scalars.
+pivots builds the raw rows, each scaled to 1 at its pivot (Fraction(v, L)
+over QQ), in insertion order, on every read; only the readers of row
+values need it (the split-quadric test in classify7 and same_row_space),
+and each reads it once.
 
 solve_dense and nullspace add their rows to a SparseEchelon and
 back-substitute on its working rows in decreasing pivot order.  They
@@ -59,8 +65,8 @@ sets are the columns where the rank rises from left to right, a kernel
 vector is fixed by its entries at the non-pivot columns, which both set
 alike, and arithmetic is exact.  A pivot row is zero left of its pivot, so
 each pivot entry depends only on later columns.  The back-substitution
-keeps the vector as ints over one scale, as _reduce keeps a row, so over
-QQ no working int reaches rdiv.  diagonalize_symmetric does congruence, not
+keeps the vector in working form over one scale, as _reduce keeps a row,
+so no working value reaches rdiv.  diagonalize_symmetric does congruence, not
 elimination.
 """
 
@@ -120,9 +126,9 @@ class SparseEchelon:
 
     The pivot rows are kept only in the field's working form; leads is a
     live view of the pivot ranks, working a live read-only view
-    {pivot rank: working row} (over QQ a primitive int row, positive at its
-    pivot; over a tower the raw row scaled to 1 there), and pivots builds
-    the raw rows on each read."""
+    {pivot rank: working row} (a primitive row of integral values, a
+    positive rational integer at its pivot), and pivots builds the raw rows
+    on each read."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -163,9 +169,9 @@ class SparseEchelon:
                 return row, scale
             prow = rows[hit]
             a, b = f.wcofactors(row[hit], prow[hit])
-            if a != 1:  # over QQ only: integer cross-multiplication
+            if a != 1:  # integer cross-multiplication
                 scale *= a
-                row = {r: a * c for r, c in row.items()}
+                row = f.wscale(row, a)
             for r2, c2 in prow.items():
                 s = rsub(row.get(r2, zero), rmul(b, c2))
                 if riszero(s):
@@ -224,9 +230,9 @@ def _kernel_vector(f: Field, rows, col, value, n: int):
         if f.riszero(s):
             continue
         a, b = f.wcofactors(s, prow[piv])
-        if a != 1:  # over QQ only
+        if a != 1:
             scale *= a
-            x = {k: a * v for k, v in x.items()}
+            x = f.wscale(x, a)
         x[piv] = f.rneg(b)
         if a != 1:
             x, scale = f.wdivide(x, scale)

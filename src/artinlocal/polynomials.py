@@ -505,6 +505,18 @@ class RingMap:
         return f"RingMap({ims}; D={self.D})"
 
 
+# A degree-2 term is drawn with probability 0.35, decided from 53 random
+# bits as random.Random.random() takes them (27 bits of one 32-bit draw,
+# then 26 of the next): random() < 0.35 exactly when those bits, read as an
+# integer, are below Fraction(0.35) * 2^53.  So the decision and the
+# generator state after it are the ones random() gives, with no float.
+SPRINKLE_BELOW = 3152519739159347
+
+
+def _sprinkle(rng) -> bool:
+    return ((rng.getrandbits(32) >> 5) << 26) + (rng.getrandbits(32) >> 6) < SPRINKLE_BELOW
+
+
 def random_invertible_map(nvars, field, D, rng) -> RingMap:
     """Random map with invertible linear part and small integer coefficients,
     plus a random sprinkle of degree-2 terms."""
@@ -531,7 +543,7 @@ def random_invertible_map(nvars, field, D, rng) -> RingMap:
     imgs = []
     for img in m.images:
         for mono in monomials_of_degree(nvars, 2):
-            if rng.random() < 0.35:
+            if _sprinkle(rng):
                 c = rng.randint(-2, 2)
                 if c:
                     img = img + Polynomial(nvars, field, {mono: field.rfrom(c)})

@@ -541,15 +541,17 @@ def extend_scalars(A: ArtinAlgebra, field: Field) -> ArtinAlgebra:
     so A's echelon rows are lifted and D, hf, v and the standard basis carry
     over unchanged.
 
-    The lifted pivot rows are added in insertion order.  Each row was
-    reduced against the rows before it when it was inserted, so it has no
-    earlier pivot in its support: its re-add hits no pivot and stores the
-    same row, with the same pivot, scaled to 1 there."""
+    The working pivot rows are lifted as they are (field.wembed, no
+    arithmetic) and added in insertion order.  Each row was reduced against
+    the rows before it when it was inserted, so it has no earlier pivot in
+    its support: its re-add hits no pivot.  Its entry at its pivot is a
+    positive rational integer and the row is primitive, so it is stored as
+    it is, a nonzero multiple of the row the rebuild stores (see linalg)."""
     if field == A.field:
         return A
     ech = SparseEchelon(field)
-    for row in A.ech.pivots.values():
-        ech.add({r: field.coerce(Scalar(A.field, c)).val for r, c in row.items()})
+    for row in A.ech.working.values():
+        ech.add(field.wembed(row, A.field), 1)
     return ArtinAlgebra(A.pres.map_field(field), A.D, A.table, ech, A.v, A.hf)
 
 
@@ -561,6 +563,17 @@ def nth_root(A: ArtinAlgebra, a, n: int) -> AlgebraElement:
 
     A residue with no n-th root in A's field raises ResidueNotPower; to
     adjoin one, extend A first (extend_scalars).
+
+    ceil(log2(s+1)) Newton steps suffice, s the socle degree.  Write
+    f(c) = c^n - a and M for the maximal ideal.  The start c0 is the
+    residue's exact root, so f(c0) lies in M.  Every later c is c0 plus an
+    element of M, so f'(c) = n*c^(n-1) is a unit (characteristic 0).  If
+    f(c) lies in M^e, e >= 1, the step delta = -f(c)/f'(c) lies in M^e, and
+    f(c + delta) = f(c) + f'(c)*delta + delta^2*q = delta^2*q for some q in
+    A, which lies in M^(2e).  So after k steps f(c) lies in M^(2^k), which
+    is 0 once 2^k >= s+1, as M^(s+1) = 0.  The root that lifts c0 is unique
+    (Hensel's lemma, f'(c0) a unit), so this is the root that Newton run
+    until f(c) = 0 returns.
     """
     if isinstance(a, (int, Fraction, Scalar, str, Polynomial)):
         a = A.element(a)
@@ -574,12 +587,12 @@ def nth_root(A: ArtinAlgebra, a, n: int) -> AlgebraElement:
             f"residue {a.residue()!r} has no {n}-th root in {A.field!r}"
         )
     c = A.element(r)
-    for _ in range(A.socle_degree + 2):
+    for _ in range(A.socle_degree.bit_length()):  # ceil(log2(s+1))
         err = c ** n - a
         if err.is_zero():
-            return c
+            break
         c = c - err * (c ** (n - 1) * n).inverse()
-    raise RuntimeError("Newton iteration for the n-th root did not converge")
+    return c
 
 
 # ----------------------------------------------------------- span equality

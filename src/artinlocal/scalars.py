@@ -6,27 +6,53 @@ square root of a non-square element.  Towers are capped at depth
 ``MAX_TOWER_DEPTH``; asking for a deeper extension raises
 ``FieldExtensionRequired``.
 
-Internally every field manipulates *raw* values (a ``Fraction`` for ``QQ``, a
-pair ``(a, b)`` of raw base values meaning ``a + b*sqrt(theta)`` for an
-extension).  The ``Scalar`` wrapper pairs a raw value with its field and
-supplies operators; performance-sensitive code (row reduction) works on raw
-values directly through the field methods.
+Internally every field manipulates *raw* values.  For ``QQ`` a raw value is
+a ``Fraction``.  For an extension of depth d it is a tuple of 2^d ints and
+one positive denominator, (c_0, ..., c_(2^d - 1), den) with gcd 1, meaning
+(sum of c_i * b_i) / den on the basis b of products of the adjoined roots:
+1, alpha at depth 1 and 1, alpha, beta, alpha*beta at depth 2.  This is the
+standard representation of a number field (Cohen, "A Course in
+Computational Algebraic Number Theory", 1993, section 4.2).  The basis of
+a subfield is a prefix of the basis of the tower, so a value lifts by
+padding its coordinates with zeros.  The form is canonical, so equal
+values are equal tuples.
+
+Theta is canonical too.  Over QQ it is a squarefree integer.  Over
+QQ(alpha) it is t0 + t1*alpha with integers t0, t1 whose gcd has no square
+factor.  Any theta reaches that form through multiplication by the square
+of a rational, which rescales the adjoined root and leaves the field as it
+is; no two such forms differ by one.  So QQ[sqrt(8)] is QQ[sqrt(2)], and a
+field's label depends only on the field and its base.  The structure
+constants alpha^2 and beta^2 are then integral, and so the product of two
+values with denominator 1 has denominator 1.
+
+The ``Scalar`` wrapper pairs a raw value with its field and supplies
+operators; performance-sensitive code (row reduction) works on raw values
+directly through the field methods.
 
 Row reduction (linalg.SparseEchelon) keeps its rows in a *working form*
-that the field chooses, through the ``w*`` methods: over ``QQ`` a row of
-Python ints with one integer scale (the row is ints / scale), over an
-extension the raw row itself with scale 1.  ``wcofactors`` gives the
-multipliers (a, b) that clear one entry by cross-multiplication,
-a*row - b*pivot row; over an extension a is 1 because pivot rows are
-scaled to 1 at their pivot.  Working ints never reach ``rinv`` or
-``rdiv`` (``1 / a`` of two ints is a float); ``wraw`` turns them back
-into ``Fraction``s.
+that the field chooses, through the ``w*`` methods: a row of integral
+values over one positive integer scale, meaning values / scale.  Over
+``QQ`` the values are Python ints.  Over an extension they are raw values
+with denominator 1, which radd, rsub and rmul keep at denominator 1 with
+no gcd.  ``wcofactors`` gives the multipliers (a, b), a a positive int,
+that clear an entry c against a pivot entry L by cross-multiplication,
+a*c - b*L = 0.  ``wscale`` multiplies a row by a, and ``wdivide`` divides
+the gcd of its integers out of a row and its scale.  ``wpivot`` makes the
+entry of a pivot row at its pivot a positive rational integer.  Over an
+extension it multiplies the row by the conjugates of that entry x,
+sigma_2(x) * sigma_1(x * sigma_2(x)) at depth 2 and sigma(x) at depth 1,
+whose product with x is the norm of x to QQ.  Working ints never reach
+``rinv`` or ``rdiv`` (``1 / a`` of two ints is a float), and neither does
+any row reduction over an extension.  ``wraw`` turns a working row back
+into raw values.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 
 from .errors import FieldExtensionRequired, FieldMismatch
 
@@ -53,6 +79,37 @@ def _int_nth_root(n: int, k: int):
                 break
             r = nxt
     return r if r ** k == n else None
+
+
+def _square_part(n: int) -> int:
+    """The largest k with k^2 dividing the nonzero integer n.
+
+    Trial division runs over p = 2, 3, 5, 7, 9, ... while p^3 <= n, dividing
+    each factor out as it is found.  It leaves a cofactor m < p^3 whose
+    prime factors are all at least p, so m has at most two of them, and m
+    is a square exactly when it is the square of a prime.  The cost is
+    O(|n|^(1/3)) divisions, and the thetas met here have a few digits.
+    """
+    n, k, p = abs(n), 1, 2
+    while p * p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        k *= p ** (e // 2)
+        p += 1 if p == 2 else 2
+    r = math.isqrt(n)
+    return k * r if r * r == n else k
+
+
+def _canon(z):
+    """The raw value (c_0, ..., c_(n-1), den) of the list z of integer
+    coordinates followed by a nonzero denominator: den made positive and
+    the gcd divided out."""
+    if z[-1] < 0:
+        z = [-c for c in z]
+    g = gcd(*z)
+    return tuple(z) if g == 1 else tuple([c // g for c in z])
 
 
 class Field:
@@ -155,6 +212,15 @@ class RationalField(Field):
     def rstr(self, a):
         return str(a)
 
+    def rcoords(self, a):
+        """(integer coordinates, positive denominator) of a raw value; an
+        int, a working value, has denominator 1."""
+        return (a.numerator,), a.denominator
+
+    def rmake(self, coords, den):
+        """The raw value of integer coordinates over a nonzero denominator."""
+        return Fraction(coords[0], den)
+
     # ----- working form of echelon rows: ints over one integer scale
 
     wzero = 0
@@ -173,8 +239,11 @@ class RationalField(Field):
 
     def wcofactors(self, c, lead):
         """(a, b) with a*c = b*lead and a > 0 least, for lead > 0."""
-        g = math.gcd(c, lead)
+        g = gcd(c, lead)
         return lead // g, c // g
+
+    def wscale(self, row, a):
+        return {r: a * c for r, c in row.items()}
 
     def wdivide(self, row, scale):
         """(row / g, scale / g) for g the gcd of scale and the entries; the
@@ -182,7 +251,7 @@ class RationalField(Field):
         would fill the interpreter's tuple free lists."""
         g = scale
         for c in row.values():
-            g = math.gcd(g, c)
+            g = gcd(g, c)
             if g == 1:
                 return row, scale
         return {r: c // g for r, c in row.items()}, scale // g
@@ -219,96 +288,186 @@ class RationalField(Field):
 QQ = RationalField()
 
 
-class QuadraticExtension(Field):
-    """base[sqrt(theta)] with theta a non-square raw value of base.
+def _ring1(t):
+    """add, sub and mul of raw values (a, b, d) = (a + b*alpha)/d, alpha^2 = t."""
+    def add(x, y):
+        a, b, d = x
+        c, e, f = y
+        if d != f:
+            a, b, c, e, d = a * f, b * f, c * d, e * d, d * f
+        a, b = a + c, b + e
+        if d == 1:
+            return a, b, 1
+        g = gcd(a, b, d)
+        return (a, b, d) if g == 1 else (a // g, b // g, d // g)
 
-    Raw elements are pairs (a, b) of base raw values, meaning a + b*sqrt(theta).
+    def sub(x, y):
+        c, e, f = y
+        return add(x, (-c, -e, f))
+
+    def mul(x, y):
+        a, b, d = x
+        c, e, f = y
+        a, b, d = a * c + t * b * e, a * e + b * c, d * f
+        if d == 1:
+            return a, b, 1
+        g = gcd(a, b, d)
+        return (a, b, d) if g == 1 else (a // g, b // g, d // g)
+
+    return add, sub, mul
+
+
+def _ring2(t, u0, u1):
+    """add, sub and mul of raw values (x0, x1, x2, x3, d) =
+    (x0 + x1*alpha + (x2 + x3*alpha)*beta)/d, alpha^2 = t and
+    beta^2 = u0 + u1*alpha."""
+    def add(x, y):
+        a, b, c, e, d = x
+        a2, b2, c2, e2, f = y
+        if d != f:
+            a, b, c, e = a * f, b * f, c * f, e * f
+            a2, b2, c2, e2, d = a2 * d, b2 * d, c2 * d, e2 * d, d * f
+        a, b, c, e = a + a2, b + b2, c + c2, e + e2
+        if d == 1:
+            return a, b, c, e, 1
+        g = gcd(a, b, c, e, d)
+        return (a, b, c, e, d) if g == 1 else (a // g, b // g, c // g, e // g, d // g)
+
+    def sub(x, y):
+        a, b, c, e, f = y
+        return add(x, (-a, -b, -c, -e, f))
+
+    def mul(x, y):
+        x0, x1, x2, x3, d = x
+        y0, y1, y2, y3, f = y
+        b0, b1 = x2 * y2 + t * x3 * y3, x2 * y3 + x3 * y2  # (x2 + x3*alpha)(y2 + y3*alpha)
+        z0 = x0 * y0 + t * (x1 * y1 + b1 * u1) + b0 * u0
+        z1 = x0 * y1 + x1 * y0 + b0 * u1 + b1 * u0
+        z2 = x0 * y2 + x2 * y0 + t * (x1 * y3 + x3 * y1)
+        z3 = x0 * y3 + x1 * y2 + x2 * y1 + x3 * y0
+        d *= f
+        if d == 1:
+            return z0, z1, z2, z3, 1
+        g = gcd(z0, z1, z2, z3, d)
+        return ((z0, z1, z2, z3, d) if g == 1
+                else (z0 // g, z1 // g, z2 // g, z3 // g, d // g))
+
+    return add, sub, mul
+
+
+class QuadraticExtension(Field):
+    """base[sqrt(theta)] with theta a non-square of base, made canonical.
+
+    Raw values are (c_0, ..., c_(n-1), den) with n = 2^depth (see the
+    module docstring): the first n/2 coordinates are the part in base and
+    the rest the coefficient of sqrt(theta).  theta is kept as the base's
+    raw value of its canonical form; the root adjoined is its square root.
     """
 
     def __init__(self, base: Field, theta):
         theta = base.coerce(theta).val
         if base.riszero(theta):
             raise ValueError("theta must be nonzero")
+        # den^2 * theta is integral; the largest square integer dividing all
+        # its coordinates comes out, which leaves the canonical theta
+        coords, den = base.rcoords(theta)
+        coords = [c * den for c in coords]
+        k2 = _square_part(gcd(*coords)) ** 2
+        theta = base.rmake([c // k2 for c in coords], 1)
         if base.rsqrt(theta) is not None:
             raise ValueError("theta is already a square in the base field")
         self.base = base
         self.theta = theta
         self.depth = base.depth + 1
-        self.rzero = (base.rzero, base.rzero)
-        self.rone = (base.rone, base.rzero)
-        self.sqrt_theta = (base.rzero, base.rone)
-        self.wzero = self.rzero
+        n = self.n = 1 << self.depth
+        self.rzero = self.wzero = (0,) * n + (1,)
+        self.rone = (1,) + (0,) * (n - 1) + (1,)
+        self.sqrt_theta = (0,) * (n // 2) + (1,) + (0,) * (n // 2 - 1) + (1,)
+        if self.depth == 1:
+            self.radd, self.rsub, self.rmul = _ring1(theta.numerator)
+        else:
+            self.radd, self.rsub, self.rmul = _ring2(base.theta.numerator, *theta[:2])
 
     def rfrom(self, x):
-        if isinstance(x, tuple) and len(x) == 2:
+        if isinstance(x, tuple) and len(x) == self.n + 1:
             return x
-        return (self.base.rfrom(x), self.base.rzero)
+        return self._embed(self.base.rfrom(x), self.base)
 
-    def radd(self, x, y):
-        B = self.base
-        return (B.radd(x[0], y[0]), B.radd(x[1], y[1]))
+    def rcoords(self, x):
+        return x[:-1], x[-1]
 
-    def rsub(self, x, y):
-        B = self.base
-        return (B.rsub(x[0], y[0]), B.rsub(x[1], y[1]))
+    def rmake(self, coords, den):
+        return _canon(list(coords) + [den])
+
+    def _embed(self, x, sub):
+        """A raw or working value of the subfield sub as one of this field."""
+        if sub is self:
+            return x
+        coords, den = sub.rcoords(x)
+        return coords + (0,) * (self.n - len(coords)) + (den,)
+
+    def _split(self, x):
+        """(a, b), raw values of the base, with x = a + b*sqrt(theta)."""
+        h, B = self.n // 2, self.base
+        return B.rmake(x[:h], x[-1]), B.rmake(x[h:-1], x[-1])
+
+    def _join(self, a, b):
+        (ca, da), (cb, db) = self.base.rcoords(a), self.base.rcoords(b)
+        return _canon([c * db for c in ca] + [c * da for c in cb] + [da * db])
 
     def rneg(self, x):
-        B = self.base
-        return (B.rneg(x[0]), B.rneg(x[1]))
+        return tuple([-c for c in x[:-1]]) + x[-1:]
 
-    def rmul(self, x, y):
-        B = self.base
-        a, b = x
-        c, d = y
-        return (
-            B.radd(B.rmul(a, c), B.rmul(self.theta, B.rmul(b, d))),
-            B.radd(B.rmul(a, d), B.rmul(b, c)),
-        )
+    def riszero(self, x):
+        return x == self.rzero
 
-    def rnorm(self, x):
-        B = self.base
-        a, b = x
-        return B.rsub(B.rmul(a, a), B.rmul(self.theta, B.rmul(b, b)))
+    def _conj(self, x):
+        """(m, N) for a nonzero value x with denominator 1: m has
+        denominator 1 and x*m = N, a nonzero int.  m is the product of the
+        conjugates of x, sigma(x) at depth 1 and sigma_2(x) *
+        sigma_1(x*sigma_2(x)) at depth 2, so N is the norm of x to QQ:
+        x*sigma(x) lies in the base, where the base's m takes it to QQ."""
+        h = self.n // 2
+        s = x[:h] + tuple([-c for c in x[h:-1]]) + (1,)
+        p = self.rmul(x, s)
+        if self.depth == 1:
+            return s, p[0]
+        m, N = self.base._conj(p[:h] + (1,))
+        return self.rmul(s, self._embed(m, self.base)), N
 
     def rinv(self, x):
-        B = self.base
-        n = self.rnorm(x)
-        if B.riszero(n):
+        """1/x = den * m / N for (m, N) the conjugates and norm of den*x."""
+        if x == self.rzero:
             raise ZeroDivisionError("inverse of zero")
-        ninv = B.rinv(n)
-        return (B.rmul(x[0], ninv), B.rneg(B.rmul(x[1], ninv)))
+        d = x[-1]
+        m, N = self._conj(x[:-1] + (1,))
+        return _canon([c * d for c in m[:-1]] + [N])
 
     def rdiv(self, x, y):
         return self.rmul(x, self.rinv(y))
 
-    def riszero(self, x):
-        B = self.base
-        return B.riszero(x[0]) and B.riszero(x[1])
-
     def rsqrt(self, x):
         B = self.base
-        a, b = x
+        a, b = self._split(x)
         if B.riszero(b):
             r = B.rsqrt(a)
             if r is not None:
-                return (r, B.rzero)
+                return self._join(r, B.rzero)
             # maybe a = t*theta with t a square: sqrt = sqrt(t)*sqrt(theta)
             r = B.rsqrt(B.rdiv(a, self.theta))
             if r is not None:
-                return (B.rzero, r)
+                return self._join(B.rzero, r)
             return None
         # (p + q*sqrt(theta))^2 = x forces p^2 = (a +- sqrt(norm))/2
-        n = B.rsqrt(self.rnorm(x))
+        n = B.rsqrt(B.rsub(B.rmul(a, a), B.rmul(self.theta, B.rmul(b, b))))
         if n is None:
             return None
         two = B.rfrom(2)
         for sign in (n, B.rneg(n)):
-            p2 = B.rdiv(B.radd(a, sign), two)
-            p = B.rsqrt(p2)
+            p = B.rsqrt(B.rdiv(B.radd(a, sign), two))
             if p is not None and not B.riszero(p):
-                q = B.rdiv(b, B.rmul(two, p))
-                cand = (p, q)
-                if self.riszero(self.rsub(self.rmul(cand, cand), x)):
+                cand = self._join(p, B.rdiv(b, B.rmul(two, p)))
+                if self.rmul(cand, cand) == x:
                     return cand
         return None
 
@@ -320,30 +479,87 @@ class QuadraticExtension(Field):
         if n == 4:
             r = self.rsqrt(x)
             return None if r is None else self.rsqrt(r)
-        if self.base.riszero(x[1]):
-            r = self.base.rnth_root(x[0], n)
+        a, b = self._split(x)
+        if self.base.riszero(b):
+            r = self.base.rnth_root(a, n)
             if r is not None:
-                return (r, self.base.rzero)
+                return self._join(r, self.base.rzero)
         return None
 
-    # ----- working form of echelon rows: raw rows, pivots scaled to 1
+    # ----- working form of echelon rows: values with denominator 1 over one
+    # integer scale, pivot entries positive rational integers
 
     def wrow(self, row):
-        return dict(row), 1
+        """(values, scale) with row = values / scale: scale is the lcm of
+        the denominators."""
+        scale = 1
+        for x in row.values():
+            d = x[-1]
+            if scale % d:
+                scale = math.lcm(scale, d)
+        if scale == 1:
+            return dict(row), 1
+        return {r: tuple([c * (scale // x[-1]) for c in x[:-1]]) + (1,)
+                for r, x in row.items()}, scale
 
     def wcofactors(self, c, lead):
-        return 1, c
+        """(a, b) with a*c = b*lead and a > 0 least, for lead a positive
+        rational integer."""
+        L = lead[0]
+        g = gcd(L, *c[:-1])
+        if g == 1:
+            return L, c
+        return L // g, tuple([v // g for v in c[:-1]]) + (1,)
+
+    def wscale(self, row, a):
+        return {r: tuple([a * v for v in x[:-1]]) + (1,) for r, x in row.items()}
+
+    def wdivide(self, row, scale):
+        """(row / g, scale / g) for g the gcd of scale and every coordinate."""
+        g = scale
+        for x in row.values():
+            g = gcd(g, *x[:-1])
+            if g == 1:
+                return row, scale
+        return {r: tuple([v // g for v in x[:-1]]) + (1,) for r, x in row.items()}, scale // g
 
     def wpivot(self, row, lead):
-        inv = self.rinv(row[lead])
-        return {r: self.rmul(c, inv) for r, c in row.items()}
+        """Working form of a nonzero pivot row with no zero entry: the row
+        times the conjugates of its entry at lead, which leaves there the
+        norm N, negated if N < 0, then made primitive.  A row positive and
+        rational at lead already (a lifted one) is only made primitive."""
+        x = row[lead]
+        if x[0] <= 0 or any(x[1:-1]):
+            m, N = self._conj(x)
+            if N < 0:
+                m = self.rneg(m)
+            rmul = self.rmul
+            row = {r: rmul(c, m) for r, c in row.items()}
+        return self.wdivide(row, 0)[0]
 
     def wraw(self, row, scale):
-        return row
+        """The raw row of a working row over scale, a positive int or a
+        pivot entry (the working value of one)."""
+        if type(scale) is tuple:
+            scale = scale[0]
+        if scale == 1:
+            return row
+        return {r: _canon(list(x[:-1]) + [scale]) for r, x in row.items()}
+
+    def wembed(self, row, sub):
+        """A working row of the subfield sub as one of this field, with no
+        arithmetic: each value keeps its coordinates, padded with zeros."""
+        f = self
+        while f != sub:
+            if not f.depth:
+                raise FieldMismatch(f"{sub} is not a subfield of {self}")
+            f = f.base
+        embed = self._embed
+        return {r: embed(c, sub) for r, c in row.items()}
 
     def rstr(self, x):
         B = self.base
-        a, b = x
+        a, b = self._split(x)
         th = B.rstr(self.theta)
         if "/" in th or "+" in th or "-" in th or "sqrt" in th:
             th = f"({th})"
@@ -357,29 +573,31 @@ class QuadraticExtension(Field):
         return f"({B.rstr(a)}+{B.rstr(b)}*{root})"
 
     def rlift(self, s):
-        if s.field == self:
-            return s.val
-        raw = self.base.rlift(s)
-        if raw is not None:
-            return (raw, self.base.rzero)
-        return None
+        f = self
+        while s.field != f:
+            if not f.depth:
+                return None
+            f = f.base
+        return self._embed(s.val, f)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, QuadraticExtension)
-            and self.base == other.base
             and self.theta == other.theta
+            and self.base == other.base
         )
 
     def __hash__(self):
-        return hash(("ext", self.base, repr(self.theta)))
+        return hash(("ext", self.base, self.theta))
 
     def __repr__(self):
         return f"{self.base!r}[sqrt({self.base.rstr(self.theta)})]"
 
 
 def adjoin_sqrt(field: Field, theta) -> QuadraticExtension:
-    """Extend field by sqrt(theta); refuses towers deeper than the cap."""
+    """Extend field by sqrt(theta); refuses towers deeper than the cap.
+    theta is made canonical (see the module docstring), so for the returned
+    field F the root of the given theta is F.coerce(theta).sqrt()."""
     if field.depth >= MAX_TOWER_DEPTH:
         raise FieldExtensionRequired(
             f"extension tower depth cap ({MAX_TOWER_DEPTH}) reached"
@@ -494,12 +712,12 @@ class Scalar:
         return a.field.riszero(a.field.rsub(a.val, b.val))
 
     def __hash__(self):
-        # collapse embedded rationals so lifted values hash alike
-        v = self.val
-        f = self.field
-        while isinstance(f, QuadraticExtension) and f.base.riszero(v[1]):
-            v, f = v[0], f.base
-        return hash((f, repr(v)))
+        # collapse lifted values to the least field holding them, so they
+        # hash alike: a value of the base has a zero upper half
+        v, f = self.val, self.field
+        while f.depth and not any(v[f.n // 2:-1]):
+            v, f = f.base.rmake(v[:f.n // 2], v[-1]), f.base
+        return hash((f, v))
 
     def __bool__(self):
         return not self.is_zero()

@@ -21,7 +21,9 @@ matrix whose columns are the coordinates of polynomial products is the
 reference for the one that reduces table rows.  The product of elements
 formed in full before its normal form, and powers taken one factor at a
 time from 1, are the reference for the products cut below degree s+1 and
-the powers by squaring.
+the powers by squaring.  Newton's loop that runs until the error
+vanishes, with the socle degree plus 2 as its cap, is the reference for
+nth_root's proven step count.
 ideals_equal, the ideal equality the quotient tests use, is built on the
 library's build_quotient and row_space_equal.
 """
@@ -185,6 +187,18 @@ def oracle_pow(a, n):
     for _ in range(n):
         out = oracle_mul(out, a)
     return out
+
+
+def oracle_nth_root(A, a, n):
+    """An n-th root of the unit a, Newton from the residue's root until the
+    error vanishes, at most s+2 steps."""
+    c = A.element(a.residue().nth_root(n))
+    for _ in range(A.socle_degree + 2):
+        err = c ** n - a
+        if err.is_zero():
+            return c
+        c = c - err * (c ** (n - 1) * n).inverse()
+    raise RuntimeError("Newton iteration for the n-th root did not converge")
 
 
 def oracle_socle(A):

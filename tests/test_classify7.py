@@ -76,7 +76,7 @@ def test_nonlinear_a_same_invariant(monkeypatch):
         Scalar(QQ, QQ.rfrom(Fraction(9, 13))))).is_zero()
     assert changes == [True]
     assert (repr(r.p), repr(r.field)) == (
-        "(3/13*sqrt(13))", "QQ[sqrt(13)][sqrt((-2/13*sqrt(13)))]")
+        "(3/13*sqrt(13))", "QQ[sqrt(13)][sqrt((-26*sqrt(13)))]")
 
 
 def test_classify_ideal_round_trip():

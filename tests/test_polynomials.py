@@ -1,5 +1,6 @@
 """Multivariate polynomial arithmetic, parsing, and ring maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from artinlocal.errors import ParseError
 from artinlocal.polynomials import (
     Polynomial,
     RingMap,
+    _sprinkle,
     lex_monomials,
     monomials_of_degree,
     parse_poly,
@@ -123,7 +125,8 @@ def single_terms(field):
         coeff = rational.filter(bool).map(QQ.rfrom)
     else:
         coeff = st.tuples(rational, rational).filter(any).map(
-            lambda ab: tuple(QQ.rfrom(x) for x in ab))
+            lambda ab: field.radd(field.rfrom(ab[0]),
+                                  field.rmul(field.rfrom(ab[1]), field.sqrt_theta)))
     return st.integers(1, 3).flatmap(lambda n: st.builds(
         lambda m, c: Polynomial(n, field, {m: c}),
         st.tuples(*[st.integers(0, 3)] * n), coeff))
@@ -145,3 +148,19 @@ def test_negative_exponent_raises():
     for p in (parse_poly("x1", 2, QQ), parse_poly("x1 + x2", 2, QQ)):
         with pytest.raises(ValueError):
             p ** -1
+
+
+def test_sprinkle_decides_as_random_does():
+    """The integer test of random_invertible_map makes the decision that
+    random() < 0.35 makes, and leaves the generator in the same state, on
+    200 seeds of 500 draws each, interleaved with other draws."""
+    decisions = 0
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(500):
+            got = _sprinkle(ours)
+            assert got == (theirs.random() < 0.35)
+            decisions += got
+            assert ours.randint(-2, 2) == theirs.randint(-2, 2)
+        assert ours.getstate() == theirs.getstate()
+    assert 0.3 < decisions / 100000 < 0.4

@@ -1,12 +1,16 @@
-"""Field tower arithmetic: rationals and iterated quadratic extensions."""
+"""Field tower arithmetic: rationals and iterated quadratic extensions.
+
+The integer towers are checked against OracleTower, the pair-of-Fractions
+field they replaced, on hypothesis values at depth 1 and 2; thetas must be
+canonical, so equal fields compare equal and get one label."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from artinlocal.errors import FieldExtensionRequired
-from artinlocal.scalars import QQ, Scalar, adjoin_sqrt, common_field
+from artinlocal.scalars import QQ, QuadraticExtension, Scalar, adjoin_sqrt, common_field
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -99,3 +103,213 @@ def test_nth_root_of_large_powers_is_exact(base, k):
     assert QQ.scalar(base ** k - 1).nth_root(k) is None
     if k % 2:
         assert QQ.scalar(-base ** k).nth_root(k) == q(-base)
+
+
+# ------------------------------------------------- towers against the oracle
+
+
+class OracleTower:
+    """base[sqrt(theta)] on raw pairs (a, b) of base raw values, meaning
+    a + b*sqrt(theta): the pair-of-Fractions field that the integer towers
+    replaced, with every operation a base-field operation."""
+
+    def __init__(self, base, theta):
+        self.base = base
+        self.theta = theta
+        self.rzero = (base.rzero, base.rzero)
+        self.rone = (base.rone, base.rzero)
+
+    def rfrom(self, x):
+        return (self.base.rfrom(x), self.base.rzero)
+
+    def radd(self, x, y):
+        B = self.base
+        return (B.radd(x[0], y[0]), B.radd(x[1], y[1]))
+
+    def rsub(self, x, y):
+        B = self.base
+        return (B.rsub(x[0], y[0]), B.rsub(x[1], y[1]))
+
+    def rneg(self, x):
+        B = self.base
+        return (B.rneg(x[0]), B.rneg(x[1]))
+
+    def rmul(self, x, y):
+        B = self.base
+        a, b = x
+        c, d = y
+        return (B.radd(B.rmul(a, c), B.rmul(self.theta, B.rmul(b, d))),
+                B.radd(B.rmul(a, d), B.rmul(b, c)))
+
+    def rnorm(self, x):
+        B = self.base
+        a, b = x
+        return B.rsub(B.rmul(a, a), B.rmul(self.theta, B.rmul(b, b)))
+
+    def rinv(self, x):
+        B = self.base
+        n = self.rnorm(x)
+        if B.riszero(n):
+            raise ZeroDivisionError("inverse of zero")
+        ninv = B.rinv(n)
+        return (B.rmul(x[0], ninv), B.rneg(B.rmul(x[1], ninv)))
+
+    def rdiv(self, x, y):
+        return self.rmul(x, self.rinv(y))
+
+    def riszero(self, x):
+        B = self.base
+        return B.riszero(x[0]) and B.riszero(x[1])
+
+    def rsqrt(self, x):
+        B = self.base
+        a, b = x
+        if B.riszero(b):
+            r = B.rsqrt(a)
+            if r is not None:
+                return (r, B.rzero)
+            r = B.rsqrt(B.rdiv(a, self.theta))
+            if r is not None:
+                return (B.rzero, r)
+            return None
+        n = B.rsqrt(self.rnorm(x))
+        if n is None:
+            return None
+        two = B.rfrom(2)
+        for sign in (n, B.rneg(n)):
+            p = B.rsqrt(B.rdiv(B.radd(a, sign), two))
+            if p is not None and not B.riszero(p):
+                cand = (p, B.rdiv(b, B.rmul(two, p)))
+                if self.riszero(self.rsub(self.rmul(cand, cand), x)):
+                    return cand
+        return None
+
+    def rnth_root(self, x, n):
+        if n == 1:
+            return x
+        if n == 2:
+            return self.rsqrt(x)
+        if n == 4:
+            r = self.rsqrt(x)
+            return None if r is None else self.rsqrt(r)
+        if self.base.riszero(x[1]):
+            r = self.base.rnth_root(x[0], n)
+            if r is not None:
+                return (r, self.base.rzero)
+        return None
+
+    def rstr(self, x):
+        B = self.base
+        a, b = x
+        th = B.rstr(self.theta)
+        if "/" in th or "+" in th or "-" in th or "sqrt" in th:
+            th = f"({th})"
+        root = f"sqrt({th})"
+        if B.riszero(b):
+            return B.rstr(a)
+        if B.riszero(a):
+            if not B.riszero(B.rsub(b, B.rone)):
+                return f"({B.rstr(b)}*{root})"
+            return root
+        return f"({B.rstr(a)}+{B.rstr(b)}*{root})"
+
+
+def to_oracle(field, x):
+    """The oracle's raw value of a raw value x of field: the pair of the
+    halves of its coordinates, each over x's denominator."""
+    if field is QQ:
+        return x
+    coords, den = field.rcoords(x)
+    h = len(coords) // 2
+    B = field.base
+    return (to_oracle(B, B.rmake(coords[:h], den)), to_oracle(B, B.rmake(coords[h:], den)))
+
+
+def oracle_of(field):
+    if field is QQ:
+        return QQ
+    base = oracle_of(field.base)
+    return OracleTower(base, to_oracle(field.base, field.theta))
+
+
+Q13 = adjoin_sqrt(QQ, q(13))
+TOWERS = [adjoin_sqrt(QQ, q(2)), adjoin_sqrt(QQ, q(-3)), Q13,
+          adjoin_sqrt(adjoin_sqrt(QQ, q(2)), 3),
+          adjoin_sqrt(Q13, Q13.sqrt(Q13.scalar(13)) * Fraction(-2, 13)),
+          adjoin_sqrt(adjoin_sqrt(QQ, q(-3)), adjoin_sqrt(QQ, q(-3)).sqrt(q(-3)))]
+
+
+def tower_values(field):
+    n = 2 ** field.depth
+    return st.builds(field.rmake, st.lists(st.integers(-12, 12), min_size=n, max_size=n),
+                     st.integers(1, 9))
+
+
+@pytest.mark.parametrize("field", TOWERS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_tower_agrees_with_the_pair_of_fractions_oracle(field, data):
+    """The field axioms hold, and +, -, *, rinv, rdiv, rsqrt, rnth_root and
+    rstr give the oracle's values, mapped across, at depth 1 and 2."""
+    O = oracle_of(field)
+    x, y, z = (data.draw(tower_values(field)) for _ in range(3))
+    f = field
+    assert f.rmul(f.radd(x, y), z) == f.radd(f.rmul(x, z), f.rmul(y, z))
+    assert f.rmul(x, y) == f.rmul(y, x)
+    assert f.rmul(f.rmul(x, y), z) == f.rmul(x, f.rmul(y, z))
+    assert f.radd(x, f.rzero) == x == f.rmul(x, f.rone)
+    assert f.riszero(f.rsub(x, x)) and f.radd(x, f.rneg(x)) == f.rzero
+    ox, oy = to_oracle(f, x), to_oracle(f, y)
+    for op in ("radd", "rsub", "rmul"):
+        assert to_oracle(f, getattr(f, op)(x, y)) == getattr(O, op)(ox, oy), op
+    assert to_oracle(f, f.rneg(x)) == O.rneg(ox)
+    assert f.rstr(x) == O.rstr(ox)
+    if f.riszero(y):
+        with pytest.raises(ZeroDivisionError):
+            f.rinv(y)
+    else:
+        assert to_oracle(f, f.rinv(y)) == O.rinv(oy)
+        assert to_oracle(f, f.rdiv(x, y)) == O.rdiv(ox, oy)
+        assert f.rmul(y, f.rinv(y)) == f.rone
+    for v in (x, f.rmul(x, x), f.rmul(f.rmul(x, x), f.rmul(x, x))):
+        for n in (2, 3, 4):
+            got = f.rnth_root(v, n)
+            want = O.rnth_root(to_oracle(f, v), n)
+            assert (None if got is None else to_oracle(f, got)) == want, (v, n)
+        got = f.rsqrt(v)
+        assert (None if got is None else to_oracle(f, got)) == O.rsqrt(to_oracle(f, v))
+
+
+# ------------------------------------------------------- canonical theta
+
+
+def test_equal_fields_compare_equal():
+    """A theta and its multiple by a rational square give one field, and a
+    value keeps its meaning: sqrt(8) of QQ[sqrt(8)] is 2*sqrt(2)."""
+    F2, F8 = QuadraticExtension(QQ, 2), QuadraticExtension(QQ, 8)
+    assert F2 == F8 and hash(F2) == hash(F8) and repr(F8) == "QQ[sqrt(2)]"
+    assert common_field(adjoin_sqrt(QQ, q(2)), adjoin_sqrt(QQ, q(8))) == F2
+    r8 = F8.coerce(q(8)).sqrt()
+    assert r8 * r8 == F8.coerce(q(8)) and repr(r8) == "(2*sqrt(2))"
+    assert adjoin_sqrt(QQ, q(2)) != adjoin_sqrt(QQ, q(3))
+
+
+@pytest.mark.parametrize("thetas,label", [
+    ([-3, Fraction(-16, 3), Fraction(-3, 4), -12, Fraction(-1, 3), Fraction(-243, 4)], "QQ[sqrt(-3)]"),
+    ([2, 8, Fraction(1, 2), Fraction(2048, 729), 72], "QQ[sqrt(2)]"),
+    ([-21, Fraction(-7, 12), Fraction(-1701, 16), -21504], "QQ[sqrt(-21)]"),
+])
+def test_labels_are_squarefree_and_deterministic(thetas, label):
+    assert {repr(adjoin_sqrt(QQ, q(t))) for t in thetas} == {label}
+    t = adjoin_sqrt(QQ, q(thetas[0])).theta
+    assert t.denominator == 1 and all(t.numerator % (p * p) for p in range(2, 50))
+
+
+def test_depth_2_theta_is_integral_with_no_square_in_its_gcd():
+    """-2/13*sqrt(13) and its multiples by 4, 1/9 and 13^2 give one label;
+    sqrt(13) (a square of the base, not of QQ) stays in theta."""
+    r13 = Q13.sqrt(Q13.scalar(13))
+    labels = {repr(adjoin_sqrt(Q13, r13 * c)) for c in
+              (Fraction(-2, 13), Fraction(-8, 13), Fraction(-2, 117), -26)}
+    assert labels == {"QQ[sqrt(13)][sqrt((-26*sqrt(13)))]"}
+    assert adjoin_sqrt(Q13, r13 * -2) != adjoin_sqrt(Q13, r13 * -26)

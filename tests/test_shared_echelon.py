@@ -12,15 +12,18 @@ mult_matrix the one from polynomial products, the invariants path must run
 without reading a raw pivot row, and the dense routines must give what
 whole-row Gauss-Jordan sweeps give.  extend_scalars must give the algebra
 built over the larger field, pivot row for pivot row, and every monomial
-past the socle degree must be a pivot.  SparseEchelon, on integer rows over
-QQ, must give the normalized-row OracleEchelon's pivot rows, reduce and
+past the socle degree must be a pivot.  SparseEchelon, on fraction-free
+rows over QQ and over towers of depth 1 and 2, must give the normalized-row
+OracleEchelon's pivot rows, reduce and
 contains on seeded rows, leave the rows it is given unchanged, and every
 value it hands out over QQ must be a Fraction.  For monomial ideals hf, length, type, v and v* are also checked
 against combinatorial counts, before and after a random coordinate change.
 Element products cut below degree s+1, scalar multiples, powers by
 squaring, unit inverses and coords read off the normal form must give
 what the untruncated product and the one-factor-at-a-time power give, over
-QQ, QQ(sqrt 2) and a depth-2 tower.
+QQ, QQ(sqrt 2) and a depth-2 tower.  nth_root, with its proven step count,
+must give the root that Newton run until the error vanishes gives, and
+row reduction over a tower must run with rinv raising.
 """
 
 import random
@@ -51,8 +54,9 @@ from artinlocal.quotient import (
     leading_forms,
     macaulay_echelon,
     min_gens,
+    nth_root,
 )
-from artinlocal.scalars import QQ, Scalar, adjoin_sqrt
+from artinlocal.scalars import QQ, QuadraticExtension, Scalar, adjoin_sqrt
 from artinlocal.structure import (
     AlmostStretchedParams,
     StretchedParams,
@@ -70,6 +74,7 @@ from echelon_oracles import (
     oracle_macaulay_echelon,
     oracle_mul,
     oracle_mult_matrix,
+    oracle_nth_root,
     oracle_nullspace,
     oracle_pow,
     oracle_power_echelon,
@@ -225,8 +230,22 @@ def sqrt2_ideal():
     return pres, r2
 
 
-def test_shared_echelon_matches_oracles_over_a_quadratic_extension():
-    pres, _ = sqrt2_ideal()
+def sqrt2_sqrt3_ideal():
+    """The ideal of sqrt2_ideal over QQ(sqrt 2)(sqrt 3), with sqrt 3 and
+    sqrt 6 put in its generators too."""
+    pres, r2 = sqrt2_ideal()
+    F = adjoin_sqrt(r2.field, 3)
+    r3 = F.scalar(F.sqrt_theta)
+    x1, x2, x3 = (Polynomial.variable(i, 3, F) for i in range(3))
+    g1, g2, g3, g4 = pres.map_field(F).gens
+    return IdealPresentation([g1 + (x1 * x3) ** 2 * r3, g2 - (x2 * x3) ** 2 * r2 * r3,
+                              g3, g4 + x1 ** 2 * r3], 3)
+
+
+@pytest.mark.parametrize("ideal", [lambda: sqrt2_ideal()[0], sqrt2_sqrt3_ideal],
+                         ids=["QQ(sqrt2)", "QQ(sqrt2)(sqrt3)"])
+def test_shared_echelon_matches_oracles_over_a_quadratic_extension(ideal):
+    pres = ideal()
     check_against_oracles(pres)
     check_against_oracles(moved(pres, 5))
 
@@ -326,13 +345,29 @@ def test_leading_forms_takes_both_branches_on_seeded_grid(monkeypatch):
     assert 0 < len(echelons) < sum(A.socle_degree + 1 for A in algebras)
 
 
+def tower_basis(field):
+    """The basis 1, alpha (, beta, alpha*beta) of a tower, as raw values."""
+    if field is QQ:
+        return [QQ.rone]
+    lower = [field.rfrom(b) for b in tower_basis(field.base)]
+    return lower + [field.rmul(b, field.sqrt_theta) for b in lower]
+
+
+def tower_value(field, *coeffs):
+    """The raw value of the field with the given rational coordinates."""
+    out = field.rzero
+    for c, b in zip(coeffs, tower_basis(field)):
+        out = field.radd(out, field.rmul(field.rfrom(c), b))
+    return out
+
+
 def random_entry(rng, field):
     """A small entry of QQ or QQ(sqrt 2), zero about two times in three."""
     if rng.random() < 0.65:
         return field.rzero
     vals = [QQ.rfrom(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
             for _ in range(1 if field is QQ else 2)]
-    return vals[0] if field is QQ else tuple(vals)
+    return vals[0] if field is QQ else tower_value(field, *vals)
 
 
 def random_sparse_system(rng, field):
@@ -357,15 +392,16 @@ def test_dense_routines_match_whole_row_sweeps(field):
 
 def random_row_entry(rng, field):
     """A nonzero entry: over QQ half the time a numerator of up to 64 bits
-    over a denominator up to 10^6, else a small fraction; over QQ(sqrt 2) a
-    pair of small fractions."""
+    over a denominator up to 10^6, else a small fraction; over a tower small
+    fractions as its coordinates on 1, alpha (, beta, alpha*beta)."""
     if field is QQ:
         if rng.random() < 0.5:
             return Fraction(rng.randint(1, 2 ** 64) * rng.choice((-1, 1)),
                             rng.randint(1, 10 ** 6))
         return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
-    return (Fraction(rng.randint(1, 4) * rng.choice((-1, 1)), rng.randint(1, 3)),
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    coords = [Fraction(rng.randint(1, 4) * rng.choice((-1, 1)), rng.randint(1, 3))]
+    coords += [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2 ** field.depth - 1)]
+    return tower_value(field, *coords)
 
 
 def random_row(rng, field, rows, ncols=16):
@@ -382,11 +418,12 @@ def random_row(rng, field, rows, ncols=16):
             for k in rng.sample(range(ncols), rng.randint(1, 5))}
 
 
-@pytest.mark.parametrize("field", [QQ, adjoin_sqrt(QQ, q(2))], ids=["QQ", "QQ(sqrt2)"])
+@pytest.mark.parametrize("field", [QQ, adjoin_sqrt(QQ, q(2)), adjoin_sqrt(adjoin_sqrt(QQ, q(2)), 3)],
+                         ids=["QQ", "QQ(sqrt2)", "QQ(sqrt2)(sqrt3)"])
 def test_sparse_echelon_matches_the_normalized_row_oracle(field):
-    """Integer rows over QQ (normalized rows over the tower) give the
-    normalized-row elimination's pivot rows item for item, its rank, its
-    reduce output and its contains, on 240 seeded rows."""
+    """Fraction-free rows give the normalized-row elimination's pivot rows
+    item for item, its rank, its reduce output and its contains, on 240
+    seeded rows."""
     rng = random.Random(20265)
     kept = []
     for _ in range(8):
@@ -431,22 +468,32 @@ def test_add_leaves_the_callers_row_unchanged(field):
 SQRT2 = adjoin_sqrt(QQ, q(2))
 
 
-@pytest.mark.parametrize("field,grid", [
-    (SQRT2, GRID),
-    # the moved inputs are left out at depth 2: each rebuild there takes seconds
-    (adjoin_sqrt(SQRT2, SQRT2.scalar(3)), [g for g in GRID if not g[0].startswith("moved")]),
-], ids=["QQ(sqrt2)", "QQ(sqrt2)(sqrt3)"])
-def test_extend_scalars_equals_the_rebuild_over_the_larger_field(field, grid):
-    """Re-adding the lifted pivot rows in insertion order stores them as
+@pytest.mark.parametrize("field", [SQRT2, adjoin_sqrt(SQRT2, SQRT2.scalar(3))],
+                         ids=["QQ(sqrt2)", "QQ(sqrt2)(sqrt3)"])
+def test_extend_scalars_equals_the_rebuild_over_the_larger_field(field):
+    """Re-adding the lifted working rows in insertion order stores them as
     they are: the extended algebra is the one built over the larger field,
     pivot row for pivot row, and extending to A's own field gives A."""
-    for _, pres in grid:
+    for _, pres in GRID:
         A = build_quotient(pres)
         assert extend_scalars(A, A.field) is A
         B = extend_scalars(A, field)
         C = build_quotient(pres.map_field(field), D=A.D)
         assert list(B.ech.pivots.items()) == list(C.ech.pivots.items()), pres
         assert (B.D, B.std, B.hf, B.v) == (C.D, C.std, C.hf, C.v) == (A.D, A.std, A.hf, A.v)
+
+
+def test_extend_scalars_from_a_quadratic_field_equals_the_rebuild():
+    """Working rows of QQ(sqrt 2) lift into QQ(sqrt 2)(sqrt 3) as they are,
+    for the QQ(sqrt 2) ideal, unmoved and moved."""
+    pres, _ = sqrt2_ideal()
+    F = adjoin_sqrt(pres.field, 3)
+    for ideal in (pres, moved(pres, 5)):
+        A = build_quotient(ideal)
+        B = extend_scalars(A, F)
+        C = build_quotient(ideal.map_field(F), D=A.D)
+        assert list(B.ech.pivots.items()) == list(C.ech.pivots.items())
+        assert (B.std, B.hf, B.v) == (C.std, C.hf, C.v) == (A.std, A.hf, A.v)
 
 
 def check_values_are_fractions(A):
@@ -601,3 +648,58 @@ def test_element_arithmetic_matches_the_oracles_over_a_depth_2_tower():
     A = extend_scalars(build_quotient(model), F)
     roots = [F.coerce(F.base.scalar(F.base.sqrt_theta)), F.scalar(F.sqrt_theta)]
     check_element_arithmetic(A, roots)
+
+
+def check_nth_roots(A, square_roots=()):
+    """nth_root, with its proven step count, against Newton run until the
+    error vanishes, on units with seeded random tails: for n = 2, 3 with
+    residues r^n, r in 1 and -2/3, and for n = 2 with the squares of the
+    given scalars (a tower finds square roots, not cube roots)."""
+    rational = [A.field.scalar(1), A.field.scalar(Fraction(-2, 3))]
+    for el in random_elements(A, random.Random(repr(A.pres))):
+        tail = el - el.residue()
+        for n, residues in ((2, rational + list(square_roots)), (3, rational)):
+            for r in residues:
+                u = tail + r ** n
+                root = nth_root(A, u, n)
+                assert root == oracle_nth_root(A, u, n), (u, n)
+                assert root ** n == u
+
+
+@pytest.mark.parametrize(
+    "pres", [pytest.param(pres, id=label) for label, pres in GRID])
+def test_nth_root_matches_the_newton_oracle_on_seeded_grid(pres):
+    check_nth_roots(build_quotient(pres))
+
+
+def test_nth_root_matches_the_newton_oracle_over_a_depth_2_tower():
+    model = make_model("case2b2", p=3)
+    F = classify_ideal(model, allow_extension=True).field
+    A = extend_scalars(build_quotient(model), F)
+    roots = [F.coerce(F.base.scalar(F.base.sqrt_theta)), F.scalar(F.sqrt_theta)]
+    check_nth_roots(A, roots + [roots[0] + roots[1] * 2])
+
+
+def test_tower_row_reduction_calls_no_rinv(monkeypatch):
+    """Over QQ(sqrt 2)(sqrt 3) the Macaulay echelon, extend_scalars, the
+    dense solves and SparseEchelon on seeded rows run with rinv raising:
+    pivot rows are made rational by conjugates, not scaled by an inverse."""
+    pres = sqrt2_sqrt3_ideal()
+    F = pres.field
+    A = build_quotient(GRID[0][1])
+
+    def no_rinv(self, x):
+        raise AssertionError("rinv called in a tower row reduction")
+
+    monkeypatch.setattr(QuadraticExtension, "rinv", no_rinv)
+    B = build_quotient(pres)
+    assert B.length > 0 and extend_scalars(A, F).hf == A.hf
+    B.socle()
+    rng = random.Random(20269)
+    ech, rows = SparseEchelon(F), []
+    for _ in range(40):
+        rows.append(random_row(rng, F, rows))
+        ech.add(rows[-1])
+    assert 0 < ech.rank < len(rows)
+    M = [[row.get(k, F.rzero) for k in range(16)] for row in rows[:12]]
+    solve_dense(M, [F.rone] * len(M), F)
