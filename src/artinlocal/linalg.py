@@ -144,8 +144,8 @@ class SparseEchelon:
     def pivots(self):
         """{pivot rank: raw row scaled to 1 at its pivot}, in insertion order;
         a new dict on every read."""
-        wraw = self.field.wraw
-        return {lead: wraw(row, row[lead]) for lead, row in self._work.items()}
+        wraw, wint = self.field.wraw, self.field.wint
+        return {lead: wraw(row, wint(row[lead])) for lead, row in self._work.items()}
 
     def _reduce(self, row, scale=None):
         """(working row, scale) of the full reduction of a row: a raw row,

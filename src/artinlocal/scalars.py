@@ -22,9 +22,14 @@ QQ(alpha) it is t0 + t1*alpha with integers t0, t1 whose gcd has no square
 factor.  Any theta reaches that form through multiplication by the square
 of a rational, which rescales the adjoined root and leaves the field as it
 is; no two such forms differ by one.  So QQ[sqrt(8)] is QQ[sqrt(2)], and a
-field's label depends only on the field and its base.  The structure
-constants alpha^2 and beta^2 are then integral, and so the product of two
-values with denominator 1 has denominator 1.
+field's label depends only on the field and its base.  The square factors
+are found by trial division by the primes below 2^16 (``_square_part``),
+which bounds the work for any theta, so the form is canonical only up to
+square factors whose primes all exceed 2^16 and that come with a
+non-square cofactor of such primes: QQ[sqrt(q^2 * r)] and QQ[sqrt(r)] for
+two such primes q, r are one field with two labels.  The structure
+constants alpha^2 and beta^2 are integral either way, and so the product
+of two values with denominator 1 has denominator 1.
 
 The ``Scalar`` wrapper pairs a raw value with its field and supplies
 operators; performance-sensitive code (row reduction) works on raw values
@@ -45,7 +50,8 @@ sigma_2(x) * sigma_1(x * sigma_2(x)) at depth 2 and sigma(x) at depth 1,
 whose product with x is the norm of x to QQ.  Working ints never reach
 ``rinv`` or ``rdiv`` (``1 / a`` of two ints is a float), and neither does
 any row reduction over an extension.  ``wraw`` turns a working row back
-into raw values.
+into raw values, and ``wint`` reads the int of a working value that is a
+rational integer, such as a pivot entry.
 """
 
 from __future__ import annotations
@@ -81,23 +87,42 @@ def _int_nth_root(n: int, k: int):
     return r if r ** k == n else None
 
 
-def _square_part(n: int) -> int:
-    """The largest k with k^2 dividing the nonzero integer n.
+def _small_primes(bound: int):
+    """The primes below bound, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    return [p for p in range(bound) if sieve[p]]
 
-    Trial division runs over p = 2, 3, 5, 7, 9, ... while p^3 <= n, dividing
-    each factor out as it is found.  It leaves a cofactor m < p^3 whose
-    prime factors are all at least p, so m has at most two of them, and m
-    is a square exactly when it is the square of a prime.  The cost is
-    O(|n|^(1/3)) divisions, and the thetas met here have a few digits.
+
+_TRIAL_PRIMES = _small_primes(1 << 16)
+
+
+def _square_part(n: int) -> int:
+    """The largest k with k^2 dividing the nonzero integer n, found by
+    trial division by the primes below 2^16, so it may miss a square
+    factor made of larger primes.
+
+    The primes p are divided out in turn while p^3 <= n.  If that stops
+    the loop, the cofactor m < p^3 has prime factors all at least p, so at
+    most two of them, and m holds a square factor exactly when it is a
+    square, which isqrt tests.  Otherwise every prime factor of m is above
+    2^16, and the same test finds m's square part when m is a square and
+    misses it when m = q^2 * r with q and r such primes; then k is too
+    small by q.  The cost is at most 6542 divisions, whatever the size
+    of n.
     """
-    n, k, p = abs(n), 1, 2
-    while p * p * p <= n:
+    n, k = abs(n), 1
+    for p in _TRIAL_PRIMES:
+        if p * p * p > n:
+            break
         e = 0
         while n % p == 0:
             n //= p
             e += 1
         k *= p ** (e // 2)
-        p += 1 if p == 2 else 2
     r = math.isqrt(n)
     return k * r if r * r == n else k
 
@@ -258,12 +283,16 @@ class RationalField(Field):
 
     def wpivot(self, row, lead):
         """Working form of a nonzero pivot row with no zero entry: the
-        primitive integer row positive at lead.  wraw(row, row[lead]) is
-        the row scaled to 1 there."""
+        primitive integer row positive at lead.  wraw(row, wint(row[lead]))
+        is the row scaled to 1 there."""
         row = self.wdivide(row, 0)[0]
         if row[lead] < 0:
             row = {r: -v for r, v in row.items()}
         return row
+
+    def wint(self, x):
+        """The int of a working value that is a rational integer."""
+        return x
 
     def wraw(self, row, scale):
         if scale == 1:
@@ -537,11 +566,12 @@ class QuadraticExtension(Field):
             row = {r: rmul(c, m) for r, c in row.items()}
         return self.wdivide(row, 0)[0]
 
+    def wint(self, x):
+        """The int of a working value that is a rational integer."""
+        return x[0]
+
     def wraw(self, row, scale):
-        """The raw row of a working row over scale, a positive int or a
-        pivot entry (the working value of one)."""
-        if type(scale) is tuple:
-            scale = scale[0]
+        """The raw row of a working row over the positive int scale."""
         if scale == 1:
             return row
         return {r: _canon(list(x[:-1]) + [scale]) for r, x in row.items()}
@@ -549,11 +579,8 @@ class QuadraticExtension(Field):
     def wembed(self, row, sub):
         """A working row of the subfield sub as one of this field, with no
         arithmetic: each value keeps its coordinates, padded with zeros."""
-        f = self
-        while f != sub:
-            if not f.depth:
-                raise FieldMismatch(f"{sub} is not a subfield of {self}")
-            f = f.base
+        if self.rlift(sub.one) is None:
+            raise FieldMismatch(f"{sub} is not a subfield of {self}")
         embed = self._embed
         return {r: embed(c, sub) for r, c in row.items()}
 
