@@ -114,7 +114,6 @@ def _split_by_vars(a: Polynomial):
 
 
 REFINE_STEPS = 15        # witness refinement steps before giving up
-SPLIT_LIFT_STEPS = 10    # factor-lifting steps in contains_split_quadric
 
 
 def _refine_witness(A: ArtinAlgebra, model: IdealPresentation, P, Q):
@@ -126,11 +125,13 @@ def _refine_witness(A: ArtinAlgebra, model: IdealPresentation, P, Q):
     lower degrees stay clear) in one exact linear solve.  Correction
     directions per image: every monomial of degree >= 2 (these span m^2)
     plus the four GL-tangent directions P and Q themselves, which realize
-    unit rescalings and linear mixing of the images.  Residual order never
-    decreases and the ring is nilpotent, so the loop terminates quickly.
-    Returns the refined witness map x1 -> P, x2 -> Q.  Every substitution
-    is cut below degree s+1: what it drops lies in n^(s+1) <= I, so the
-    elements A.element makes of it are unchanged.
+    unit rescalings and linear mixing of the images.  No proof that the
+    residual order rises is known yet, so the loop checks instead: a step
+    that lowers the order raises "lost ground", and a residual left after
+    REFINE_STEPS steps raises "did not converge".  Returns the refined
+    witness map x1 -> P, x2 -> Q.  Every substitution is cut below degree
+    s+1: what it drops lies in n^(s+1) <= I, so the elements A.element
+    makes of it are unchanged.
     """
     f = A.field
     s = A.socle_degree
@@ -334,56 +335,39 @@ def invariant_separates(p, q, field: Field = QQ) -> bool:
 
 
 def contains_split_quadric(pres: IdealPresentation) -> bool:
-    """Does I contain a product of two minimal generators of the maximal
-    ideal?  Decided by factoring the unique leading quadric of I and lifting
-    the factorization through the filtration; independent of the main
-    classification flow.  I must be Artinian.
+    """Does I, an Artinian ideal of k[[x1, x2]], contain z1*z2 for a minimal
+    generating pair z1, z2 of the maximal ideal?  Independent of the main
+    classification flow.  Like the factorization it rests on, the answer
+    holds over k(sqrt d), d = b^2 - 4ac the discriminant of a form
+    a*x1^2 + b*x1*x2 + c*x2^2 of I*_2 with d != 0.
 
-    The echelon rows with a degree-2 pivot have their degree-2 parts in the
-    image of I meet n^2 in n^2/n^3, the same space at every truncation
-    D > 2; when there is one such row, its degree-2 part is the quadric
-    spanning that space, scaled to 1 at its lowest monomial."""
-    f = pres.field
+    Proof.  z1*z2 has initial form l1*l2 with l1, l2 independent, so I*_2
+    must hold a form with d != 0.  Conversely, let g in I have such an
+    initial form; over k(sqrt d) it is l1*l2 with coprime factors.
+    Hensel's lemma for the tangent cone (Greuel, Lossen & Shustin,
+    "Introduction to Singularities and Deformations", Springer 2007, ch. I)
+    lifts them: g = u*z1*z2 with u a unit and z_i of order 1 with linear
+    part l_i, so z1*z2 = g/u lies in I.
+
+    Reading it off.  dim I*_2 = 3 - hf(2).  With dim I*_2 >= 2 the answer
+    is True: d is a quadratic form of rank 3 in (a, b, c), a totally
+    isotropic subspace of it has dimension at most 1, so every plane of
+    binary quadrics holds a form with d != 0.  With dim I*_2 = 0 it is
+    False.  With dim I*_2 = 1 the echelon has one row with a degree-2
+    pivot, its degree-2 part spans I*_2, and its working row is a nonzero
+    multiple of it, so the d read off it differs by a nonzero square.
+
+    In more variables the tangent cone does not decide (x1*x2 + x3^3 has
+    initial form x1*x2 and is irreducible), so nvars != 2 raises
+    ValueError.
+    """
+    if pres.nvars != 2:
+        raise ValueError("contains_split_quadric needs 2 variables")
     A = build_quotient(pres)
-    quadrics = [row for lead, row in A.ech.pivots.items() if A.table.deg(lead) == 2]
-    if len(quadrics) != 1:
-        return False
-    coef = {A.table.monos[r]: c for r, c in quadrics[0].items()}
-    al = coef.get((2, 0), f.rzero)
-    be = coef.get((1, 1), f.rzero)
-    ga = coef.get((0, 2), f.rzero)
-    disc = f.rsub(f.rmul(be, be), f.rmul(f.rfrom(4), f.rmul(al, ga)))
-    if f.riszero(disc):
-        return False
-    F, root = _sqrt_growing(f, Scalar(f, disc), True)
-    rd = root.val
-    al, be, ga = (F.coerce(Scalar(f, v)).val for v in (al, be, ga))
-    x1 = Polynomial.variable(0, 2, F)
-    x2 = Polynomial.variable(1, 2, F)
-    if not F.riszero(al):
-        # al*(x1 - r1*x2)(x1 - r2*x2)
-        inv2a = F.rinv(F.rmul(F.rfrom(2), al))
-        r1 = F.rmul(F.radd(F.rneg(be), rd), inv2a)
-        r2 = F.rmul(F.rsub(F.rneg(be), rd), inv2a)
-        l1 = x1 - x2.scale(Scalar(F, r1))
-        l2 = x1 - x2.scale(Scalar(F, r2))
-    else:
-        l1 = x2
-        l2 = x1.scale(Scalar(F, be)) + x2.scale(Scalar(F, ga))
-    A = extend_scalars(A, F)
-    z1, z2 = A.element(l1), A.element(l2)
-    corr = [m for d in range(2, A.socle_degree + 1)
-            for m in monomials_of_degree(2, d)]
-    mus = [A.element(Polynomial(2, F, {m: F.rone})) for m in corr]
-    for _ in range(SPLIT_LIFT_STEPS):
-        r = z1 * z2
-        if r.is_zero():
-            return True
-        sol = solve_scalar_combo(A, [z2 * mu for mu in mus] + [z1 * mu for mu in mus], -r)
-        if sol is None:
-            return False
-        q1, q2 = (Polynomial(2, F, {m: c.val for m, c in zip(corr, part) if not c.is_zero()})
-                  for part in (sol[:len(corr)], sol[len(corr):]))
-        z1 = A.element(z1.poly + q1)
-        z2 = A.element(z2.poly + q2)
-    return False
+    dim = 3 - (A.hf[2] if len(A.hf) > 2 else 0)
+    if dim != 1:
+        return dim > 1
+    f, table = A.field, A.table
+    [row] = [row for lead, row in A.ech.working.items() if table.deg(lead) == 2]
+    a, b, c = (row.get(table.index[m], f.wzero) for m in ((2, 0), (1, 1), (0, 2)))
+    return not f.riszero(f.rsub(f.rmul(b, b), f.rmul(f.rfrom(4), f.rmul(a, c))))

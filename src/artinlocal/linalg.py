@@ -38,10 +38,10 @@ the same order, and the dicts come out in the same order too.  Hence pivot
 sets, pivot rows (the reduced row divided by its pivot entry), reduce, nf
 and coords are the values that eliminating with rows normalized to 1
 gives, value for value.  This holds for any nonzero multiple of a row, so
-add also takes a row already in working form, over any scale:
+add and contains also take a row already in working form, over any scale:
 macaulay_echelon clears each generator row once and adds its variable
 shifts as they are, extend_scalars re-adds a smaller field's working rows
-as they are, and add copies a row before it reduces it in place.  No value
+as they are, and both copy a row before they reduce it in place.  No value
 is inexact: the working rows only add, subtract and multiply integers and
 divide them exactly (by a gcd), they never reach rinv or rdiv (1 / a of
 ints is a float), and every value handed out is a raw value built from
@@ -49,14 +49,13 @@ ints, over QQ a Fraction.
 
 The echelon stores its pivot rows only in working form.  leads is a live
 view of the pivot columns, for membership and counting, and working a live
-read-only view of the working rows themselves.  A reader that needs only
-the span or support of a pivot row reads working, since any nonzero
-multiple of a row has the same ones: leading_forms, and the back-
-substitution of solve_dense and nullspace below, and extend_scalars.
-pivots builds the raw rows, each scaled to 1 at its pivot (Fraction(v, L)
-over QQ), in insertion order, on every read; only the readers of row
-values need it (the split-quadric test in classify7 and same_row_space),
-and each reads it once.
+read-only view of the working rows themselves.  Every reader reads
+working, since any nonzero multiple of a row has the same span and
+support: leading_forms, the back-substitution of solve_dense and
+nullspace below, extend_scalars, same_row_space (each row goes to
+contains over scale 1) and the split-quadric test in classify7, which
+reads a discriminant, the same up to a nonzero square.  No raw pivot row
+is ever built.
 
 solve_dense and nullspace add their rows to a SparseEchelon and
 back-substitute on its working rows in decreasing pivot order.  They
@@ -125,10 +124,9 @@ class SparseEchelon:
     """Incremental row echelon form; pivot = lowest monomial rank in a row.
 
     The pivot rows are kept only in the field's working form; leads is a
-    live view of the pivot ranks, working a live read-only view
+    live view of the pivot ranks, and working a live read-only view
     {pivot rank: working row} (a primitive row of integral values, a
-    positive rational integer at its pivot), and pivots builds the raw rows
-    on each read."""
+    positive rational integer at its pivot)."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -139,13 +137,6 @@ class SparseEchelon:
     @property
     def rank(self) -> int:
         return len(self._work)
-
-    @property
-    def pivots(self):
-        """{pivot rank: raw row scaled to 1 at its pivot}, in insertion order;
-        a new dict on every read."""
-        wraw, wint = self.field.wraw, self.field.wint
-        return {lead: wraw(row, wint(row[lead])) for lead, row in self._work.items()}
 
     def _reduce(self, row, scale=None):
         """(working row, scale) of the full reduction of a row: a raw row,
@@ -197,15 +188,17 @@ class SparseEchelon:
         self._work[lead] = f.wpivot(row, lead)
         return True
 
-    def contains(self, row) -> bool:
-        return not self._reduce(row)[0]
+    def contains(self, row, scale=None) -> bool:
+        """Does a raw row, or a working row over the given scale, lie in
+        the span?"""
+        return not self._reduce(row, scale)[0]
 
 
 def same_row_space(e1: SparseEchelon, e2: SparseEchelon) -> bool:
     """Equal pivot sets give equal dimensions, and a subspace of the same
     dimension is the whole space, so one inclusion decides."""
     return set(e1.leads) == set(e2.leads) and all(
-        e2.contains(r) for r in e1.pivots.values())
+        e2.contains(r, 1) for r in e1.working.values())
 
 
 # ------------------------------------------------------------ solves

@@ -50,8 +50,7 @@ sigma_2(x) * sigma_1(x * sigma_2(x)) at depth 2 and sigma(x) at depth 1,
 whose product with x is the norm of x to QQ.  Working ints never reach
 ``rinv`` or ``rdiv`` (``1 / a`` of two ints is a float), and neither does
 any row reduction over an extension.  ``wraw`` turns a working row back
-into raw values, and ``wint`` reads the int of a working value that is a
-rational integer, such as a pivot entry.
+into raw values.
 """
 
 from __future__ import annotations
@@ -283,16 +282,11 @@ class RationalField(Field):
 
     def wpivot(self, row, lead):
         """Working form of a nonzero pivot row with no zero entry: the
-        primitive integer row positive at lead.  wraw(row, wint(row[lead]))
-        is the row scaled to 1 there."""
+        primitive integer row positive at lead."""
         row = self.wdivide(row, 0)[0]
         if row[lead] < 0:
             row = {r: -v for r, v in row.items()}
         return row
-
-    def wint(self, x):
-        """The int of a working value that is a rational integer."""
-        return x
 
     def wraw(self, row, scale):
         if scale == 1:
@@ -565,10 +559,6 @@ class QuadraticExtension(Field):
             rmul = self.rmul
             row = {r: rmul(c, m) for r, c in row.items()}
         return self.wdivide(row, 0)[0]
-
-    def wint(self, x):
-        """The int of a working value that is a rational integer."""
-        return x[0]
 
     def wraw(self, row, scale):
         """The raw row of a working row over the positive int scale."""

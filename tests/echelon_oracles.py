@@ -23,7 +23,10 @@ formed in full before its normal form, and powers taken one factor at a
 time from 1, are the reference for the products cut below degree s+1 and
 the powers by squaring.  Newton's loop that runs until the error
 vanishes, with the socle degree plus 2 as its cap, is the reference for
-nth_root's proven step count.
+nth_root's proven step count.  Factoring a leading quadric and lifting
+the factors through the filtration, step by step up to a cap, is the
+reference for the split-quadric test that reads its answer off the
+tangent cone.
 ideals_equal, the ideal equality the quotient tests use, is built on the
 library's build_quotient and row_space_equal.
 """
@@ -37,7 +40,14 @@ from artinlocal.linalg import (
     row_from_poly,
 )
 from artinlocal.polynomials import Polynomial, mono_key, mono_mul, monomials_of_degree
-from artinlocal.quotient import AlgebraElement, build_quotient, row_space_equal
+from artinlocal.quotient import (
+    AlgebraElement,
+    build_quotient,
+    extend_scalars,
+    row_space_equal,
+)
+from artinlocal.scalars import Scalar
+from artinlocal.structure import _sqrt_growing, solve_scalar_combo
 
 
 class OracleEchelon:
@@ -334,3 +344,66 @@ def ideals_equal(p1, p2):
     A = build_quotient(p1)
     D = max(A.D, max(g.degree() for g in p2.gens) + 2)
     return row_space_equal(p1, p2, D)
+
+
+SPLIT_LIFT_STEPS = 10  # factor-lifting steps in oracle_contains_split_quadric
+
+
+def oracle_contains_split_quadric(pres):
+    """Does the 2-variable ideal contain z1*z2 for a minimal generating pair
+    z1, z2 of the maximal ideal?  The first of q1, q2, q1 + q2 (the degree-2
+    parts of the normalized echelon rows with a degree-2 pivot, in pivot
+    order) whose discriminant is nonzero is factored over k(sqrt disc) as
+    l1*l2, and z1 = l1, z2 = l2 are corrected by terms of degree 2..s
+    until z1*z2 vanishes in the algebra; False if no such quadric exists,
+    a correction has no solution or SPLIT_LIFT_STEPS steps do not reach 0.
+    A disc needing a root past the tower depth cap raises
+    FieldExtensionRequired."""
+    f = pres.field
+    A = build_quotient(pres)
+    table, ech = separate_echelon(pres, A.D)
+    quadrics = [{table.monos[r]: c for r, c in row.items() if table.deg(r) == 2}
+                for lead, row in sorted(ech.pivots.items()) if table.deg(lead) == 2]
+    if len(quadrics) >= 2:
+        q1, q2 = quadrics[:2]
+        quadrics = [q1, q2, {m: f.radd(q1.get(m, f.rzero), q2.get(m, f.rzero))
+                             for m in set(q1) | set(q2)}]
+    for coef in quadrics:
+        al, be, ga = (coef.get(m, f.rzero) for m in ((2, 0), (1, 1), (0, 2)))
+        disc = f.rsub(f.rmul(be, be), f.rmul(f.rfrom(4), f.rmul(al, ga)))
+        if not f.riszero(disc):
+            break
+    else:
+        return False
+    F, root = _sqrt_growing(f, Scalar(f, disc), True)
+    rd = root.val
+    al, be, ga = (F.coerce(Scalar(f, v)).val for v in (al, be, ga))
+    x1 = Polynomial.variable(0, 2, F)
+    x2 = Polynomial.variable(1, 2, F)
+    if not F.riszero(al):
+        # al*(x1 - r1*x2)(x1 - r2*x2)
+        inv2a = F.rinv(F.rmul(F.rfrom(2), al))
+        r1 = F.rmul(F.radd(F.rneg(be), rd), inv2a)
+        r2 = F.rmul(F.rsub(F.rneg(be), rd), inv2a)
+        l1 = x1 - x2.scale(Scalar(F, r1))
+        l2 = x1 - x2.scale(Scalar(F, r2))
+    else:
+        l1 = x2
+        l2 = x1.scale(Scalar(F, be)) + x2.scale(Scalar(F, ga))
+    A = extend_scalars(A, F)
+    z1, z2 = A.element(l1), A.element(l2)
+    corr = [m for d in range(2, A.socle_degree + 1)
+            for m in monomials_of_degree(2, d)]
+    mus = [A.element(Polynomial(2, F, {m: F.rone})) for m in corr]
+    for _ in range(SPLIT_LIFT_STEPS):
+        r = z1 * z2
+        if r.is_zero():
+            return True
+        sol = solve_scalar_combo(A, [z2 * mu for mu in mus] + [z1 * mu for mu in mus], -r)
+        if sol is None:
+            return False
+        q1, q2 = (Polynomial(2, F, {m: c.val for m, c in zip(corr, part) if not c.is_zero()})
+                  for part in (sol[:len(corr)], sol[len(corr):]))
+        z1 = A.element(z1.poly + q1)
+        z2 = A.element(z2.poly + q2)
+    return False

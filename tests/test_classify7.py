@@ -1,8 +1,11 @@
-"""Classification of the (1,2,2,2,1,1,1) complete intersections."""
+"""Classification of the (1,2,2,2,1,1,1) complete intersections, and the
+split-quadric test of case 1 against the lifting oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import artinlocal.classify7 as classify7
 from artinlocal.classify7 import (
@@ -13,10 +16,17 @@ from artinlocal.classify7 import (
     invariant_separates,
     make_model,
 )
-from artinlocal.errors import WrongHilbertFunction
-from artinlocal.polynomials import parse_poly, random_invertible_map
+from artinlocal.errors import FieldExtensionRequired, WrongHilbertFunction
+from artinlocal.polynomials import (
+    Polynomial,
+    monomials_of_degree,
+    parse_poly,
+    random_invertible_map,
+)
 from artinlocal.quotient import IdealPresentation, build_quotient
 from artinlocal.scalars import QQ, Scalar, adjoin_sqrt
+
+from echelon_oracles import oracle_contains_split_quadric
 
 CASES = ["case1", "case2a", "case2b1", "case2b2"]
 
@@ -108,3 +118,91 @@ def test_split_quadric_isolates_case1():
         flags[case] = contains_split_quadric(model_pres(case, p))
     assert flags == {"case1": True, "case2a": False,
                      "case2b1": False, "case2b2": False}
+
+
+def moved(pres, seed):
+    """The ideal carried by random_invertible_map(2, field, s + 2, seed)."""
+    s = build_quotient(pres).socle_degree
+    phi = random_invertible_map(2, pres.field, s + 2, seed)
+    return IdealPresentation([im for im in (phi.apply(g) for g in pres.gens)
+                              if not im.is_zero()], 2, pres.field)
+
+
+SQRT2 = adjoin_sqrt(QQ, 2)
+
+
+def split_quadric_models():
+    """The four models (case2b2 with p = 3, 2 and 1/2), unmoved and moved
+    by three random_invertible_maps."""
+    out = []
+    for case, p in (("case1", None), ("case2a", None), ("case2b1", None),
+                    ("case2b2", 3), ("case2b2", 2), ("case2b2", Fraction(1, 2))):
+        model = model_pres(case, p)
+        out += [(f"{case} p={p}", model)]
+        out += [(f"{case} p={p} moved #{seed}", moved(model, seed)) for seed in (1, 2, 3)]
+    return out
+
+
+@pytest.mark.parametrize("pres", [pytest.param(pres, id=label)
+                                  for label, pres in split_quadric_models()])
+def test_split_quadric_matches_the_lifting_oracle_on_models(pres):
+    assert contains_split_quadric(pres) == oracle_contains_split_quadric(pres)
+
+
+def random_binary_ideal(rng, field):
+    """x1^a, x2^b (a, b in 2..4) plus one or two random forms of degree 2
+    and 3, whose coefficients over QQ(sqrt 2) take sqrt 2 half the time."""
+    gens = [parse_poly(f"x{i + 1}^{rng.randint(2, 4)}", 2, field) for i in range(2)]
+    monos = [m for d in (2, 3) for m in monomials_of_degree(2, d)]
+    for _ in range(rng.randint(1, 2)):
+        terms = {}
+        for m in rng.sample(monos, rng.randint(1, 3)):
+            c = field.rfrom(rng.randint(-3, 3))
+            if field is not QQ and rng.random() < 0.5:
+                c = field.radd(c, field.rmul(field.rfrom(rng.randint(-2, 2)), field.sqrt_theta))
+            if not field.riszero(c):
+                terms[m] = c
+        if terms:
+            gens.append(Polynomial(2, field, terms))
+    return IdealPresentation(gens, 2, field)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([QQ, SQRT2]),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_split_quadric_matches_the_lifting_oracle_on_generated_ideals(seed, field, move):
+    pres = random_binary_ideal(random.Random(seed), field)
+    if move:
+        pres = moved(pres, seed)
+    assert contains_split_quadric(pres) == oracle_contains_split_quadric(pres)
+
+
+@pytest.mark.parametrize("gens", [["x1^2", "x1*x2", "x2^3"], ["x1^2", "x1*x2", "x2^2"],
+                                  ["x1^2", "x2^2"]])
+def test_split_quadric_is_found_when_i2_has_dimension_at_least_2(gens):
+    """A plane of binary quadrics holds one with nonzero discriminant, even
+    when both its echelon rows have discriminant 0 (x1^2, x2^2)."""
+    pres = IdealPresentation.from_strings(gens, 2)
+    assert build_quotient(pres).hf[2:3] in ((), (1,))
+    assert contains_split_quadric(pres)
+    assert oracle_contains_split_quadric(pres)
+
+
+def test_split_quadric_needs_two_variables():
+    """x1*x2 + x3^3 has initial form x1*x2 and is irreducible, so the
+    tangent cone does not decide in three variables."""
+    pres = IdealPresentation.from_strings(
+        ["x1*x2", "x3^2", "x1^3", "x2^3", "x1*x3", "x2*x3"], 3)
+    with pytest.raises(ValueError):
+        contains_split_quadric(pres)
+
+
+def test_split_quadric_needs_no_root_past_the_depth_cap():
+    """The discriminant 20 of x1^2 - 5*x2^2 is no square in QQ(sqrt 2)(sqrt 3),
+    a tower at the depth cap: the answer holds over its square root, which
+    the lifting oracle cannot adjoin."""
+    F = adjoin_sqrt(SQRT2, 3)
+    pres = moved(IdealPresentation.from_strings(["x1^2 - 5*x2^2", "x2^6"], 2, F), 0)
+    assert contains_split_quadric(pres)
+    with pytest.raises(FieldExtensionRequired):
+        oracle_contains_split_quadric(pres)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artinlocal.errors import FieldMismatch, NotArtinian, ResidueNotPower
-from artinlocal.polynomials import parse_poly, random_invertible_map
+from artinlocal.polynomials import Polynomial, parse_poly, random_invertible_map
 from artinlocal.quotient import (
     D_MAX,
     IdealPresentation,
@@ -125,6 +125,26 @@ def test_row_space_equal_detects_difference():
     assert row_space_equal(p1, p2, 6)
     assert not row_space_equal(p1, p3, 6)
     assert ideals_equal(p1, p2)
+
+
+def test_row_space_equal_over_a_quadratic_field():
+    """Over QQ(sqrt 2) the working rows of one echelon go into the other as
+    they are: a unit times a generator plus a multiple of another spans the
+    same ideal, and flipping the sign of sqrt 2 keeps the pivots but not
+    the span."""
+    F = adjoin_sqrt(QQ, 2)
+    r2 = F.scalar(F.sqrt_theta)
+    x1, x2 = (Polynomial.variable(i, 2, F) for i in range(2))
+    g1, g2 = x1 ** 2 + x1 * x2 * r2, x2 ** 3 - x1 ** 3 * r2
+    same = IdealPresentation([g1 * (x2 * r2 + 3) + g2 * x1, g2 - g1 * x2 * r2], 2, F)
+    flipped = IdealPresentation([x1 ** 2 - x1 * x2 * r2, x2 ** 3 + x1 ** 3 * r2], 2, F)
+    p1 = IdealPresentation([g1, g2], 2, F)
+    D = build_quotient(p1).D
+    assert build_quotient(flipped).hf == build_quotient(p1).hf
+    assert row_space_equal(p1, same, D) and row_space_equal(same, p1, D)
+    assert not row_space_equal(p1, flipped, D)
+    assert not row_space_equal(flipped, p1, D)
+    assert not row_space_equal(p1, pres("x1^2", "x2^3"), D)
 
 
 def test_element_inverse():

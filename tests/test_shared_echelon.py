@@ -8,14 +8,13 @@ ideals, both also moved by random coordinate changes.  The echelon itself,
 built from shifted rows with the redundant ones skipped, must equal row for
 row the one that tries every multiple and try the rows the divisor-list loop
 tries; the socle must equal the one from multiplication matrices,
-mult_matrix the one from polynomial products, the invariants path must run
-without reading a raw pivot row, and the dense routines must give what
-whole-row Gauss-Jordan sweeps give.  extend_scalars must give the algebra
+mult_matrix the one from polynomial products, and the dense routines must
+give what whole-row Gauss-Jordan sweeps give.  extend_scalars must give the algebra
 built over the larger field, pivot row for pivot row, and every monomial
 past the socle degree must be a pivot.  SparseEchelon, on fraction-free
 rows over QQ and over towers of depth 1 and 2, must give the normalized-row
-OracleEchelon's pivot rows, reduce and
-contains on seeded rows, leave the rows it is given unchanged, and every
+OracleEchelon's pivot rows (its working rows scaled to 1 at their
+pivots), reduce and contains on seeded rows, leave the rows it is given unchanged, and every
 value it hands out over QQ must be a Fraction.  For monomial ideals hf, length, type, v and v* are also checked
 against combinatorial counts, before and after a random coordinate change.
 Element products cut below degree s+1, scalar multiples, powers by
@@ -33,7 +32,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import artinlocal.quotient as quotient
-from artinlocal.bounds import lex_segment
 from artinlocal.classify7 import classify_ideal, make_model
 from artinlocal.linalg import (
     SparseEchelon,
@@ -121,11 +119,23 @@ def moved(pres, seed):
                              pres.nvars, pres.field)
 
 
+def pivot_rows(ech):
+    """{pivot rank: raw row scaled to 1 at its pivot} of a SparseEchelon, in
+    insertion order: each working row as raw values over scale 1, divided
+    by its entry at the pivot."""
+    f = ech.field
+    out = {}
+    for lead, row in ech.working.items():
+        row = f.wraw(row, 1)
+        out[lead] = {r: f.rdiv(c, row[lead]) for r, c in row.items()}
+    return out
+
+
 def check_echelon_matches_oracle(pres, D):
     """The shifted-row echelon is the every-multiple echelon, row for row."""
     _, ech, v = macaulay_echelon(pres, D)
     _, oracle, oracle_v = oracle_macaulay_echelon(pres, D)
-    pivots = ech.pivots
+    pivots = pivot_rows(ech)
     assert list(pivots) == list(oracle.pivots)
     for lead, row in oracle.pivots.items():
         assert list(pivots[lead].items()) == list(row.items()), lead
@@ -266,28 +276,6 @@ def test_mult_matrix_matches_the_polynomial_product_oracle():
             assert A.mult_matrix(el) == oracle_mult_matrix(A, el), (ideal, el)
 
 
-def test_invariants_path_reads_no_raw_pivot_rows(monkeypatch):
-    """build_quotient, algebra_report (socle, type, v), leading_forms and
-    lex_segment read only the working rows: with SparseEchelon.pivots
-    raising, they still run, and give what they give without the patch."""
-    algebras = [build_quotient(p) for _, p in GRID]
-    want = [(algebra_report(A), leading_forms(A.pres, algebra=A),
-             lex_segment(A.hf, nvars=A.embdim).gens) for A in algebras]
-
-    def no_pivots(self):
-        raise AssertionError("SparseEchelon.pivots read on the invariants path")
-
-    monkeypatch.setattr(SparseEchelon, "pivots", property(no_pivots))
-    with pytest.raises(AssertionError):
-        SparseEchelon(QQ).pivots
-    got = []
-    for _, p in GRID:
-        A = build_quotient(p)
-        got.append((algebra_report(A), leading_forms(p, algebra=A),
-                    lex_segment(A.hf, nvars=A.embdim).gens))
-    assert got == want
-
-
 def test_macaulay_echelon_tries_fewer_rows_and_keeps_as_many(monkeypatch):
     """The layered loop tries and keeps what the divisor-list loop does,
     row for row, and tries fewer rows than every multiple for as many kept."""
@@ -314,7 +302,7 @@ def test_macaulay_echelon_tries_fewer_rows_and_keeps_as_many(monkeypatch):
     assert tried < oracle_tried
     assert kept == oracle_kept
     (_, ech, v), (_, listed, listed_v) = echelons[:2]
-    assert list(ech.pivots.items()) == list(listed.pivots.items())
+    assert list(pivot_rows(ech).items()) == list(pivot_rows(listed).items())
     assert v == listed_v
 
 
@@ -325,7 +313,7 @@ def test_macaulay_echelon_gives_the_same_rows_twice():
         D = build_quotient(pres).D
         (t1, e1, v1), (t2, e2, v2) = (macaulay_echelon(pres, D) for _ in range(2))
         assert t1 is t2 and v1 == v2
-        assert list(e1.pivots.items()) == list(e2.pivots.items())
+        assert list(pivot_rows(e1).items()) == list(pivot_rows(e2).items())
 
 
 def test_leading_forms_takes_both_branches_on_seeded_grid(monkeypatch):
@@ -438,7 +426,7 @@ def test_sparse_echelon_matches_the_normalized_row_oracle(field):
                 assert (list(ech.reduce(probe).items())
                         == list(oracle.reduce(probe).items()))
                 assert ech.contains(probe) == oracle.contains(probe)
-        pivots = ech.pivots
+        pivots = pivot_rows(ech)
         assert list(pivots) == list(oracle.pivots) == list(ech.leads)
         for lead, row in oracle.pivots.items():
             assert list(pivots[lead].items()) == list(row.items()), lead
@@ -460,9 +448,9 @@ def test_add_leaves_the_callers_row_unchanged(field):
         before = list(row.items()), list(work.items())
         assert raw_ech.add(row) == work_ech.add(work, scale)
         assert (list(row.items()), list(work.items())) == before
-    pivots = raw_ech.pivots
+    pivots = pivot_rows(raw_ech)
     assert 0 < len(pivots) < len(rows)
-    assert list(pivots.items()) == list(work_ech.pivots.items())
+    assert list(pivots.items()) == list(pivot_rows(work_ech).items())
 
 
 SQRT2 = adjoin_sqrt(QQ, q(2))
@@ -479,7 +467,7 @@ def test_extend_scalars_equals_the_rebuild_over_the_larger_field(field):
         assert extend_scalars(A, A.field) is A
         B = extend_scalars(A, field)
         C = build_quotient(pres.map_field(field), D=A.D)
-        assert list(B.ech.pivots.items()) == list(C.ech.pivots.items()), pres
+        assert list(pivot_rows(B.ech).items()) == list(pivot_rows(C.ech).items()), pres
         assert (B.D, B.std, B.hf, B.v) == (C.D, C.std, C.hf, C.v) == (A.D, A.std, A.hf, A.v)
 
 
@@ -492,7 +480,7 @@ def test_extend_scalars_from_a_quadratic_field_equals_the_rebuild():
         A = build_quotient(ideal)
         B = extend_scalars(A, F)
         C = build_quotient(ideal.map_field(F), D=A.D)
-        assert list(B.ech.pivots.items()) == list(C.ech.pivots.items())
+        assert list(pivot_rows(B.ech).items()) == list(pivot_rows(C.ech).items())
         assert (B.std, B.hf, B.v) == (C.std, C.hf, C.v) == (A.std, A.hf, A.v)
 
 
@@ -502,7 +490,7 @@ def check_values_are_fractions(A):
     def exact(values):
         return all(type(c) is Fraction for c in values)
 
-    assert all(exact(row.values()) for row in A.ech.pivots.values())
+    assert all(exact(row.values()) for row in pivot_rows(A.ech).values())
     elems = random_elements(A, random.Random(repr(A.pres)))
     for a in elems:
         for b in elems:
