@@ -129,29 +129,26 @@ def _refine_witness(A: ArtinAlgebra, model: IdealPresentation, P, Q):
     residual order rises is known yet, so the loop checks instead: a step
     that lowers the order raises "lost ground", and a residual left after
     REFINE_STEPS steps raises "did not converge".  Returns the refined
-    witness map x1 -> P, x2 -> Q.  Every substitution is cut below degree
-    s+1: what it drops lies in n^(s+1) <= I, so the elements A.element
-    makes of it are unchanged.
+    witness map x1 -> P, x2 -> Q.
     """
     f = A.field
-    s = A.socle_degree
     gens = [g.map_field(f) for g in model.gens]
     dX = [_partial(g, 0) for g in gens]
     dY = [_partial(g, 1) for g in gens]
     ngen = len(gens)
+    monos = [A.element(Polynomial(2, f, {m: f.rone}))
+             for d in range(2, A.socle_degree + 2) for m in monomials_of_degree(2, d)]
     last_k = None
     for _ in range(REFINE_STEPS):
-        vals = [A.element(g.substitute([P.poly, Q.poly], s + 1)) for g in gens]
+        vals = [A.evaluate(g, [P.poly, Q.poly]) for g in gens]
         if all(v.is_zero() for v in vals):
             return RingMap([P.poly, Q.poly], A.D)
         k = min(v.poly.order() for v in vals if not v.is_zero())
         if last_k is not None and k < last_k:
             raise RuntimeError("witness refinement lost ground")
         last_k = k
-        jx = [A.element(g.substitute([P.poly, Q.poly], s + 1)) for g in dX]
-        jy = [A.element(g.substitute([P.poly, Q.poly], s + 1)) for g in dY]
-        monos = [A.element(Polynomial(2, f, {m: f.rone}))
-                 for d in range(2, s + 2) for m in monomials_of_degree(2, d)]
+        jx = [A.evaluate(g, [P.poly, Q.poly]) for g in dX]
+        jy = [A.evaluate(g, [P.poly, Q.poly]) for g in dY]
         col_elems = []
         for coord, jac in ((0, jx), (1, jy)):
             for delta in monos + [P, Q]:
@@ -268,9 +265,7 @@ def _classify_case1(A: ArtinAlgebra, a: Polynomial, allow_extension: bool):
 
 
 def _classify_case2a(A: ArtinAlgebra, x1e, x2e, d):
-    # cut below s+1: the dropped terms lie in n^(s+1) <= I
-    e_el = A.element(_split_by_vars(d.poly)[1].substitute(
-        [x1e.poly, x2e.poly], A.socle_degree + 1))
+    e_el = A.evaluate(_split_by_vars(d.poly)[1], [x1e.poly, x2e.poly])
     vp = nth_root(A, A.element(1) - e_el * x1e * x1e, 2)
     return A, "case2a", None, x1e, vp * x2e
 

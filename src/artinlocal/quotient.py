@@ -227,6 +227,13 @@ class ArtinAlgebra:
     def variable(self, i) -> "AlgebraElement":
         return self.element(Polynomial.variable(i, self.nvars, self.field))
 
+    def evaluate(self, p: Polynomial, images) -> "AlgebraElement":
+        """p at x_i -> images[i] (polynomials over A's field or a subfield)
+        as an element of A, substituted below degree s+1: each term cut, and
+        each product formed from one, lies in n^(s+1) <= I (hf(s+1) = 0,
+        Nakayama), so nf of the cut value is nf of the full p(images)."""
+        return self.element(p.substitute(images, self.socle_degree + 1))
+
     # ----- multiplication matrices (columns over the standard basis)
 
     def mult_matrix(self, el: "AlgebraElement"):
@@ -393,20 +400,11 @@ class AlgebraElement:
         return out
 
     def inverse(self) -> "AlgebraElement":
-        """Unit inverse via the finite geometric series."""
+        """The unit's inverse, by _inverse_root with n = 1."""
         r = self.residue()
         if r.is_zero():
             raise ZeroDivisionError("element is not a unit")
-        rinv = r.inverse()
-        w = self * rinv - 1
-        out = self.algebra.element(1)
-        power = self.algebra.element(1)
-        for _ in range(self.algebra.socle_degree):
-            power = power * (-w)
-            if power.is_zero():
-                break
-            out = out + power
-        return out * rinv
+        return _inverse_root(self, 1, r.inverse())
 
     def __eq__(self, other):
         try:
@@ -558,23 +556,32 @@ def extend_scalars(A: ArtinAlgebra, field: Field) -> ArtinAlgebra:
 # ------------------------------------------------------------ Hensel roots
 
 
+def _inverse_root(a: AlgebraElement, n: int, r0: Scalar) -> AlgebraElement:
+    """The r with a*r^n = 1 lifting r0, the inverse of an n-th root of a's
+    residue, by the division-free Newton step r <- r + r*(1 - a*r^n)/n.
+
+    ceil(log2(s+1)) steps suffice, s the socle degree, M the maximal ideal.
+    e = 1 - a*r^n lies in M at the start.  If e lies in M^E, the next r is
+    r*(1 + e/n), and 1 - (1 - e)*(1 + e/n)^n = 1 - (1 - e)*(1 + e + e^2*q)
+    = e^2*(1 - q + e*q) for some q in A, which lies in M^(2E); M^(s+1) = 0.
+    The r lifting r0 is unique (Hensel's lemma: n*a*r0^(n-1) is a unit in
+    characteristic 0), so any exact method returns this r."""
+    A = a.algebra
+    r = A.element(r0)
+    for _ in range(A.socle_degree.bit_length()):  # ceil(log2(s+1))
+        e = 1 - a * r ** n
+        if e.is_zero():
+            break
+        r = r + r * e * Fraction(1, n)
+    return r
+
+
 def nth_root(A: ArtinAlgebra, a, n: int) -> AlgebraElement:
-    """An n-th root of a unit element, by Newton lifting from the residue.
-
-    A residue with no n-th root in A's field raises ResidueNotPower; to
-    adjoin one, extend A first (extend_scalars).
-
-    ceil(log2(s+1)) Newton steps suffice, s the socle degree.  Write
-    f(c) = c^n - a and M for the maximal ideal.  The start c0 is the
-    residue's exact root, so f(c0) lies in M.  Every later c is c0 plus an
-    element of M, so f'(c) = n*c^(n-1) is a unit (characteristic 0).  If
-    f(c) lies in M^e, e >= 1, the step delta = -f(c)/f'(c) lies in M^e, and
-    f(c + delta) = f(c) + f'(c)*delta + delta^2*q = delta^2*q for some q in
-    A, which lies in M^(2e).  So after k steps f(c) lies in M^(2^k), which
-    is 0 once 2^k >= s+1, as M^(s+1) = 0.  The root that lifts c0 is unique
-    (Hensel's lemma, f'(c0) a unit), so this is the root that Newton run
-    until f(c) = 0 returns.
-    """
+    """The n-th root of a unit element lifting the residue's root c0; with
+    none in A's field it raises ResidueNotPower (extend A first to adjoin
+    one).  With r = _inverse_root(a, n, 1/c0), c = a*r^(n-1) has
+    c^n = a^n*r^(n(n-1)) = a and residue c0, and the lift is unique (Hensel's
+    lemma, n*c0^(n-1) a unit)."""
     if isinstance(a, (int, Fraction, Scalar, str, Polynomial)):
         a = A.element(a)
     if a.algebra is not A:
@@ -586,13 +593,7 @@ def nth_root(A: ArtinAlgebra, a, n: int) -> AlgebraElement:
         raise ResidueNotPower(
             f"residue {a.residue()!r} has no {n}-th root in {A.field!r}"
         )
-    c = A.element(r)
-    for _ in range(A.socle_degree.bit_length()):  # ceil(log2(s+1))
-        err = c ** n - a
-        if err.is_zero():
-            break
-        c = c - err * (c ** (n - 1) * n).inverse()
-    return c
+    return a * _inverse_root(a, n, r.inverse()) ** (n - 1)
 
 
 # ----------------------------------------------------------- span equality

@@ -203,7 +203,7 @@ def min_presentation_size(S: NumericalSemigroup) -> int:
     return total
 
 
-def kernel_min_gens(S: NumericalSemigroup, bound=None) -> int:
+def kernel_min_gens(S: NumericalSemigroup) -> int:
     """Brute-force oracle: minimal generators of the binomial kernel ideal,
     counted degreewise in the grading by semigroup value.
 
@@ -212,15 +212,18 @@ def kernel_min_gens(S: NumericalSemigroup, bound=None) -> int:
     of the degree m - n_i differences under multiplication by the i-th
     variable.  The new-generator count in degree m is the difference of the
     two ranks.  Quadratic in the factorization counts; intended for small
-    multiplicities only.
-    """
+    multiplicities only.  The scan [2*n1, F + n1 + nk] misses no generator.
+    Below 2*n1 an element has one factorization at most.  For m past
+    F + n1 + nk, each m - n_i is past F + n1, the largest element of the
+    Apery set of n1, so m - n_i - n1 has a factorization w.  A factorization
+    of m using i and w + e_i + e_1 differ by the x_i-image of a degree
+    m - n_i difference, two using n1 by an x_1-image, so the images span
+    every difference in degree m."""
     if S.embdim == 1:
         return 0
-    if bound is None:
-        bound = betti_search_bound(S)
     k = len(S.gens)
     total = 0
-    for m in range(2 * S.gens[0], bound + 1):
+    for m in range(2 * S.gens[0], S.frobenius + S.gens[0] + S.gens[-1] + 1):
         if m not in S:
             continue
         facs = S.factorizations(m)
@@ -323,7 +326,7 @@ def semigroup_report(gens) -> dict:
         "k": S.embdim,
         "h": S.h,
         "frobenius": S.frobenius,
-        "symmetric": S.is_symmetric(),
+        "symmetric": rgs["symmetric"],
         "v": rgs["v"],
         "rgs_report": {"windows": rgs["windows"],
                        "violations": rgs["violations"]},

@@ -30,7 +30,6 @@ from .errors import (
 from .linalg import (
     SparseEchelon,
     diagonalize_symmetric,
-    row_from_poly,
     solve_dense,
 )
 from .polynomials import Polynomial, RingMap, monomials_of_degree
@@ -180,10 +179,8 @@ def certify(A: ArtinAlgebra, model: IdealPresentation, witness: RingMap, what: s
     * phi has invertible linear part and no constant terms, so it is an
       automorphism of k[[x]] fixing every n^j: phi(J) + n^(s+2) and
       J + n^(s+2) have the same colength.
-    * Each g(phi), g a model generator, is substituted below degree s+1; it
-      differs from the full g(phi) by an element of n^(s+1) <= I, so the
-      truncation reduces to zero in A.ech exactly when g(phi) lies in
-      I + n^D = I.  So phi(J) + n^(s+2) <= I.
+    * Each g(phi), g a model generator, is 0 in A (A.evaluate) exactly
+      when it lies in I.  So phi(J) + n^(s+2) <= I.
     * The model's echelon at s+2 must give colength(J + n^(s+2)) =
       A.length = colength(I); then the inclusion is an equality,
       I = phi(J) + n^(s+2), and n^(s+2) = n * n^(s+1) <= nI, so
@@ -194,13 +191,11 @@ def certify(A: ArtinAlgebra, model: IdealPresentation, witness: RingMap, what: s
         raise CertificationFailed(f"{what} witness is not invertible")
     f = common_field(A.field, witness.field)
     A = extend_scalars(A, f)
-    s = A.socle_degree
     for g in model.gens:
-        image = g.map_field(f).substitute(witness.images, s + 1)
-        if not A.ech.contains(row_from_poly(image, A.table)):
+        if not A.evaluate(g, witness.images).is_zero():
             raise CertificationFailed(
                 f"{what} failed certification: a model generator maps outside the ideal")
-    table, ech, _ = macaulay_echelon(model, s + 2)
+    table, ech, _ = macaulay_echelon(model, A.socle_degree + 2)
     if len(table.monos) - ech.rank != A.length:
         raise CertificationFailed(
             f"{what} failed certification: the model has another colength")

@@ -21,12 +21,13 @@ matrix whose columns are the coordinates of polynomial products is the
 reference for the one that reduces table rows.  The product of elements
 formed in full before its normal form, and powers taken one factor at a
 time from 1, are the reference for the products cut below degree s+1 and
-the powers by squaring.  Newton's loop that runs until the error
-vanishes, with the socle degree plus 2 as its cap, is the reference for
-nth_root's proven step count.  Factoring a leading quadric and lifting
-the factors through the filtration, step by step up to a cap, is the
-reference for the split-quadric test that reads its answer off the
-tangent cone.
+the powers by squaring.  The finite geometric series is the reference
+for the unit inverse by the division-free Newton step, and Newton's loop
+that runs until the error vanishes, with the socle degree plus 2 as its
+cap and its divisions by that series, is the reference for nth_root.
+Factoring a leading quadric and lifting the factors through the
+filtration, step by step up to a cap, is the reference for the
+split-quadric test that reads its answer off the tangent cone.
 ideals_equal, the ideal equality the quotient tests use, is built on the
 library's build_quotient and row_space_equal.
 """
@@ -199,15 +200,30 @@ def oracle_pow(a, n):
     return out
 
 
+def oracle_inverse(u):
+    """The inverse of the unit u by the finite geometric series: with r the
+    residue and w = u/r - 1 in the maximal ideal, so w^(s+1) = 0,
+    1/u = (1 - w + w^2 - ... + (-w)^s)/r."""
+    A = u.algebra
+    rinv = u.residue().inverse()
+    w = oracle_mul(u, rinv) - 1
+    out = power = A.element(1)
+    for _ in range(A.socle_degree):
+        power = oracle_mul(power, -w)
+        out = out + power
+    return oracle_mul(out, rinv)
+
+
 def oracle_nth_root(A, a, n):
     """An n-th root of the unit a, Newton from the residue's root until the
-    error vanishes, at most s+2 steps."""
+    error vanishes, at most s+2 steps, each dividing by the derivative
+    through oracle_inverse."""
     c = A.element(a.residue().nth_root(n))
     for _ in range(A.socle_degree + 2):
         err = c ** n - a
         if err.is_zero():
             return c
-        c = c - err * (c ** (n - 1) * n).inverse()
+        c = c - err * oracle_inverse(c ** (n - 1) * n)
     raise RuntimeError("Newton iteration for the n-th root did not converge")
 
 

@@ -19,10 +19,12 @@ value it hands out over QQ must be a Fraction.  For monomial ideals hf, length, 
 against combinatorial counts, before and after a random coordinate change.
 Element products cut below degree s+1, scalar multiples, powers by
 squaring, unit inverses and coords read off the normal form must give
-what the untruncated product and the one-factor-at-a-time power give, over
-QQ, QQ(sqrt 2) and a depth-2 tower.  nth_root, with its proven step count,
-must give the root that Newton run until the error vanishes gives, and
-row reduction over a tower must run with rinv raising.
+what the untruncated product, the one-factor-at-a-time power and the
+geometric series give, over QQ, QQ(sqrt 2) and a depth-2 tower.  nth_root,
+with its proven step count, must give the root that Newton run until the
+error vanishes gives; evaluate, cut below degree s+1, the normal form of
+the substitution cut below D; and row reduction over a tower must run with
+rinv raising.
 """
 
 import random
@@ -68,6 +70,7 @@ from echelon_oracles import (
     divisor_list_macaulay_echelon,
     oracle_classes_independent,
     oracle_in_power,
+    oracle_inverse,
     oracle_leading_forms,
     oracle_macaulay_echelon,
     oracle_mul,
@@ -170,8 +173,9 @@ def check_against_oracles(pres):
     check_powers_against_oracle(A)
 
 
-def random_elements(A, rng, count=4):
-    """Elements with a few random terms of degree lo..s+1, for random lo."""
+def random_polys(A, rng, count=4):
+    """Polynomials over A's field with a few random terms of degree
+    lo..s+1, for random lo."""
     s = A.socle_degree
     out = []
     for _ in range(count):
@@ -179,8 +183,13 @@ def random_elements(A, rng, count=4):
         monos = [m for d in range(lo, s + 2) for m in monomials_of_degree(A.nvars, d)]
         terms = {m: QQ.rfrom(rng.choice((-3, -2, -1, 1, 2, 3)))
                  for m in rng.sample(monos, min(3, len(monos)))}
-        out.append(A.element(Polynomial(A.nvars, QQ, terms).map_field(A.field)))
+        out.append(Polynomial(A.nvars, QQ, terms).map_field(A.field))
     return out
+
+
+def random_elements(A, rng, count=4):
+    """The elements of random_polys."""
+    return [A.element(p) for p in random_polys(A, rng, count)]
 
 
 def check_powers_against_oracle(A):
@@ -586,11 +595,25 @@ def test_monomial_ideals_match_combinatorial_counts_and_survive_moves(seed, nvar
         assert A.v == leading_forms(ideal, algebra=A).v_star == mingens
 
 
+def check_evaluate(A, scalars=()):
+    """evaluate, which substitutes below degree s+1, against the normal form
+    of the substitution below D, at seeded random images with and without
+    constant terms, and at their multiples by the given scalars."""
+    polys = random_polys(A, random.Random(repr(A.pres)), 2 * A.nvars + 2)
+    images = [polys[k:k + A.nvars] for k in (0, A.nvars)]
+    images.append([Polynomial(A.nvars, A.field, {m: c for m, c in im.terms.items() if any(m)})
+                   for im in images[0]])
+    images += [[im * c for im in images[1]] for c in scalars]
+    for ims in images:
+        for p in polys:
+            assert A.evaluate(p, ims) == A.element(p.substitute(ims, A.D)), (p, ims)
+
+
 def check_element_arithmetic(A, roots=()):
     """Products, scalar multiples, powers 0..s+2, unit inverses and coords
-    of seeded random elements (terms up to degree s+1) against the oracles;
-    the roots, scalars of A's field, also make elements with them in their
-    coefficients."""
+    of seeded random elements (terms up to degree s+1) against the oracles,
+    and evaluate (check_evaluate); the roots, scalars of A's field, also
+    make elements and images with them in their coefficients."""
     s, one = A.socle_degree, A.element(1)
     elems = random_elements(A, random.Random(repr(A.pres)))
     elems += [oracle_mul(el, r) + A.variable(0) for el in elems for r in roots]
@@ -607,7 +630,9 @@ def check_element_arithmetic(A, roots=()):
             assert power == oracle_pow(a, n), (a, n)
             assert power.coords() == A.coords(power.poly)
         u = a + 1 if a.residue().is_zero() else a
-        assert oracle_mul(u, u.inverse()) == one, u
+        inverse = u.inverse()
+        assert inverse == oracle_inverse(u) and oracle_mul(u, inverse) == one, u
+    check_evaluate(A, roots)
 
 
 @pytest.mark.parametrize(
