@@ -42,11 +42,11 @@ from .scalars import Field, QQ, Scalar, common_field
 from .structure import (
     AlmostStretchedParams,
     _almost_stretched_witness,
+    _socle_ratio,
     _sqrt_growing,
     certify,
     make_almost_stretched,
     normalize_units,
-    solve_scalar_combo,
 )
 
 TARGET_HF = (1, 2, 2, 2, 1, 1, 1)
@@ -256,10 +256,8 @@ def _classify_case1(A: ArtinAlgebra, a: Polynomial, allow_extension: bool):
         u, w = z2, z1
     else:
         raise RuntimeError("case1 witness construction failed")
-    sol = solve_scalar_combo(A, [u ** 6], w ** 4)
-    if sol is None:
-        raise RuntimeError("case1 socle ratio failed")
-    field, delta = _sqrt_growing(A.field, sol[0], allow_extension)
+    ratio = _socle_ratio(A, w ** 4, u ** 6)
+    field, delta = _sqrt_growing(A.field, ratio, allow_extension)
     A = extend_scalars(A, field)
     return A, "case1", None, A.element(u.poly) * delta, A.element(w.poly) * delta
 

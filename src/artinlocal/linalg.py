@@ -1,12 +1,12 @@
-"""Exact linear algebra: one sparse row echelon, dense solves on top of it,
-and congruence diagonalization.
+"""Exact linear algebra: one sparse row echelon and dense solves on top of
+it.
 
-SparseEchelon is the only row reduction.  Sparse rows are dicts
-{column -> raw coefficient}; for Macaulay rows the columns are monomial
-ranks in a MonomialTable.  The pivot of a row is its *lowest* column, which
-is the right convention for local (power series) computations: the pivot
-monomials of an ideal's row space are exactly the monomials not surviving
-into the quotient basis.
+SparseEchelon is the only elimination, and nothing in this module calls
+rinv.  Sparse rows are dicts {column -> raw coefficient}; for Macaulay
+rows the columns are monomial ranks in a MonomialTable.  The pivot of a
+row is its *lowest* column, which is the right convention for local
+(power series) computations: the pivot monomials of an ideal's row space
+are exactly the monomials not surviving into the quotient basis.
 
 The rows SparseEchelon works on are fraction-free (Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", 1968):
@@ -65,8 +65,7 @@ vector is fixed by its entries at the non-pivot columns, which both set
 alike, and arithmetic is exact.  A pivot row is zero left of its pivot, so
 each pivot entry depends only on later columns.  The back-substitution
 keeps the vector in working form over one scale, as _reduce keeps a row,
-so no working value reaches rdiv.  diagonalize_symmetric does congruence, not
-elimination.
+so no working value reaches rdiv.
 """
 
 from __future__ import annotations
@@ -259,47 +258,3 @@ def nullspace(rows, n: int, field: Field):
     return [_kernel_vector(field, ech.working, fc, field.rone, n)
             for fc in range(n) if fc not in ech.working]
 
-
-def diagonalize_symmetric(M, field: Field):
-    """Congruence-diagonalize a symmetric matrix: returns (P, diag) with
-    P^T M P = diag(diag).  Needs characteristic != 2.
-    """
-    n = len(M)
-    A = [list(r) for r in M]
-    P = [[field.rone if i == j else field.rzero for j in range(n)] for i in range(n)]
-
-    def col_op(dst, src, c):
-        # column dst += c * column src (applied symmetrically), and track in P
-        for i in range(n):
-            A[i][dst] = field.radd(A[i][dst], field.rmul(c, A[i][src]))
-        for j in range(n):
-            A[dst][j] = field.radd(A[dst][j], field.rmul(c, A[src][j]))
-        for i in range(n):
-            P[i][dst] = field.radd(P[i][dst], field.rmul(c, P[i][src]))
-
-    def col_swap(i, j):
-        for r in range(n):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        A[i], A[j] = A[j], A[i]
-        for r in range(n):
-            P[r][i], P[r][j] = P[r][j], P[r][i]
-
-    for k in range(n):
-        if field.riszero(A[k][k]):
-            j = next(
-                (j for j in range(k + 1, n) if not field.riszero(A[j][j])), None
-            )
-            if j is not None:
-                col_swap(k, j)
-            else:
-                j = next(
-                    (j for j in range(k + 1, n) if not field.riszero(A[k][j])), None
-                )
-                if j is None:
-                    continue
-                col_op(k, j, field.rone)
-        inv = field.rinv(A[k][k])
-        for j in range(k + 1, n):
-            if not field.riszero(A[k][j]):
-                col_op(j, k, field.rneg(field.rmul(A[k][j], inv)))
-    return P, [A[i][i] for i in range(n)]

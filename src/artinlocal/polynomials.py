@@ -493,9 +493,6 @@ class RingMap:
             ech.add({k: c.val for k, c in enumerate(im.linear_coeffs()) if not c.is_zero()})
         return ech.rank == self.nvars
 
-    def map_field(self, field) -> "RingMap":
-        return RingMap([im.map_field(field) for im in self.images], self.D)
-
     def then(self, second: "RingMap") -> "RingMap":
         """Map equivalent to applying self first, then second."""
         return RingMap([second.apply(im) for im in self.images], min(self.D, second.D))

@@ -275,43 +275,26 @@ def check_rgs(S: NumericalSemigroup) -> dict:
         "windows": {},
         "violations": [],
     }
-    if h >= 1 and e == h + 1:
-        ok = v == math.comb(h + 1, 2)
-        report["windows"]["minimal_multiplicity"] = {
-            "applies": True,
-            "expected_v": math.comb(h + 1, 2),
-            "holds": ok,
-        }
-        if not ok:
-            report["violations"].append("minimal_multiplicity")
-    if h + 2 <= e <= h + 3:
-        lo = math.comb(h + 2, 2) - e
-        hi = math.comb(h + 1, 2)
-        ok = lo <= v <= hi
-        report["windows"]["R1"] = {
-            "applies": True, "lower": lo, "upper": hi, "holds": ok,
-        }
-        if not ok:
-            report["violations"].append("R1")
+    c1, c2 = math.comb(h + 1, 2), math.comb(h + 2, 2)
     # The Gorenstein equality concerns codimension >= 2; a plane curve is a
-    # hypersurface with v = 1 regardless of e, so h = 1 is excluded.
-    if symmetric and h >= 2 and h + 2 <= e <= h + 4:
-        want = math.comb(h + 1, 2) - 1
-        ok = v == want
-        report["windows"]["R2"] = {
-            "applies": True, "expected_v": want, "holds": ok,
-        }
-        if not ok:
-            report["violations"].append("R2")
-    if e == h + 4:
-        lo = math.comb(h + 2, 2) - e
-        hi = math.comb(h + 1, 2) + 1
+    # hypersurface with v = 1 regardless of e, so h = 1 is excluded from R2.
+    # A window with lower == upper is an equality; R1 and R3 never are one,
+    # as c2 - e = c1 needs e = h+1 and c2 - e = c1 + 1 needs e = h.
+    windows = (
+        ("minimal_multiplicity", h >= 1 and e == h + 1, c1, c1),
+        ("R1", h + 2 <= e <= h + 3, c2 - e, c1),
+        ("R2", symmetric and h >= 2 and h + 2 <= e <= h + 4, c1 - 1, c1 - 1),
+        ("R3", e == h + 4, c2 - e, c1 + 1),
+    )
+    for name, applies, lo, hi in windows:
+        if not applies:
+            continue
         ok = lo <= v <= hi
-        report["windows"]["R3"] = {
-            "applies": True, "lower": lo, "upper": hi, "holds": ok,
-        }
+        report["windows"][name] = (
+            {"applies": True, "expected_v": lo, "holds": ok} if lo == hi
+            else {"applies": True, "lower": lo, "upper": hi, "holds": ok})
         if not ok:
-            report["violations"].append("R3")
+            report["violations"].append(name)
     return report
 
 

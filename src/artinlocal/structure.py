@@ -27,11 +27,7 @@ from .errors import (
     NotStretched,
     SearchExhausted,
 )
-from .linalg import (
-    SparseEchelon,
-    diagonalize_symmetric,
-    solve_dense,
-)
+from .linalg import SparseEchelon, solve_dense
 from .polynomials import Polynomial, RingMap, monomials_of_degree
 from .quotient import (
     AlgebraElement,
@@ -388,53 +384,85 @@ def solve_scalar_combo(A: ArtinAlgebra, columns, rhs: AlgebraElement):
 
 
 def _socle_ratio(A: ArtinAlgebra, prod: AlgebraElement, base: AlgebraElement):
-    """Scalar c with prod = c * base, where base spans a 1-dim space."""
-    sol = solve_scalar_combo(A, [base], prod)
-    if sol is None:
+    """Scalar c with prod = c * base, where base spans m^s and hf(s) = 1.
+
+    m^s is then spanned by one standard monomial, the last position (see
+    ArtinAlgebra.in_power), so c is the ratio of the last coordinates.
+    RuntimeError if prod has another nonzero coordinate or base's is 0.
+    """
+    f = A.field
+    p, b = prod.coords(), base.coords()
+    if f.riszero(b[-1]) or not all(f.riszero(c) for c in p[:-1]):
         raise RuntimeError("product does not lie on the socle line")
-    return sol[0]
+    return Scalar(f, f.rdiv(p[-1], b[-1]))
 
 
 # -------------------------------------------------------------- normalizers
 
 
 def _diagonalize_units(A: ArtinAlgebra, zs, base: AlgebraElement):
-    """Diagonalize the unit form z_i * z_j = U_ij * base by a congruence.
+    """Diagonalize the unit form z_i * z_j = U_ij * base by a congruence
+    on the elements themselves.
 
-    Returns the transformed elements and the diagonal units, which must
-    all be nonzero.
+    Step k reads each U entry off the current elements (_socle_ratio).  If
+    U_kk = 0, z_k is swapped with the first later z_j with U_jj != 0;
+    failing one, z_k gains the first later z_j with U_kj != 0, and then
+    U_kk = 2 U_kj != 0, as every later U_jj is 0.  Then every later z_j
+    loses (U_kj / U_kk) * z_k, which makes U_kj = 0; no later step changes
+    z_k or U_kk.  Returns the new elements and the diagonal units, which
+    must all be nonzero.
     """
-    f = A.field
+    zs = list(zs)
     n = len(zs)
-    U = [[_socle_ratio(A, zs[i] * zs[j], base).val for j in range(n)]
-         for i in range(n)]
-    P, diag = diagonalize_symmetric(U, f)
-    new_zs = []
-    for i in range(n):
-        w = A.element(0)
-        for k in range(n):
-            if not f.riszero(P[k][i]):
-                w = w + zs[k] * Scalar(f, P[k][i])
-        new_zs.append(w)
-    units = tuple(Scalar(f, d) for d in diag)
-    if any(u.is_zero() for u in units):
-        raise RuntimeError("degenerate square unit in the unit form")
-    return new_zs, units
+
+    def u(i, j):
+        return _socle_ratio(A, zs[i] * zs[j], base)
+
+    units = []
+    for k in range(n):
+        ukk = u(k, k)
+        if ukk.is_zero():
+            j = next((j for j in range(k + 1, n) if not u(j, j).is_zero()), None)
+            if j is not None:
+                zs[k], zs[j] = zs[j], zs[k]
+            else:
+                j = next((j for j in range(k + 1, n) if not u(k, j).is_zero()), None)
+                if j is None:
+                    raise RuntimeError("degenerate square unit in the unit form")
+                zs[k] = zs[k] + zs[j]
+            ukk = u(k, k)
+        for j in range(k + 1, n):
+            ukj = u(k, j)
+            if not ukj.is_zero():
+                zs[j] = zs[j] - zs[k] * (ukj / ukk)
+        units.append(ukk)
+    return zs, tuple(units)
 
 
-def _complete_basis(A: ArtinAlgebra, fixed, rng, count):
-    """Extend the linear parts of `fixed` to a basis of m/m^2, preferring
-    coordinate variables; returns the new elements."""
+def _complete_basis(A: ArtinAlgebra, fixed, count):
+    """Extend the linear parts of `fixed` to a basis of m/m^2 with count
+    coordinate variables; returns their elements.
+
+    The linear part of a normal form holds its coordinates at the standard
+    monomials of degree 1, which are its class in m/m^2 (see
+    _graded_classes_independent).  The variables generate m, so their
+    classes span m/m^2: adding each variable whose class is independent of
+    those kept ends at a basis, embdim - len(fixed) variables later.
+    RuntimeError if the variables fall short of count.
+    """
     ech = SparseEchelon(A.field)
     for el in fixed:
         if not ech.add(_linear_row(el)):
             raise RuntimeError("fixed elements are linearly dependent mod m^2")
     out = []
-    for cand in _candidate_linears(A, rng):
+    for i in range(A.nvars):
         if len(out) == count:
             break
+        cand = A.variable(i)
         if ech.add(_linear_row(cand)):
             out.append(cand)
+    if len(out) != count:
+        raise RuntimeError("coordinate variables do not complete a basis of m/m^2")
     return out
 
 
@@ -442,7 +470,6 @@ def _stretched_witness(A: ArtinAlgebra, seed):
     """Parameters of A's stretched model and an uncertified witness, which
     sends x_(i+1) to the i-th element of the constructed basis."""
     h, s, tau = A.embdim, A.socle_degree, A.cm_type
-    rng = random.Random(seed)
     (x1,) = find_lean_basis(A, seed=seed)
     # socle elements with independent classes mod m^2
     _, soc = A.socle()
@@ -455,7 +482,7 @@ def _stretched_witness(A: ArtinAlgebra, seed):
             ys.append(v)
     if len(ys) != tau - 1:
         raise RuntimeError("socle linear parts have unexpected rank")
-    zs = _complete_basis(A, [x1] + ys, rng, h - tau)
+    zs = _complete_basis(A, [x1] + ys, h - tau)
     # arrange x1 * z_j = 0
     x1sq = x1 * x1
     for k, z in enumerate(zs):
@@ -480,10 +507,9 @@ def _almost_stretched_witness(A: ArtinAlgebra, seed):
     t = max(j for j in range(2, len(A.hf)) if A.hf[j] == 2)
     if s < t + 1:
         raise NotGorenstein("socle degree equals the last 2-slot")
-    rng = random.Random(seed)
     x1, x2 = find_lean_basis(A, seed=seed)
     p1 = _ladder(x1, s)
-    zs = _complete_basis(A, [x1, x2], rng, h - 2)
+    zs = _complete_basis(A, [x1, x2], h - 2)
     # arrange x1 * z_j = 0
     for k, z in enumerate(zs):
         sol = solve_element_combo(A, [p1[2], x1 * x2], x1 * z)

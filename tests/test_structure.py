@@ -24,6 +24,8 @@ from artinlocal.scalars import QQ, Scalar
 from artinlocal.structure import (
     AlmostStretchedParams,
     StretchedParams,
+    _diagonalize_units,
+    _socle_ratio,
     certify,
     make_1321_models,
     make_almost_stretched,
@@ -150,6 +152,78 @@ def test_normalize_rejects_other_hf():
                               for t in ("x1^2", "x2^2", "x3^2")])
     with pytest.raises(NotStretched):
         normalize(pres)
+
+
+def hyperbolic(s):
+    """The stretched ideal whose unit form z_i * z_j = U_ij * x1^s on
+    (x2, x3) is hyperbolic: U = [[0, 1], [1, 0]], no nonzero diagonal."""
+    return IdealPresentation.from_strings(
+        ["x1*x2", "x1*x3", "x2^2", "x3^2", f"x2*x3 - x1^{s}"], 3)
+
+
+@pytest.mark.parametrize("s", [3, 4])
+def test_normalize_hyperbolic_unit_form(s):
+    """Unmoved, the zero diagonal makes x2 gain x3; then x3 loses half of
+    that, giving the units 2 and -1/2."""
+    kind, params, witness = normalize(hyperbolic(s))
+    assert kind == "stretched"
+    assert (params.h, params.s, params.tau) == (3, s, 1)
+    assert params.units == (q(2), q(Fraction(-1, 2)))
+    want = [parse_poly(t, 3, QQ) for t in ("x1", "x2 + x3", "-1/2*x2 + 1/2*x3")]
+    assert witness.images == want
+
+
+@pytest.mark.parametrize("s", [3, 4])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_normalize_moved_hyperbolic_unit_form(s, seed):
+    """Moved, the units change, but not the discriminant's square class:
+    -u1*u2 is a square, as -det U = 1 is."""
+    phi = random_invertible_map(3, QQ, s + 2, seed)
+    moved = IdealPresentation([phi.apply(g) for g in hyperbolic(s).gens], 3, QQ)
+    kind, params, _ = normalize(moved)
+    assert kind == "stretched"
+    assert (params.h, params.s, params.tau) == (3, s, 1)
+    u1, u2 = params.units
+    assert (-(u1 * u2)).sqrt() is not None
+
+
+def unit_form_algebra(s=3):
+    """A stretched algebra in 4 variables with unit form U = [[0, 1, 2],
+    [1, 0, 3], [2, 3, 1]] on (x2, x3, x4) against x1^s."""
+    U = {(2, 2): 0, (2, 3): 1, (2, 4): 2, (3, 3): 0, (3, 4): 3, (4, 4): 1}
+    gens = ["x1*x2", "x1*x3", "x1*x4"]
+    gens += [f"x{i}*x{j} - {c}*x1^{s}" for (i, j), c in U.items()]
+    return build_quotient(IdealPresentation.from_strings(gens, 4))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_diagonalize_units_gives_an_orthogonal_basis(seed):
+    """z_i * z_j = 0 for i != j and z_i^2 = u_i * x1^s, from the variables
+    (a zero diagonal first) and from random combinations of them."""
+    A = unit_form_algebra()
+    base = A.variable(0) ** A.socle_degree
+    zs = [A.variable(i) for i in (1, 2, 3)]
+    if seed:
+        rng = random.Random(seed)
+        zs = [sum((z * rng.randint(-3, 3) for z in zs), A.element(0)) for _ in zs]
+    new, units = _diagonalize_units(A, zs, base)
+    assert len(new) == len(units) == 3
+    for i, zi in enumerate(new):
+        for j, zj in enumerate(new):
+            want = base * units[i] if i == j else A.element(0)
+            assert zi * zj == want
+    assert all(not u.is_zero() for u in units)
+
+
+def test_socle_ratio_rejects_products_off_the_socle_line():
+    A = unit_form_algebra()
+    x1, x2 = A.variable(0), A.variable(1)
+    base = x1 ** A.socle_degree
+    assert _socle_ratio(A, x2 * A.variable(2), base) == q(1)
+    with pytest.raises(RuntimeError, match="socle line"):
+        _socle_ratio(A, x1 ** (A.socle_degree - 1), base)
+    with pytest.raises(RuntimeError, match="socle line"):
+        _socle_ratio(A, base, A.element(0))
 
 
 def test_1321_models():
