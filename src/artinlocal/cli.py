@@ -125,7 +125,7 @@ def cmd_make(args) -> int:
     if args.kind == "stretched":
         if args.s is None:
             raise errors.NotApplicable("stretched model needs --s")
-        tau = args.tau or args.h
+        tau = args.h if args.tau is None else args.tau
         units = _scalars(args.units)
         need = args.h - tau if tau < args.h else 0
         if not units and need:

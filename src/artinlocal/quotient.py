@@ -52,7 +52,6 @@ from .linalg import (
 from .polynomials import (
     Polynomial,
     mono_key,
-    mono_mul,
     parse_poly,
 )
 from .scalars import Field, QQ, Scalar, common_field
@@ -200,15 +199,9 @@ class ArtinAlgebra:
         return poly_from_row(row, self.table, self.field, self.nvars)
 
     def coords(self, p: Polynomial):
-        """Raw coordinate list of nf(p) over the standard-monomial basis."""
-        return self._row_coords(row_from_poly(p.map_field(self.field), self.table))
-
-    def _row_coords(self, row):
-        """Raw coordinate list of the reduction of a raw row of the table."""
-        out = [self.field.rzero] * self.length
-        for r, c in self.ech.reduce(row).items():
-            out[self.std_pos[r]] = c
-        return out
+        """Raw coordinate list of nf(p) over the standard-monomial basis,
+        read off its element (see AlgebraElement.coords)."""
+        return self.element(p).coords()
 
     def from_coords(self, coords) -> Polynomial:
         terms = {}
@@ -234,25 +227,6 @@ class ArtinAlgebra:
         Nakayama), so nf of the cut value is nf of the full p(images)."""
         return self.element(p.substitute(images, self.socle_degree + 1))
 
-    # ----- multiplication matrices (columns over the standard basis)
-
-    def mult_matrix(self, el: "AlgebraElement"):
-        """Column-major matrix of multiplication by el: column i holds the
-        coordinates of el times the i-th standard monomial, the reduction
-        of the row {index[t*m]: c} over el's terms c*t.  A product t*m of
-        degree >= D is dropped, as coords drops it: it lies in n^D <= I."""
-        index, monos, terms = self.table.index, self.table.monos, el.poly.terms.items()
-        cols = []
-        for r in self.std:
-            m = monos[r]
-            row = {}
-            for t, c in terms:
-                k = index.get(mono_mul(t, m))
-                if k is not None:
-                    row[k] = c
-            cols.append(self._row_coords(row))
-        return cols
-
     # ----- socle and type
 
     def socle(self):
@@ -262,7 +236,7 @@ class ArtinAlgebra:
         standard basis: the sparse system whose row (i, pos) holds, at the
         column of each standard monomial m, coordinate pos of x_i*m.  That
         coordinate comes from the echelon's reduction of the row
-        {shift[i][m]: 1}, which is what coords(x_i*m) reduces (x_i*m has
+        {shift[i][m]: 1}, which is what nf(x_i*m) reduces (x_i*m has
         degree <= s+1 < D); a standard x_i*m, no pivot, is its own
         reduction.  A standard monomial m of degree s has a zero column and
         is skipped: x_i*m lies in n^(s+1) <= I, so its reduction is 0.  The

@@ -358,29 +358,31 @@ def find_lean_basis(A: ArtinAlgebra, seed=0):
 # ----------------------------------------------------- element linear algebra
 
 
-def _solve_columns(A: ArtinAlgebra, columns, rhs: AlgebraElement):
-    """One solution x of sum_i x_i * columns[i] = rhs.coords(), the columns
-    being coordinate lists over A's standard basis; None if there is none."""
-    rows = [[col[r] for col in columns] for r in range(A.length)]
-    return solve_dense(rows, rhs.coords(), A.field)
-
-
-def solve_element_combo(A: ArtinAlgebra, coeffs, rhs: AlgebraElement):
-    """Solve sum_i coeffs[i] * z_i = rhs for unknown elements z_i, if possible."""
-    e = A.length
-    sol = _solve_columns(A, [col for c in coeffs for col in A.mult_matrix(c)], rhs)
-    if sol is None:
-        return None
-    return [AlgebraElement(A, A.from_coords(sol[i * e:(i + 1) * e]))
-            for i in range(len(coeffs))]
-
-
 def solve_scalar_combo(A: ArtinAlgebra, columns, rhs: AlgebraElement):
-    """Solve sum_i c_i * columns[i] = rhs for unknown scalars c_i."""
-    sol = _solve_columns(A, [col.coords() for col in columns], rhs)
+    """Scalars c_i with sum_i c_i * columns[i] = rhs, or None if there are
+    none: one solve_dense on the columns' coordinates.  When the columns are
+    independent, as in the witness stages, the solution is the only one."""
+    cols = [col.coords() for col in columns]
+    rows = [[col[r] for col in cols] for r in range(A.length)]
+    sol = solve_dense(rows, rhs.coords(), A.field)
+    return None if sol is None else [Scalar(A.field, c) for c in sol]
+
+
+def _clear_product(A: ArtinAlgebra, el, rhs, columns, shifts, what):
+    """el - sum_i c_i * shifts[i], where sum_i c_i * columns[i] = rhs.
+
+    The witness stages pass rhs = y * el and columns[i] = y * shifts[i],
+    so the result r has y * r = 0.  Their columns are powers of x1 (and
+    products x1^j * x2), a basis of a power of m that holds rhs, so the
+    c_i exist and are unique.  RuntimeError if there are none.
+    """
+    sol = solve_scalar_combo(A, columns, rhs)
     if sol is None:
-        return None
-    return [Scalar(A.field, c) for c in sol]
+        raise RuntimeError(f"could not clear {what}")
+    for c, sh in zip(sol, shifts):
+        if not c.is_zero():
+            el = el - sh * c
+    return el
 
 
 def _socle_ratio(A: ArtinAlgebra, prod: AlgebraElement, base: AlgebraElement):
@@ -468,7 +470,19 @@ def _complete_basis(A: ArtinAlgebra, fixed, count):
 
 def _stretched_witness(A: ArtinAlgebra, seed):
     """Parameters of A's stretched model and an uncertified witness, which
-    sends x_(i+1) to the i-th element of the constructed basis."""
+    sends x_(i+1) to the i-th element of the constructed basis.
+
+    The powers x1^2, ..., x1^s of the lean element are a basis of m^2
+    (Sally, "Stretched Gorenstein rings", 1979).  Proof: x1^s != 0
+    (find_lean_basis).  If x1^j lay in m^(j+1) for some 2 <= j <= s, then
+    x1^s would lie in m^(s+1) = 0; so x1^j spans m^j / m^(j+1), of
+    dimension hf(j) = 1, and as m^(s+1) = 0 these s - 1 = sum(hf[2:])
+    powers are a basis of m^2.  So x1 * z in m^2 is sum_j c_j x1^j for
+    unique scalars, and z - sum_j c_j x1^(j-1) has x1 * z = 0.  Any other
+    z - x1 * w with x1 * (z - x1 * w) = 0 differs from it by x1 * e with
+    x1^2 * e = 0, so every z_i * z_j, and with them the unit form, is the
+    same for either choice.
+    """
     h, s, tau = A.embdim, A.socle_degree, A.cm_type
     (x1,) = find_lean_basis(A, seed=seed)
     # socle elements with independent classes mod m^2
@@ -484,15 +498,11 @@ def _stretched_witness(A: ArtinAlgebra, seed):
         raise RuntimeError("socle linear parts have unexpected rank")
     zs = _complete_basis(A, [x1] + ys, h - tau)
     # arrange x1 * z_j = 0
-    x1sq = x1 * x1
-    for k, z in enumerate(zs):
-        sol = solve_element_combo(A, [x1sq], x1 * z)
-        if sol is None:
-            raise RuntimeError("could not clear x1*z products")
-        zs[k] = z - x1 * sol[0]
+    p1 = _ladder(x1, s)
+    zs = [_clear_product(A, z, x1 * z, p1[2:], p1[1:s], "x1*z products") for z in zs]
     units = ()
     if tau < h:
-        zs, units = _diagonalize_units(A, zs, x1 ** s)
+        zs, units = _diagonalize_units(A, zs, p1[s])
     params = StretchedParams(h, s, tau, units)
     images = [x1.poly] + [y.poly for y in ys] + [z.poly for z in zs]
     return params, RingMap(images, A.D)
@@ -500,7 +510,22 @@ def _stretched_witness(A: ArtinAlgebra, seed):
 
 def _almost_stretched_witness(A: ArtinAlgebra, seed):
     """Parameters of A's almost-stretched Gorenstein model and an
-    uncertified witness onto it."""
+    uncertified witness onto it.
+
+    m^2 has the basis x1^j (2 <= j <= s) and x1^(j-1) * x2 (2 <= j <= t),
+    and m^(t+1) the basis x1^j (t < j <= s) (Elias and Valla, "Structure
+    theorems for certain Gorenstein ideals", 2008).  Proof: find_lean_basis
+    gives x1^s != 0 and, for 2 <= j <= t, classes of x1^j and x1^(j-1) * x2
+    independent mod m^(j+1), a basis of m^j / m^(j+1) as hf(j) = 2.  For
+    t < j <= s, hf(j) = 1 and x1^j spans m^j / m^(j+1), as x1^j in
+    m^(j+1) would put x1^s in m^(s+1) = 0.  As m^(s+1) = 0, lifts of
+    bases of every m^j / m^(j+1), 2 <= j <= s (or t < j <= s), together
+    form a basis of m^2 (or m^(t+1)): sum(hf[2:]) columns (or
+    sum(hf[t+1:])).  So x1 * z = sum_j c_j x1^j + sum_j d_j x1^(j-1) x2
+    has one solution, and z - sum_j c_j x1^(j-1) - sum_j d_j x1^(j-2) x2
+    has x1 * z = 0; x1^t * x2 in m^(t+1) is sum_j c_j x1^j, and
+    x2 - sum_j c_j x1^(j-t) has x1^t * x2 = 0.
+    """
     if not A.gorenstein:
         raise NotGorenstein(f"Cohen-Macaulay type is {A.cm_type}")
     h, s = A.embdim, A.socle_degree
@@ -510,17 +535,11 @@ def _almost_stretched_witness(A: ArtinAlgebra, seed):
     x1, x2 = find_lean_basis(A, seed=seed)
     p1 = _ladder(x1, s)
     zs = _complete_basis(A, [x1, x2], h - 2)
-    # arrange x1 * z_j = 0
-    for k, z in enumerate(zs):
-        sol = solve_element_combo(A, [p1[2], x1 * x2], x1 * z)
-        if sol is None:
-            raise RuntimeError("could not clear x1*z products")
-        zs[k] = z - x1 * sol[0] - x2 * sol[1]
-    # arrange x1^t * x2 = 0
-    sol = solve_element_combo(A, [p1[t + 1]], p1[t] * x2)
-    if sol is None:
-        raise RuntimeError("could not clear x1^t*x2")
-    x2 = x2 - x1 * sol[0]
+    # arrange x1 * z_j = 0, then x1^t * x2 = 0
+    x2s = [p1[j] * x2 for j in range(t)]
+    cols, shifts = p1[2:] + x2s[1:], p1[1:s] + x2s[:-1]
+    zs = [_clear_product(A, z, x1 * z, cols, shifts, "x1*z products") for z in zs]
+    x2 = _clear_product(A, x2, p1[t] * x2, p1[t + 1:], p1[1:s - t + 1], "x1^t*x2")
     units = ()
     if h > 2:
         base = p1[s]

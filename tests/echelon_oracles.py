@@ -16,9 +16,10 @@ kept in the degree before.  Dense Gauss-Jordan elimination that sweeps
 whole rows is the reference for the dense solves the library builds on
 SparseEchelon, and the socle from the multiplication matrices of the
 variables' normal forms, with its kernel from that Gauss-Jordan sweep, is
-the reference for the one built from table shifts.  The multiplication
-matrix whose columns are the coordinates of polynomial products is the
-reference for the one that reduces table rows.  The product of elements
+the reference for the one built from table shifts.  One dense solve for
+whole unknown elements over those multiplication matrices, whose columns
+are the coordinates of polynomial products, is the reference for the
+witness stages' scalar solves over the powers of x1.  The product of elements
 formed in full before its normal form, and powers taken one factor at a
 time from 1, are the reference for the products cut below degree s+1 and
 the powers by squaring.  The finite geometric series is the reference
@@ -39,6 +40,7 @@ from artinlocal.linalg import (
     SparseEchelon,
     poly_from_row,
     row_from_poly,
+    solve_dense,
 )
 from artinlocal.polynomials import Polynomial, mono_key, mono_mul, monomials_of_degree
 from artinlocal.quotient import (
@@ -183,6 +185,18 @@ def oracle_mult_matrix(A, el):
     f = A.field
     return [A.coords(el.poly * Polynomial(A.nvars, f, {A.table.monos[r]: f.rone}))
             for r in A.std]
+
+
+def oracle_solve_element_combo(A, coeffs, rhs):
+    """Elements z_i with sum_i coeffs[i] * z_i = rhs, or None: one
+    solve_dense on the multiplication matrices of the coeffs side by side,
+    each block of e = A.length unknowns the coordinates of one z_i."""
+    e = A.length
+    cols = [col for c in coeffs for col in oracle_mult_matrix(A, c)]
+    sol = solve_dense([[col[r] for col in cols] for r in range(e)], rhs.coords(), A.field)
+    if sol is None:
+        return None
+    return [A.element(A.from_coords(sol[i * e:(i + 1) * e])) for i in range(len(coeffs))]
 
 
 def oracle_mul(a, b):

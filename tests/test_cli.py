@@ -45,19 +45,31 @@ def test_bounds_subcommand(capsys):
     assert (doc["t"], doc["r"], doc["lower"], doc["upper"]) == (2, 3, 3, 7)
 
 
-def test_make_and_normalize_round_trip(tmp_path, capsys):
-    code, out, _ = run(capsys, "make", "stretched", "--h", "2", "--s", "4",
-                       "--tau", "1")
+@pytest.mark.parametrize("argv,hf,kind,shape", [
+    (["stretched", "--h", "2", "--s", "4", "--tau", "1"], [1, 2, 1, 1, 1],
+     "stretched", {"h": 2, "s": 4, "tau": 1}),
+    (["almost-stretched", "--h", "3", "--t", "2", "--s", "4", "--a", "x1",
+      "--w", "3", "--units", "2"], [1, 3, 2, 1, 1],
+     "almost_stretched", {"h": 3, "t": 2, "s": 4}),
+], ids=["stretched", "almost-stretched"])
+def test_make_and_normalize_round_trip(tmp_path, capsys, argv, hf, kind, shape):
+    code, out, _ = run(capsys, "make", *argv)
     assert code == 0
     doc = json.loads(out)
-    assert doc["hilbert_function"] == [1, 2, 1, 1, 1]
-    path = write_ideal(tmp_path,
-                       "vars: 2\n" + "\n".join(doc["generators"]) + "\n")
+    assert doc["hilbert_function"] == hf
+    path = write_ideal(tmp_path, f"vars: {doc['vars']}\n" + "\n".join(doc["generators"]) + "\n")
     code, out, _ = run(capsys, "normalize", path)
     assert code == 0
     doc = json.loads(out)
-    assert doc["kind"] == "stretched"
-    assert doc["params"]["s"] == 4 and doc["params"]["tau"] == 1
+    assert doc["kind"] == kind
+    assert {k: doc["params"][k] for k in shape} == shape
+
+
+def test_make_stretched_rejects_tau_zero(capsys):
+    """--tau 0 is passed on, not read as the default tau = h."""
+    code, out, err = run(capsys, "make", "stretched", "--h", "3", "--s", "4", "--tau", "0")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["code"] == "bad-input"
 
 
 def test_classify7_subcommand(tmp_path, capsys):

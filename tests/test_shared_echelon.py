@@ -7,9 +7,9 @@ Each is checked here against a separate-echelon oracle
 ideals, both also moved by random coordinate changes.  The echelon itself,
 built from shifted rows with the redundant ones skipped, must equal row for
 row the one that tries every multiple and try the rows the divisor-list loop
-tries; the socle must equal the one from multiplication matrices,
-mult_matrix the one from polynomial products, and the dense routines must
-give what whole-row Gauss-Jordan sweeps give.  extend_scalars must give the algebra
+tries; the socle must equal the one from multiplication matrices of
+polynomial products, and the dense routines must give what whole-row
+Gauss-Jordan sweeps give.  extend_scalars must give the algebra
 built over the larger field, pivot row for pivot row, and every monomial
 past the socle degree must be a pivot.  SparseEchelon, on fraction-free
 rows over QQ and over towers of depth 1 and 2, must give the normalized-row
@@ -74,7 +74,6 @@ from echelon_oracles import (
     oracle_leading_forms,
     oracle_macaulay_echelon,
     oracle_mul,
-    oracle_mult_matrix,
     oracle_nth_root,
     oracle_nullspace,
     oracle_pow,
@@ -267,22 +266,6 @@ def test_shared_echelon_matches_oracles_over_a_quadratic_extension(ideal):
     pres = ideal()
     check_against_oracles(pres)
     check_against_oracles(moved(pres, 5))
-
-
-def test_mult_matrix_matches_the_polynomial_product_oracle():
-    """Columns reduced from table rows equal the coords of the polynomial
-    products, for the variables and random elements (whose products reach
-    past the truncation), on the grid, its moved inputs and over QQ(sqrt 2)."""
-    pres, r2 = sqrt2_ideal()
-    ideals = [p for _, p in GRID] + [pres, moved(pres, 5)]
-    for ideal in ideals:
-        A = build_quotient(ideal)
-        elems = [A.variable(i) for i in range(A.nvars)]
-        elems += random_elements(A, random.Random(repr(A.pres)))
-        if A.field is not QQ:
-            elems += [el * r2 + A.variable(0) for el in elems]
-        for el in elems:
-            assert A.mult_matrix(el) == oracle_mult_matrix(A, el), (ideal, el)
 
 
 def test_macaulay_echelon_tries_fewer_rows_and_keeps_as_many(monkeypatch):

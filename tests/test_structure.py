@@ -7,6 +7,7 @@ import pytest
 
 from artinlocal.classify7 import make_model
 from artinlocal.errors import CertificationFailed, FieldExtensionRequired, NotStretched
+from artinlocal.linalg import SparseEchelon
 from artinlocal.polynomials import (
     Polynomial,
     RingMap,
@@ -24,15 +25,21 @@ from artinlocal.scalars import QQ, Scalar
 from artinlocal.structure import (
     AlmostStretchedParams,
     StretchedParams,
+    _clear_product,
+    _complete_basis,
     _diagonalize_units,
+    _ladder,
     _socle_ratio,
     certify,
+    find_lean_basis,
     make_1321_models,
     make_almost_stretched,
     make_stretched,
     normalize,
     normalize_units,
+    solve_scalar_combo,
 )
+from echelon_oracles import oracle_solve_element_combo
 
 
 def q(x) -> Scalar:
@@ -308,3 +315,109 @@ def test_certify_agrees_with_row_space_equality(label, model):
         assert accepted == reference, name
         verdicts[name] = accepted
     assert verdicts["true"] and not verdicts["singular"]
+
+
+def ladder_models():
+    """Stretched and almost-stretched models with h = 2..4 and units != 1,
+    each unmoved and moved by random_invertible_map(h, QQ, s + 2, 11)."""
+    def a(text, h):
+        return parse_poly(text, h, QQ)
+
+    models = [
+        ("stretched h=2 s=4 tau=1", make_stretched(StretchedParams(2, 4, 1, (q(3),)))),
+        ("stretched h=3 s=3 tau=1", make_stretched(StretchedParams(3, 3, 1, (q(2), q(5))))),
+        ("stretched h=3 s=4 tau=2", make_stretched(StretchedParams(3, 4, 2, (q(-3),)))),
+        ("stretched h=4 s=3 tau=1", make_stretched(
+            StretchedParams(4, 3, 1, (q(2), q(-1), q(3))))),
+        ("almost h=2 t=3 s=5", make_almost_stretched(
+            AlmostStretchedParams(2, 3, 5, a("1 + x1", 2), q(2)))),
+        ("almost h=3 t=2 s=4", make_almost_stretched(
+            AlmostStretchedParams(3, 2, 4, a("x2", 3), q(3), (q(2),)))),
+        ("almost h=3 t=3 s=5", make_almost_stretched(
+            AlmostStretchedParams(3, 3, 5, a("1 + x1 + x2", 3), q(-2), (q(5),)))),
+        ("almost h=4 t=2 s=5", make_almost_stretched(
+            AlmostStretchedParams(4, 2, 5, a("x1 - x2", 4), q(2), (q(3), q(-1))))),
+    ]
+    out = []
+    for label, pres in models:
+        s = build_quotient(pres).socle_degree
+        phi = random_invertible_map(pres.nvars, QQ, s + 2, 11)
+        out.append((label, pres))
+        out.append((f"moved {label}", IdealPresentation([phi.apply(g) for g in pres.gens])))
+    return out
+
+
+LADDER_MODELS = ladder_models()
+LADDER_IDS = [label for label, _ in LADDER_MODELS]
+
+
+def rank(elems):
+    ech = SparseEchelon(QQ)
+    return sum(1 for el in elems if ech.add(
+        {i: c for i, c in enumerate(el.coords()) if not QQ.riszero(c)}))
+
+
+def ladder_columns(A):
+    """x1 and x2 of find_lean_basis (x2 None if stretched), the ladder
+    p1 = [1, x1, ..., x1^s] and the columns that span m^2: p1[2:], then,
+    almost stretched, x1^(j-1) * x2 for 2 <= j <= t."""
+    x1, x2 = (find_lean_basis(A) + [None])[:2]
+    p1 = _ladder(x1, A.socle_degree)
+    if x2 is None:
+        return x1, x2, p1, p1[2:]
+    t = max(j for j in range(2, len(A.hf)) if A.hf[j] == 2)
+    return x1, x2, p1, p1[2:] + [p1[j - 1] * x2 for j in range(2, t + 1)]
+
+
+@pytest.mark.parametrize("label,pres", LADDER_MODELS, ids=LADDER_IDS)
+def test_ladder_columns_are_bases_of_the_powers(label, pres):
+    """The witness stages' columns are independent and as many as
+    sum(hf[2:]) (m^2) and, almost stretched, sum(hf[t+1:]) (m^(t+1))."""
+    A = build_quotient(pres)
+    _, x2, p1, cols = ladder_columns(A)
+    assert rank(cols) == len(cols) == sum(A.hf[2:])
+    if x2 is not None:
+        t = max(j for j in range(2, len(A.hf)) if A.hf[j] == 2)
+        assert rank(p1[t + 1:]) == len(p1[t + 1:]) == sum(A.hf[t + 1:])
+
+
+@pytest.mark.parametrize("label,pres", [m for m in LADDER_MODELS if "stretched h" in m[0]],
+                         ids=[i for i in LADDER_IDS if "stretched h" in i])
+def test_stretched_units_agree_with_the_element_solve_oracle(label, pres):
+    """z's cleared by the scalar solve over the ladder and by the element
+    solve x1^2 * w = x1 * z both have x1 * z = 0 and give the same units,
+    which are the ones normalize returns."""
+    A = build_quotient(pres)
+    _, params, witness = normalize(A)
+    x1, _, p1, cols = ladder_columns(A)
+    s, tau = A.socle_degree, A.cm_type
+    ys = [A.element(im) for im in witness.images[1:tau]]
+    zs = _complete_basis(A, [x1] + ys, A.embdim - tau)
+    by_ladder = [_clear_product(A, z, x1 * z, cols, p1[1:s], "x1*z") for z in zs]
+    by_oracle = [z - x1 * oracle_solve_element_combo(A, [p1[2]], x1 * z)[0] for z in zs]
+    for z in by_ladder + by_oracle:
+        assert (x1 * z).is_zero()
+    units = _diagonalize_units(A, by_ladder, p1[s])[1]
+    assert units == _diagonalize_units(A, by_oracle, p1[s])[1] == params.units
+
+
+@pytest.mark.parametrize("label,pres", LADDER_MODELS, ids=LADDER_IDS)
+def test_witness_clears_the_x1_products(label, pres):
+    """On the certified witness, x1 * z = 0 for every z and, almost
+    stretched, x1^t * x2 = 0; the moved almost-stretched models with h >= 3
+    clear x1 * z with a nonzero coefficient on some x1^(j-1) * x2."""
+    A = build_quotient(pres)
+    kind, params, witness = normalize(A)
+    els = [A.element(im) for im in witness.images]
+    x1 = els[0]
+    if kind == "stretched":
+        zs = els[params.tau:]
+    else:
+        zs = els[2:]
+        assert (x1 ** params.t * els[1]).is_zero()
+    assert all((x1 * z).is_zero() for z in zs)
+    if kind == "almost_stretched" and label.startswith("moved") and A.embdim >= 3:
+        y1, y2, p1, cols = ladder_columns(A)
+        starts = _complete_basis(A, [y1, y2], A.embdim - 2)
+        sols = [solve_scalar_combo(A, cols, y1 * z) for z in starts]
+        assert any(not c.is_zero() for sol in sols for c in sol[len(p1) - 2:])
