@@ -38,14 +38,16 @@ the same order, and the dicts come out in the same order too.  Hence pivot
 sets, pivot rows (the reduced row divided by its pivot entry), reduce, nf
 and coords are the values that eliminating with rows normalized to 1
 gives, value for value.  This holds for any nonzero multiple of a row, so
-add and contains also take a row already in working form, over any scale:
-macaulay_echelon clears each generator row once and adds its variable
-shifts as they are, extend_scalars re-adds a smaller field's working rows
-as they are, and both copy a row before they reduce it in place.  No value
-is inexact: the working rows only add, subtract and multiply integers and
-divide them exactly (by a gcd), they never reach rinv or rdiv (1 / a of
-ints is a float), and every value handed out is a raw value built from
-ints, over QQ a Fraction.
+add, contains and _reduce also take a row already in working form, over
+any scale: macaulay_echelon clears each generator row once and adds its
+variable shifts as they are, extend_scalars re-adds a smaller field's
+working rows as they are, ArtinAlgebra's nf, element products and
+evaluate reduce the working products and substitutions of polynomials
+over their scales, and _reduce copies such a row before it reduces it in
+place.  No value is inexact: the working rows only add, subtract and
+multiply integers and divide them exactly (by a gcd), they never reach
+rinv or rdiv (1 / a of ints is a float), and every value handed out is a
+raw value built from ints, over QQ a Fraction.
 
 The echelon stores its pivot rows only in working form.  leads is a live
 view of the pivot columns, for membership and counting, and working a live

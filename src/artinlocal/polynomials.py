@@ -15,6 +15,20 @@ Text grammar (parse_poly / poly_to_str round-trip):
 
 sqrt(...) must enclose a constant whose square root exists in the coefficient
 field (possibly an extension element such as sqrt(5) over QQ[sqrt(5)]).
+
+Products and substitution are fraction-free.  They work on dicts monomial
+-> working value over one positive int scale, the form row reduction uses
+(see scalars and linalg; over QQ the values are ints).  Working values
+multiply to working values, so a / sa times b / sb is _wmul(a, b) / (sa *
+sb) exactly, and a cut by degree commutes with scaling, so cutting the
+working product cuts the product.  mul_trunc makes raw values once, at the
+end.  substitute keeps one common scale: with x_i -> w_i / s_i and E_i the
+largest exponent of x_i in p, the e-th power of the image is kept as
+s_i^(E_i - e) * w_i^e over s_i^E_i, so each term of p maps to a working
+dict over sp * prod_i s_i^E_i (sp the scale of p), and all of them add into
+one dict.  Only products are cut, never p's own terms: an image with a
+constant term takes a term of degree >= D to lower degrees.  ArtinAlgebra
+hands such dicts, with their scales, to the echelon's reduction.
 """
 
 from __future__ import annotations
@@ -23,6 +37,8 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import prod
+from operator import add
 
 from .errors import FieldMismatch, ParseError
 from .scalars import Field, QQ, Scalar, common_field
@@ -35,10 +51,6 @@ Monomial = tuple
 def mono_key(m: Monomial):
     """Sort key: graded, ties reverse-lex (x1 highest within a degree)."""
     return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(m1, m2))
 
 
 def mono_str(m: Monomial) -> str:
@@ -72,6 +84,26 @@ def monomials_of_degree(nvars: int, d: int):
 
 
 # -------------------------------------------------------------- polynomials
+
+
+def _wmul(f, a, b, D):
+    """The product of the working dicts a and b over the field f (see the
+    module docstring), its terms of degree >= D left out (D=None: none);
+    a zero value, from a sum that cancels or a zero in a or b, is not kept."""
+    radd, rmul, riszero = f.radd, f.rmul, f.riszero
+    out = {}
+    for m1, c1 in a.items():
+        room = None if D is None else D - sum(m1)
+        for m2, c2 in b.items():
+            if room is None or sum(m2) < room:
+                m, v = tuple(map(add, m1, m2)), rmul(c1, c2)
+                if m in out:
+                    v = radd(out[m], v)
+                if riszero(v):
+                    out.pop(m, None)
+                else:
+                    out[m] = v
+    return out
 
 
 class Polynomial:
@@ -203,21 +235,8 @@ class Polynomial:
         """Product, discarding terms of total degree >= D (D=None: no cut)."""
         a, b = self._sameify(other)
         f = a.field
-        terms = {}
-        for m1, c1 in a.terms.items():
-            d1 = sum(m1)
-            if D is not None and d1 >= D:
-                continue
-            for m2, c2 in b.terms.items():
-                if D is not None and d1 + sum(m2) >= D:
-                    continue
-                m = mono_mul(m1, m2)
-                s = f.radd(terms.get(m, f.rzero), f.rmul(c1, c2))
-                if f.riszero(s):
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-        return Polynomial(a.nvars, f, terms)
+        (wa, sa), (wb, sb) = f.wrow(a.terms), f.wrow(b.terms)
+        return Polynomial(a.nvars, f, f.wraw(_wmul(f, wa, wb, D), sa * sb))
 
     def truncate(self, D) -> "Polynomial":
         """Drop all terms of total degree >= D."""
@@ -245,6 +264,13 @@ class Polynomial:
     def substitute(self, images, D) -> "Polynomial":
         """Evaluate at x_i -> images[i], truncating at degree D throughout,
         over the common field of self's and the images' coefficients."""
+        f, terms, scale = self._wsubstitute(images, D)
+        return Polynomial(images[0].nvars, f, f.wraw(terms, scale))
+
+    def _wsubstitute(self, images, D):
+        """(field, working dict, scale) of substitute (see the module
+        docstring): the ladder of x_i holds s_i^E_i for e = 0 and
+        s_i^(E_i - e) * w_i^e for 1 <= e <= E_i."""
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
         if not images:
@@ -252,18 +278,30 @@ class Polynomial:
         f = self.field
         for im in images:
             f = common_field(f, im.field)
-        images = [im.map_field(f) for im in images]
-        nvars = images[0].nvars
-        powers = [[Polynomial.constant(1, nvars, f)] for _ in images]
-        out = Polynomial(nvars, f)
-        for m, c in self.terms.items():
-            term = Polynomial.constant(Scalar(self.field, c), nvars, f)
-            for i, e in enumerate(m):
-                while len(powers[i]) <= e:
-                    powers[i].append(powers[i][-1].mul_trunc(images[i], D))
-                term = term.mul_trunc(powers[i][e], D)
-            out = out + term
-        return out
+        terms, scale = f.wrow(self.map_field(f).terms)
+        ladders = []
+        for i, im in enumerate(images):
+            w, s = f.wrow(im.map_field(f).terms)
+            E = max((m[i] for m in terms), default=0)
+            powers = []
+            while len(powers) < E:
+                powers.append(_wmul(f, powers[-1], w, D) if powers else w)
+            ladders.append([s ** E] + [f.wscale(p, s ** (E - e)) if s != 1 else p
+                                       for e, p in enumerate(powers, 1)])
+            scale *= s ** E
+        if D is not None and D < 1:  # every term is cut, a constant one too
+            terms = {}
+        out, radd = {}, f.radd
+        one = (0,) * images[0].nvars
+        for m, c in terms.items():
+            k = prod(ladder[0] for e, ladder in zip(m, ladders) if not e)
+            term = {one: c} if k == 1 else f.wscale({one: c}, k)
+            for e, ladder in zip(m, ladders):
+                if e:
+                    term = _wmul(f, term, ladder[e], D)
+            for mo, v in term.items():
+                out[mo] = radd(out[mo], v) if mo in out else v
+        return f, {m: c for m, c in out.items() if not f.riszero(c)}, scale
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):

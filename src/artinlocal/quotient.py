@@ -51,6 +51,7 @@ from .linalg import (
 )
 from .polynomials import (
     Polynomial,
+    _wmul,
     mono_key,
     parse_poly,
 )
@@ -195,8 +196,15 @@ class ArtinAlgebra:
 
     def nf(self, p: Polynomial) -> Polynomial:
         """Canonical representative: support on standard monomials only."""
-        row = self.ech.reduce(row_from_poly(p.map_field(self.field), self.table))
-        return poly_from_row(row, self.table, self.field, self.nvars)
+        return self._nf(*self.field.wrow(p.map_field(self.field).terms))
+
+    def _nf(self, terms, scale) -> Polynomial:
+        """nf of terms / scale, a working dict of A's field (see
+        polynomials): its row below D is reduced as it is, as any nonzero
+        multiple of a row reduces alike (see linalg), then made raw once."""
+        idx, f = self.table.index, self.field
+        row = {idx[m]: c for m, c in terms.items() if m in idx}
+        return poly_from_row(f.wraw(*self.ech._reduce(row, scale)), self.table, f, self.nvars)
 
     def coords(self, p: Polynomial):
         """Raw coordinate list of nf(p) over the standard-monomial basis,
@@ -224,8 +232,12 @@ class ArtinAlgebra:
         """p at x_i -> images[i] (polynomials over A's field or a subfield)
         as an element of A, substituted below degree s+1: each term cut, and
         each product formed from one, lies in n^(s+1) <= I (hf(s+1) = 0,
-        Nakayama), so nf of the cut value is nf of the full p(images)."""
-        return self.element(p.substitute(images, self.socle_degree + 1))
+        Nakayama), so nf of the cut value is nf of the full p(images).  The
+        substitution reaches nf in working form, over its scale."""
+        f = self.field
+        _, terms, scale = p.map_field(f)._wsubstitute(
+            [im.map_field(f) for im in images], self.socle_degree + 1)
+        return AlgebraElement(self, self._nf(terms, scale))
 
     # ----- socle and type
 
@@ -330,14 +342,17 @@ class AlgebraElement:
 
         hf(s+1) = 0 puts every monomial of degree s+1..D-1 in I, so each
         reduces to 0, and nf drops the terms of degree >= D; nf is linear,
-        so the terms mul_trunc leaves out change nothing.  A scalar multiple
-        of a normal form is a normal form, so it is not reduced; a scalar
-        outside A's field raises FieldMismatch."""
+        so the terms the cut product leaves out change nothing.  The product
+        is formed in working form and reaches nf over its scale (see
+        polynomials).  A scalar multiple of a normal form is a normal form,
+        so it is not reduced; a scalar outside A's field raises
+        FieldMismatch."""
         A = self.algebra
+        f = A.field
         if isinstance(other, (int, Fraction, Scalar)):
-            return self._mk(self.poly.scale(A.field.coerce(other)))
-        return self._mk(A.nf(self.poly.mul_trunc(self._other(other).poly,
-                                                 A.socle_degree + 1)))
+            return self._mk(self.poly.scale(f.coerce(other)))
+        (a, sa), (b, sb) = f.wrow(self.poly.terms), f.wrow(self._other(other).poly.terms)
+        return self._mk(A._nf(_wmul(f, a, b, A.socle_degree + 1), sa * sb))
 
     __rmul__ = __mul__
 

@@ -312,7 +312,9 @@ def find_lean_basis(A: ArtinAlgebra, seed=0):
 
     Generic linear combinations work; the search is a seeded scan over
     coordinate variables followed by random small-integer combinations.
-    The powers of each power candidate are taken once, from one ladder.
+    The powers of each power candidate are taken once, from one ladder,
+    which is returned with the elements: ([x1] or [x1, x2], [1, x1, ...,
+    x1^s]).
     """
     s = A.socle_degree
     if s < 2:
@@ -322,8 +324,9 @@ def find_lean_basis(A: ArtinAlgebra, seed=0):
         cands = _candidate_linears(A, rng)
         for _ in range(LEAN_BASIS_BUDGET):
             x1 = next(cands)
-            if not (x1 ** s).is_zero():
-                return [x1]
+            powers = _ladder(x1, s)
+            if not powers[s].is_zero():
+                return [x1], powers
         raise SearchExhausted("no stretched power element found")
     if not A.is_almost_stretched():
         raise NotAlmostStretched("m^2 is not 2-generated")
@@ -349,7 +352,7 @@ def find_lean_basis(A: ArtinAlgebra, seed=0):
                 for j in range(2, t + 1)
             )
             if ok:
-                return [x1, x2]
+                return [x1, x2], powers
     if not found_power:
         raise SearchExhausted("no power element found")
     raise SearchExhausted("no lean partner element found")
@@ -484,7 +487,7 @@ def _stretched_witness(A: ArtinAlgebra, seed):
     same for either choice.
     """
     h, s, tau = A.embdim, A.socle_degree, A.cm_type
-    (x1,) = find_lean_basis(A, seed=seed)
+    (x1,), p1 = find_lean_basis(A, seed=seed)
     # socle elements with independent classes mod m^2
     _, soc = A.socle()
     ech = SparseEchelon(A.field)
@@ -498,7 +501,6 @@ def _stretched_witness(A: ArtinAlgebra, seed):
         raise RuntimeError("socle linear parts have unexpected rank")
     zs = _complete_basis(A, [x1] + ys, h - tau)
     # arrange x1 * z_j = 0
-    p1 = _ladder(x1, s)
     zs = [_clear_product(A, z, x1 * z, p1[2:], p1[1:s], "x1*z products") for z in zs]
     units = ()
     if tau < h:
@@ -532,8 +534,7 @@ def _almost_stretched_witness(A: ArtinAlgebra, seed):
     t = max(j for j in range(2, len(A.hf)) if A.hf[j] == 2)
     if s < t + 1:
         raise NotGorenstein("socle degree equals the last 2-slot")
-    x1, x2 = find_lean_basis(A, seed=seed)
-    p1 = _ladder(x1, s)
+    (x1, x2), p1 = find_lean_basis(A, seed=seed)
     zs = _complete_basis(A, [x1, x2], h - 2)
     # arrange x1 * z_j = 0, then x1^t * x2 = 0
     x2s = [p1[j] * x2 for j in range(t)]

@@ -29,8 +29,12 @@ cap and its divisions by that series, is the reference for nth_root.
 Factoring a leading quadric and lifting the factors through the
 filtration, step by step up to a cap, is the reference for the
 split-quadric test that reads its answer off the tangent cone.
-ideals_equal, the ideal equality the quotient tests use, is built on the
-library's build_quotient and row_space_equal.
+The products and the substitution with one field operation on raw values
+per pair of terms, each term of a substitution added to the result one at
+a time, are the reference for the fraction-free ones on working values;
+oracle_mul forms its product with them.  ideals_equal, the ideal equality
+the quotient tests use, is built on the library's build_quotient and
+row_space_equal.
 """
 
 from math import comb
@@ -42,15 +46,19 @@ from artinlocal.linalg import (
     row_from_poly,
     solve_dense,
 )
-from artinlocal.polynomials import Polynomial, mono_key, mono_mul, monomials_of_degree
+from artinlocal.polynomials import Polynomial, mono_key, monomials_of_degree
 from artinlocal.quotient import (
     AlgebraElement,
     build_quotient,
     extend_scalars,
     row_space_equal,
 )
-from artinlocal.scalars import Scalar
+from artinlocal.scalars import Scalar, common_field
 from artinlocal.structure import _sqrt_growing, solve_scalar_combo
+
+
+def mono_mul(m1, m2):
+    return tuple(a + b for a, b in zip(m1, m2))
 
 
 class OracleEchelon:
@@ -199,11 +207,56 @@ def oracle_solve_element_combo(A, coeffs, rhs):
     return [A.element(A.from_coords(sol[i * e:(i + 1) * e])) for i in range(len(coeffs))]
 
 
+def oracle_mul_trunc(a, b, D):
+    """a*b with every term of degree >= D dropped (D None: none), one
+    field operation on raw values per pair of terms."""
+    a, b = a._sameify(b)
+    f = a.field
+    terms = {}
+    for m1, c1 in a.terms.items():
+        d1 = sum(m1)
+        if D is not None and d1 >= D:
+            continue
+        for m2, c2 in b.terms.items():
+            if D is not None and d1 + sum(m2) >= D:
+                continue
+            m = mono_mul(m1, m2)
+            s = f.radd(terms.get(m, f.rzero), f.rmul(c1, c2))
+            if f.riszero(s):
+                terms.pop(m, None)
+            else:
+                terms[m] = s
+    return Polynomial(a.nvars, f, terms)
+
+
+def oracle_substitute(p, images, D):
+    """p at x_i -> images[i], over the common field of p's and the images'
+    coefficients: each term from its constant, multiplied by one cached
+    power of each image at a time with oracle_mul_trunc, every product
+    cut below D, and the terms added one by one."""
+    f = p.field
+    for im in images:
+        f = common_field(f, im.field)
+    images = [im.map_field(f) for im in images]
+    nvars = images[0].nvars
+    powers = [[Polynomial.constant(1, nvars, f)] for _ in images]
+    out = Polynomial(nvars, f)
+    for m, c in p.terms.items():
+        term = Polynomial.constant(Scalar(p.field, c), nvars, f)
+        for i, e in enumerate(m):
+            while len(powers[i]) <= e:
+                powers[i].append(oracle_mul_trunc(powers[i][-1], images[i], D))
+            term = oracle_mul_trunc(term, powers[i][e], D)
+        out = out + term
+    return out
+
+
 def oracle_mul(a, b):
-    """a*b, the untruncated polynomial product then nf; b is an element of
-    a's algebra or a scalar."""
+    """a*b, the untruncated product by oracle_mul_trunc then nf; b is an
+    element of a's algebra or a scalar."""
     A = a.algebra
-    return AlgebraElement(A, A.nf(a.poly * (b.poly if isinstance(b, AlgebraElement) else b)))
+    b = b.poly if isinstance(b, AlgebraElement) else Polynomial.constant(b, A.nvars, A.field)
+    return AlgebraElement(A, A.nf(oracle_mul_trunc(a.poly, b, None)))
 
 
 def oracle_pow(a, n):

@@ -1,4 +1,5 @@
-"""Multivariate polynomial arithmetic, parsing, and ring maps."""
+"""Multivariate polynomial arithmetic, parsing, and ring maps; the
+fraction-free products and substitution against the Fraction oracles."""
 
 import random
 from fractions import Fraction
@@ -19,7 +20,10 @@ from artinlocal.polynomials import (
 )
 from artinlocal.scalars import QQ, Scalar, adjoin_sqrt
 
+from echelon_oracles import oracle_mul_trunc, oracle_substitute
+
 SQRT2 = adjoin_sqrt(QQ, Scalar(QQ, QQ.rfrom(2)))
+TOWER = adjoin_sqrt(SQRT2, SQRT2.radd(SQRT2.rfrom(3), SQRT2.sqrt_theta))
 
 
 def poly_strategy(nvars=2, max_deg=3):
@@ -164,3 +168,83 @@ def test_sprinkle_decides_as_random_does():
             assert ours.randint(-2, 2) == theirs.randint(-2, 2)
         assert ours.getstate() == theirs.getstate()
     assert 0.3 < decisions / 100000 < 0.4
+
+
+# ------------------------------------------- fraction-free products vs oracles
+
+
+def field_values(field):
+    """Raw values of the field: integer coordinates on its basis over one
+    denominator, small ones or up to 2^70 over up to 10^15, zero allowed."""
+    n = 1 << field.depth
+
+    def values(bound, largest_den):
+        coords = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+        return st.builds(field.rmake, coords, st.integers(1, largest_den))
+
+    return st.one_of(values(9, 6), values(2 ** 70, 10 ** 15))
+
+
+def field_polys(field, nvars, lowest=0, max_deg=3):
+    """Polynomials of up to 4 terms of degree lowest..max_deg, the zero
+    polynomial among them; a term may hold a zero value, as a Polynomial
+    built from a dict may, and products and substitution drop it."""
+    monos = [m for d in range(lowest, max_deg + 1) for m in monomials_of_degree(nvars, d)]
+    return st.dictionaries(st.sampled_from(monos), field_values(field), max_size=4).map(
+        lambda d: Polynomial(nvars, field, d))
+
+
+def subfields(field):
+    """The field and every field below it in its tower."""
+    return [field] + (subfields(field.base) if field.depth else [])
+
+
+def assert_exact(got, want):
+    """Same field, same raw values, and over QQ every value a Fraction."""
+    assert got.field == want.field and got.terms == want.terms
+    assert got.field is not QQ or all(type(c) is Fraction for c in got.terms.values())
+
+
+FIELDS = [pytest.param(f, id=i) for f, i in ((QQ, "QQ"), (SQRT2, "QQ(sqrt2)"),
+                                                (TOWER, "depth-2 tower"))]
+# D: no cut, a cut of every term, the least cut that keeps constants, one
+# inside the degrees drawn, and one past them
+CUTS = (None, 0, 1, 4, 40)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_mul_trunc_matches_the_fraction_oracle(field, data):
+    """The fraction-free product against the product with one field
+    operation per pair of terms, with one factor over a subfield."""
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(field_polys(field, n))
+    r = data.draw(field_polys(data.draw(st.sampled_from(subfields(field))), n))
+    for D in CUTS:
+        assert_exact(p.mul_trunc(r, D), oracle_mul_trunc(p, r, D))
+        assert_exact(r.mul_trunc(p, D), oracle_mul_trunc(r, p, D))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_substitute_matches_the_fraction_oracle(field, data):
+    """Substitution on one common scale against the term-by-term oracle:
+    p and the images over the field or a subfield, images into 1..3
+    variables, with constant terms half the time (then p's terms of
+    degree >= D still give terms below D), zero images among them."""
+    sub = st.sampled_from(subfields(field))
+    n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    p = data.draw(field_polys(data.draw(sub), n, max_deg=5))
+    lowest = data.draw(st.sampled_from((0, 1)))
+    images = [data.draw(field_polys(data.draw(sub), k, lowest)) for _ in range(n)]
+    for D in CUTS:
+        assert_exact(p.substitute(images, D), oracle_substitute(p, images, D))
+
+
+def test_substitute_keeps_terms_of_p_past_the_cut_when_images_have_constants():
+    """x1^3 at x1 -> 1 + x1 cut below 2 is 1 + 3*x1, though x1^3 has degree 3."""
+    p = parse_poly("x1^3", 1, QQ)
+    image = parse_poly("1 + x1", 1, QQ)
+    assert p.substitute([image], 2) == parse_poly("1 + 3*x1", 1, QQ)

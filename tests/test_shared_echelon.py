@@ -20,13 +20,16 @@ against combinatorial counts, before and after a random coordinate change.
 Element products cut below degree s+1, scalar multiples, powers by
 squaring, unit inverses and coords read off the normal form must give
 what the untruncated product, the one-factor-at-a-time power and the
-geometric series give, over QQ, QQ(sqrt 2) and a depth-2 tower.  nth_root,
+geometric series give, over QQ, QQ(sqrt 2) and a depth-2 tower; products,
+nf and evaluate, which reach the reduction in working form, also with
+coefficients over large denominators.  nth_root,
 with its proven step count, must give the root that Newton run until the
 error vanishes gives; evaluate, cut below degree s+1, the normal form of
 the substitution cut below D; and row reduction over a tower must run with
 rinv raising.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -38,6 +41,8 @@ from artinlocal.classify7 import classify_ideal, make_model
 from artinlocal.linalg import (
     SparseEchelon,
     nullspace,
+    poly_from_row,
+    row_from_poly,
     solve_dense,
 )
 from artinlocal.polynomials import (
@@ -80,6 +85,7 @@ from echelon_oracles import (
     oracle_power_echelon,
     oracle_socle,
     oracle_solve,
+    oracle_substitute,
     separate_echelon,
 )
 
@@ -579,9 +585,10 @@ def test_monomial_ideals_match_combinatorial_counts_and_survive_moves(seed, nvar
 
 
 def check_evaluate(A, scalars=()):
-    """evaluate, which substitutes below degree s+1, against the normal form
-    of the substitution below D, at seeded random images with and without
-    constant terms, and at their multiples by the given scalars."""
+    """evaluate, which substitutes below degree s+1 in working form,
+    against the normal form of the oracle's substitution below D, at seeded
+    random images with and without constant terms, and at their multiples
+    by the given scalars."""
     polys = random_polys(A, random.Random(repr(A.pres)), 2 * A.nvars + 2)
     images = [polys[k:k + A.nvars] for k in (0, A.nvars)]
     images.append([Polynomial(A.nvars, A.field, {m: c for m, c in im.terms.items() if any(m)})
@@ -589,7 +596,7 @@ def check_evaluate(A, scalars=()):
     images += [[im * c for im in images[1]] for c in scalars]
     for ims in images:
         for p in polys:
-            assert A.evaluate(p, ims) == A.element(p.substitute(ims, A.D)), (p, ims)
+            assert A.evaluate(p, ims) == A.element(oracle_substitute(p, ims, A.D)), (p, ims)
 
 
 def check_element_arithmetic(A, roots=()):
@@ -644,6 +651,56 @@ def test_element_arithmetic_matches_the_oracles_over_a_depth_2_tower():
     A = extend_scalars(build_quotient(model), F)
     roots = [F.coerce(F.base.scalar(F.base.sqrt_theta)), F.scalar(F.sqrt_theta)]
     check_element_arithmetic(A, roots)
+
+
+@functools.cache
+def fraction_algebras():
+    """A moved stretched model over QQ, the moved QQ(sqrt 2) ideal and the
+    case2b2 model over its depth-2 tower, each with an OracleEchelon of
+    its echelon's rows."""
+    model = make_model("case2b2", p=3)
+    F = classify_ideal(model, allow_extension=True).field
+    out = []
+    for A in (build_quotient(dict(GRID)["moved stretched h=4 s=3 tau=2"]),
+              build_quotient(moved(sqrt2_ideal()[0], 5)),
+              extend_scalars(build_quotient(model), F)):
+        oracle = OracleEchelon(A.field)
+        for row in A.ech.working.values():
+            oracle.add(A.field.wraw(row, 1))
+        out.append((A, oracle))
+    return out
+
+
+def fraction_polys(A, field):
+    """Polynomials over the field (A's or a subfield) with up to 4 terms
+    of degree 0..s+1 and coefficients of up to 2^70 over denominators up
+    to 10^15 on the field's basis."""
+    monos = [m for d in range(A.socle_degree + 2) for m in monomials_of_degree(A.nvars, d)]
+    big = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 10 ** 15))
+    value = st.lists(big, min_size=2 ** field.depth, max_size=2 ** field.depth).map(
+        lambda cs: tower_value(field, *cs))
+    return st.dictionaries(st.sampled_from(monos), value, max_size=4).map(
+        lambda d: Polynomial(A.nvars, field, {m: c for m, c in d.items()
+                                              if not field.riszero(c)}))
+
+
+@pytest.mark.parametrize("k", range(3), ids=["QQ", "QQ(sqrt2)", "depth-2 tower"])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_working_products_with_large_denominators_match_the_oracles(k, data):
+    """Element products, nf and evaluate hand their working rows to the
+    reduction over the product of the scales; with large denominators on
+    both sides they must give the oracles' values, images over A's field
+    or QQ, with constant terms or without."""
+    A, oracle = fraction_algebras()[k]
+    field = st.sampled_from([A.field, QQ])
+    p, r = data.draw(fraction_polys(A, A.field)), data.draw(fraction_polys(A, A.field))
+    want = oracle.reduce(row_from_poly(p, A.table))
+    assert A.nf(p) == poly_from_row(want, A.table, A.field, A.nvars)
+    a, b = A.element(p), A.element(r)
+    assert a * b == oracle_mul(a, b)
+    images = [data.draw(fraction_polys(A, data.draw(field))) for _ in range(A.nvars)]
+    assert A.evaluate(p, images) == A.element(oracle_substitute(p, images, A.D))
 
 
 def check_nth_roots(A, square_roots=()):

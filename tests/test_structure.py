@@ -359,10 +359,12 @@ def rank(elems):
 
 def ladder_columns(A):
     """x1 and x2 of find_lean_basis (x2 None if stretched), the ladder
-    p1 = [1, x1, ..., x1^s] and the columns that span m^2: p1[2:], then,
+    p1 = [1, x1, ..., x1^s] it returns, which is _ladder's, and the
+    columns that span m^2: p1[2:], then,
     almost stretched, x1^(j-1) * x2 for 2 <= j <= t."""
-    x1, x2 = (find_lean_basis(A) + [None])[:2]
-    p1 = _ladder(x1, A.socle_degree)
+    basis, p1 = find_lean_basis(A)
+    x1, x2 = (basis + [None])[:2]
+    assert p1 == _ladder(x1, A.socle_degree)
     if x2 is None:
         return x1, x2, p1, p1[2:]
     t = max(j for j in range(2, len(A.hf)) if A.hf[j] == 2)
