@@ -155,7 +155,7 @@ def _refine_witness(A: ArtinAlgebra, model: IdealPresentation, P, Q):
                 stack = [jac[i] * delta for i in range(ngen)]
                 if any(not el.is_zero() for el in stack):
                     col_elems.append((coord, delta, stack))
-        keep = [pos for pos, r in enumerate(A.std) if A.table.deg(r) <= k]
+        keep = [pos for pos, r in enumerate(A.std) if A.table.degs[r] <= k]
         rows, rhs = [], []
         col_coords = [[col[2][i].coords() for col in col_elems]
                       for i in range(ngen)]
@@ -361,6 +361,6 @@ def contains_split_quadric(pres: IdealPresentation) -> bool:
     if dim != 1:
         return dim > 1
     f, table = A.field, A.table
-    [row] = [row for lead, row in A.ech.working.items() if table.deg(lead) == 2]
+    [row] = [row for lead, row in A.ech.working.items() if table.degs[lead] == 2]
     a, b, c = (row.get(table.index[m], f.wzero) for m in ((2, 0), (1, 1), (0, 2)))
     return not f.riszero(f.rsub(f.rmul(b, b), f.rmul(f.rfrom(4), f.rmul(a, c))))

@@ -80,7 +80,9 @@ from .scalars import Field
 
 class MonomialTable:
     """All monomials of degree < D in nvars variables, sorted ascending;
-    shift[i][r] is the rank of x_i * monos[r], or None at degree D-1."""
+    degs[r] is the degree of monos[r], and shift[i][r] the rank of
+    x_i * monos[r], or None at degree D-1.  Ranks ascend with degree, so
+    the table at a lower D is a prefix of this one, with the same ranks."""
 
     _cache = {}
 
@@ -98,12 +100,10 @@ class MonomialTable:
         self.monos = []
         for d in range(D):
             self.monos.extend(monomials_of_degree(nvars, d))
+        self.degs = [sum(m) for m in self.monos]
         self.index = {m: i for i, m in enumerate(self.monos)}
         self.shift = [[self.index.get(m[:i] + (m[i] + 1,) + m[i + 1:]) for m in self.monos]
                       for i in range(nvars)]
-
-    def deg(self, rank: int) -> int:
-        return sum(self.monos[rank])
 
 
 def row_from_poly(p: Polynomial, table: MonomialTable):
@@ -141,10 +141,15 @@ class SparseEchelon:
 
     def _reduce(self, row, scale=None):
         """(working row, scale) of the full reduction of a row: a raw row,
-        or with a scale a working row, which is left as it is.
+        or with a scale a working row, which is left as it is.  The result
+        holds no zero value.
 
-        The multipliers (a, b) make a*c - b*(pivot entry) exactly zero, so
-        the entry at the pivot drops out with the others that cancel."""
+        A working value is zero exactly when it equals wzero, so the zeros
+        of the incoming row are dropped once, here.  The multipliers (a, b)
+        make a*c - b*(pivot entry) exactly zero, so the entry at the pivot
+        drops out with the others that cancel, and every sum that cancels
+        is removed, never stored; a scaled or divided row keeps its nonzero
+        values nonzero."""
         f = self.field
         rows = self._work
         zero, rsub, rmul, riszero = f.wzero, f.rsub, f.rmul, f.riszero
@@ -152,6 +157,8 @@ class SparseEchelon:
             row, scale = f.wrow(row)
         else:
             row = dict(row)
+        if zero in row.values():
+            row = {r: c for r, c in row.items() if c != zero}
         while True:
             hit = None
             for r in row:
@@ -181,13 +188,24 @@ class SparseEchelon:
         """Insert a raw row, or a working row over the given scale (see
         _reduce); return True if it enlarged the span.  The row passed in
         is not changed."""
-        f = self.field
-        row = {r: c for r, c in self._reduce(row, scale)[0].items() if not f.riszero(c)}
+        row = self._reduce(row, scale)[0]
         if not row:
             return False
         lead = min(row)
-        self._work[lead] = f.wpivot(row, lead)
+        self._work[lead] = self.field.wpivot(row, lead)
         return True
+
+    def truncate(self, end: int):
+        """Cut the span below column end, in place: the pivot rows with a
+        pivot below end, cut below end and made primitive again, in their
+        order.  Every row's pivot is its lowest column, so the cut rows keep
+        their pivots (and their entry there) and are an echelon basis of the
+        cut span; the rows with a pivot at end or above cut to 0."""
+        wdivide = self.field.wdivide
+        rows = [(lead, wdivide({r: c for r, c in row.items() if r < end}, 0)[0])
+                for lead, row in self._work.items() if lead < end]
+        self._work.clear()
+        self._work.update(rows)
 
     def contains(self, row, scale=None) -> bool:
         """Does a raw row, or a working row over the given scale, lie in

@@ -224,10 +224,9 @@ class Polynomial:
         if isinstance(other, (int, Fraction, Scalar)):
             c = other if isinstance(other, Scalar) else self.field.scalar(other)
             return self.scale(c)
-        a, b = self._sameify(other)
-        if a is None:
+        if not isinstance(other, Polynomial):
             return NotImplemented
-        return a.mul_trunc(b, None)
+        return self.mul_trunc(other, None)
 
     __rmul__ = __mul__
 

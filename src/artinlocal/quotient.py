@@ -13,8 +13,10 @@ One such echelon per ideal carries every invariant (the method of Lazard,
 equations", 1983).  The row of m*g is a variable shift of the stored row
 of a divisor (m/x_i)*g, and a multiple is not tried when a divisor's row
 reduced to zero, since its own row would too (see macaulay_echelon).
-Write s for the socle degree; the build steps D up by one and stops at the
-first D with hf(s+1) = 0 and s+1 < D, that is at D = max(start, s+2).
+Write s for the socle degree; the build ends at D = s+2.  It starts at
+max(4, max degree + 2), lowers the cap to j+1 as soon as every monomial of
+some degree j is a pivot (then n^j <= I), and steps D up by one while hf
+has no zero below it (see build_quotient).
 
 * Hilbert function.  The pivot of a row is its lowest monomial, so the pivot
   set is the set of lowest monomials of the nonzero elements of the span.
@@ -105,7 +107,7 @@ class IdealPresentation:
         return f"IdealPresentation({', '.join(repr(g) for g in self.gens)})"
 
 
-def macaulay_echelon(pres: IdealPresentation, D: int):
+def macaulay_echelon(pres: IdealPresentation, D: int, lower: bool = False):
     """Echelonized span of {m*g : deg(m)+ord(g) < D}, with the rank v the
     generators add on top of the rows of nI (deg(m) >= 1), which go in first.
 
@@ -130,20 +132,58 @@ def macaulay_echelon(pres: IdealPresentation, D: int):
     terms in the same order for every such i.  Each generator row is put in
     the field's working form once, and its shifts are added in that form.
 
-    Returns (table, ech, v); v = dim I/nI whenever n^D <= nI.
+    With lower, the cap comes down as soon as a degree fills.  After each
+    degree of multipliers, and once more at the end, let j < D-1 be the
+    least degree whose every monomial is a pivot.  The pivot rows of degree
+    j are elements of I + n^D, zero below degree j, whose degree-j parts
+    are triangular in their pivots, so they span every form of degree j:
+    n^j <= I + n^(j+1), and n^j <= I by Nakayama.  The cap becomes
+    D' = j+1, and the pivot rows, the rows of the degree's kept multiples
+    and the generator rows are cut below D' (SparseEchelon.truncate).  The
+    cut pivot rows are an echelon basis of the cut span, and every row
+    tried or skipped so far is, cut, an m*g mod n^D' that it holds or that
+    Lazard's criterion puts in it (a relation mod n^D holds mod n^D').  So
+    the build goes on at D' with the next degree and the later generators,
+    on the (h, D') table, whose ranks are those of D below D', and it ends
+    with the echelon of (I + n^D')/n^D'.  v is still dim I/nI, as
+    n^D' = n * n^j <= nI.  At the end, a full degree is a zero of hf, and
+    hf's first zero is s+1; so whenever s+2 <= D the echelon ends at
+    D = s+2.
+
+    Returns (table, ech, v), table the final one; v = dim I/nI whenever
+    n^D <= nI, D = table.D.
     """
-    f = pres.field
-    table = MonomialTable(pres.nvars, D)
-    monos, shifts = table.monos, table.shift
+    f, h = pres.field, pres.nvars
+    table = MonomialTable(h, D)
     ech = SparseEchelon(f)
     gen_rows = []
+    # first rank of each degree j < D, moved past the ranks seen to be
+    # pivots; a pivot below the cap stays one, so it only moves up
+    unfilled = [comb(h + j - 1, h) for j in range(D + 1)]
+    ends = unfilled[1:]  # ends[j]: the ranks of degree <= j are those below it
+
+    def filled():
+        """The least degree j < table.D - 1 whose every monomial is a
+        pivot, or None."""
+        leads = ech.leads
+        for j in range(1, table.D - 1):
+            r, end = unfilled[j], ends[j]
+            while r < end and r in leads:
+                r += 1
+            unfilled[j] = r
+            if r == end:
+                return j
+        return None
+
     for g in pres.gens:
         row = row_from_poly(g, table)
         if not row:
             continue
         gen_rows.append(f.wrow(row))
         layer = {0: gen_rows[-1]}  # multiplier rank -> working row of m*g, for the rows kept
-        for _ in range(D - 1 - table.deg(min(row))):
+        d = table.degs[min(row)] + 1  # the degree of m*g for the next multipliers m
+        while d < table.D:
+            monos, shifts = table.monos, table.shift
             hits, source = {}, {}
             for k, work in layer.items():
                 for shift in shifts:
@@ -161,7 +201,18 @@ def macaulay_echelon(pres: IdealPresentation, D: int):
                     w = {shift[r]: v for r, v in w.items() if shift[r] is not None}
                     if ech.add(w, scale):
                         layer[c] = w, scale
+            d += 1
+            if lower and (j := filled()) is not None:
+                table, end = MonomialTable(h, j + 1), ends[j]
+                ech.truncate(end)
+                layer = {c: ({r: v for r, v in w.items() if r < end}, scale)
+                         for c, (w, scale) in layer.items()}
+                gen_rows = [({r: v for r, v in w.items() if r < end}, scale)
+                            for w, scale in gen_rows]
     v = sum(1 for row, scale in gen_rows if ech.add(row, scale))
+    if lower and (j := filled()) is not None:
+        table = MonomialTable(h, j + 1)
+        ech.truncate(ends[j])
     return table, ech, v
 
 
@@ -413,29 +464,32 @@ class AlgebraElement:
 
 
 def build_quotient(pres: IdealPresentation, D=None) -> ArtinAlgebra:
-    """Build the Artinian quotient, stepping the truncation degree up by one
-    until the Hilbert function vanishes strictly below it.  Past D_MAX it
-    raises NotArtinian: the ideal is not Artinian, or its socle degree is
-    at least D_MAX - 1.
+    """Build the Artinian quotient; with D left out it ends at D = s+2.
+    Past D_MAX it raises NotArtinian: the ideal is not Artinian, or its
+    socle degree is at least D_MAX - 1.
 
     The echelon at D spans (I + n^D)/n^D, and for j < D, (I + n^D)*_j =
     I*_j: an element of order >= D cannot change an initial form of degree
     j.  So the standard monomials of degree j < D count HF_{R/I}(j), and the
     first D with a zero below it gives the exact Hilbert function (a zero
     at j gives n^j <= I + n^(j+1), so n^j <= I by Nakayama).  The build
-    stops at D = max(start, s+2), the least that min_gens and certify need.
+    starts at max(4, max degree + 2) and steps D up by one until hf has a
+    zero below D.  With D left out, macaulay_echelon lowers its cap as
+    degrees fill, down to s+2, the least that min_gens and certify need;
+    an explicit D is kept as it is, or stepped up.
     """
+    lower = D is None
     Dcur = min(D if D is not None else max(D_START_FLOOR, pres.max_degree + 2),
                D_MAX)
     while True:
-        table, ech, v = macaulay_echelon(pres, Dcur)
-        hf = [0] * Dcur
-        for i in range(len(table.monos)):
-            if i not in ech.leads:
-                hf[table.deg(i)] += 1
-        zero_at = next((j for j in range(Dcur) if hf[j] == 0), None)
+        table, ech, v = macaulay_echelon(pres, Dcur, lower)
+        h, degs = pres.nvars, table.degs
+        hf = [comb(h + j - 1, j) for j in range(table.D)]
+        for lead in ech.leads:
+            hf[degs[lead]] -= 1
+        zero_at = next((j for j in range(table.D) if hf[j] == 0), None)
         if zero_at is not None:
-            return ArtinAlgebra(pres, Dcur, table, ech, v, hf[:zero_at])
+            return ArtinAlgebra(pres, table.D, table, ech, v, hf[:zero_at])
         if Dcur >= D_MAX:
             raise NotArtinian(
                 f"not Artinian, or socle degree >= {D_MAX - 1}: the Hilbert"
@@ -500,7 +554,7 @@ def leading_forms(pres: IdealPresentation, algebra=None) -> LeadingFormData:
     rows = {j: {} for j in range(s + 1)}  # degree -> {pivot: working row}, a basis of I*_j
     for lead, row in A.ech.working.items():
         if lead < ends[s]:
-            j = tab.deg(lead)
+            j = tab.degs[lead]
             rows[j][lead] = {r: c for r, c in row.items() if r < ends[j]}
     dims = {j: len(rows[j]) for j in range(1, s + 1)}
     for j in (s + 1, s + 2):

@@ -34,11 +34,14 @@ per pair of terms, each term of a substitution added to the result one at
 a time, are the reference for the fraction-free ones on working values;
 oracle_mul forms its product with them.  ideals_equal, the ideal equality
 the quotient tests use, is built on the library's build_quotient and
-row_space_equal.
+row_space_equal.  The build at a fixed cap, from max(4, max degree + 2)
+one degree up at a time and never lowered, is the reference for the
+default build, which lowers its cap to s+2 as degrees fill.
 """
 
 from math import comb
 
+from artinlocal.errors import NotArtinian
 from artinlocal.linalg import (
     MonomialTable,
     SparseEchelon,
@@ -48,9 +51,13 @@ from artinlocal.linalg import (
 )
 from artinlocal.polynomials import Polynomial, mono_key, monomials_of_degree
 from artinlocal.quotient import (
+    D_MAX,
+    D_START_FLOOR,
     AlgebraElement,
+    ArtinAlgebra,
     build_quotient,
     extend_scalars,
+    macaulay_echelon,
     row_space_equal,
 )
 from artinlocal.scalars import Scalar, common_field
@@ -159,6 +166,24 @@ def oracle_macaulay_echelon(pres, D):
     return table, ech, v
 
 
+def oracle_build_quotient(pres):
+    """The quotient built at a fixed cap: from max(4, max degree + 2), one
+    degree up at a time until hf has a zero below it, the cap never
+    lowered, so it may end above s+2."""
+    D = min(max(D_START_FLOOR, pres.max_degree + 2), D_MAX)
+    while True:
+        table, ech, v = macaulay_echelon(pres, D)
+        hf = [0] * D
+        for r in range(len(table.monos)):
+            if r not in ech.leads:
+                hf[table.degs[r]] += 1
+        if 0 in hf:
+            return ArtinAlgebra(pres, D, table, ech, v, hf[:hf.index(0)])
+        if D >= D_MAX:
+            raise NotArtinian(f"the Hilbert function did not vanish below {D_MAX}")
+        D += 1
+
+
 def divisor_list_macaulay_echelon(pres, D):
     """(table, ech, v) by the divisor-list loop on SparseEchelon: every
     multiplier m in table order, tried when the rows of all its divisors
@@ -173,7 +198,7 @@ def divisor_list_macaulay_echelon(pres, D):
             continue
         gen_rows.append(row)
         kept = {0: row}  # multiplier rank -> row of m*g, for the rows kept
-        for r in range(1, comb(pres.nvars + D - 1 - table.deg(min(row)), pres.nvars)):
+        for r in range(1, comb(pres.nvars + D - 1 - table.degs[min(row)], pres.nvars)):
             m = table.monos[r]
             divs = [(table.shift[i], table.index[m[:i] + (e - 1,) + m[i + 1:]])
                     for i, e in enumerate(m) if e]
@@ -372,7 +397,7 @@ def oracle_leading_forms(pres, s):
     for j in range(1, s + 3):
         table, ech = separate_echelon(pres, j + 1)
         basis = [poly_from_row(row, table, f, pres.nvars)
-                 for lead, row in ech.pivots.items() if table.deg(lead) == j]
+                 for lead, row in ech.pivots.items() if table.degs[lead] == j]
         basis.sort(key=lambda p: min(mono_key(m) for m in p.terms))
         shifted = OracleEchelon(f)
         grown = 0
@@ -445,8 +470,8 @@ def oracle_contains_split_quadric(pres):
     f = pres.field
     A = build_quotient(pres)
     table, ech = separate_echelon(pres, A.D)
-    quadrics = [{table.monos[r]: c for r, c in row.items() if table.deg(r) == 2}
-                for lead, row in sorted(ech.pivots.items()) if table.deg(lead) == 2]
+    quadrics = [{table.monos[r]: c for r, c in row.items() if table.degs[r] == 2}
+                for lead, row in sorted(ech.pivots.items()) if table.degs[lead] == 2]
     if len(quadrics) >= 2:
         q1, q2 = quadrics[:2]
         quadrics = [q1, q2, {m: f.radd(q1.get(m, f.rzero), q2.get(m, f.rzero))

@@ -26,10 +26,14 @@ coefficients over large denominators.  nth_root,
 with its proven step count, must give the root that Newton run until the
 error vanishes gives; evaluate, cut below degree s+1, the normal form of
 the substitution cut below D; and row reduction over a tower must run with
-rinv raising.
+rinv raising.  The default build, which lowers its cap as degrees fill,
+must end at D = s+2 and give the fixed-cap build's hf, v, standard basis,
+socle, leading forms and normal forms, and zero values in an incoming row
+must be dropped.
 """
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -75,6 +79,7 @@ from echelon_oracles import (
     divisor_list_macaulay_echelon,
     oracle_classes_independent,
     oracle_in_power,
+    oracle_build_quotient,
     oracle_inverse,
     oracle_leading_forms,
     oracle_macaulay_echelon,
@@ -160,10 +165,10 @@ def check_against_oracles(pres):
     hf = [0] * A.D
     for r in range(len(table.monos)):
         if r not in ech.pivots:
-            hf[table.deg(r)] += 1
+            hf[table.degs[r]] += 1
     assert tuple(hf[:s + 1]) == A.hf and hf[s + 1] == 0
     # so n^(s+1) <= I, and ArtinAlgebra needs no degree filter on std
-    assert all(r in A.ech.leads for r in range(len(A.table.monos)) if A.table.deg(r) > s)
+    assert all(r in A.ech.leads for r in range(len(A.table.monos)) if A.table.degs[r] > s)
     assert min_gens(pres, algebra=A) == A.v
     data = leading_forms(pres, algebra=A)
     dims, new_gens, v_star = oracle_leading_forms(pres, s)
@@ -451,6 +456,33 @@ def test_add_leaves_the_callers_row_unchanged(field):
     assert list(pivots.items()) == list(pivot_rows(work_ech).items())
 
 
+@pytest.mark.parametrize("field", [QQ, adjoin_sqrt(QQ, q(2))], ids=["QQ", "QQ(sqrt2)"])
+def test_zero_values_of_an_incoming_row_are_dropped(field):
+    """A row with zero values, at pivot columns and elsewhere, raw or in
+    working form, reduces and goes in as the row without them; no zero
+    value is stored or handed out."""
+    rng = random.Random(20268)
+    ech, clean = SparseEchelon(field), SparseEchelon(field)
+    rows, at_pivot = [], 0
+    for k in range(60):
+        row = random_row(rng, field, rows)
+        rows.append(row)
+        padded = dict(row)
+        for col in rng.sample(list(ech.leads) + list(range(16)), 3):
+            padded.setdefault(col, field.rzero)
+        at_pivot += any(col in ech.leads and field.riszero(c) for col, c in padded.items())
+        reduced = ech.reduce(padded)
+        assert list(reduced.items()) == list(clean.reduce(row).items())
+        assert not any(field.riszero(c) for c in reduced.values())
+        if k % 2:
+            assert ech.add(*field.wrow(padded)) == clean.add(row)
+        else:
+            assert ech.add(padded) == clean.add(row)
+    assert at_pivot > 10
+    assert list(pivot_rows(ech).items()) == list(pivot_rows(clean).items())
+    assert not any(field.riszero(c) for row in ech.working.values() for c in row.values())
+
+
 SQRT2 = adjoin_sqrt(QQ, q(2))
 
 
@@ -515,6 +547,108 @@ def test_values_over_qq_are_fractions_on_seeded_grid(pres):
 def test_shared_echelon_matches_oracles_on_generated_ideals(seed, nvars, move):
     pres = random_ideal(random.Random(seed), nvars, max_exp=4)
     check_against_oracles(moved(pres, seed) if move else pres)
+
+
+def moved_past_the_cap(pres, seed):
+    """The ideal carried by a random coordinate change cut at s+3, so its
+    generators reach degree s+2 and a fixed-cap build starts at s+4.  The
+    images that vanish are dropped: what is cut off lies in n^(s+3), so by
+    Nakayama the rest still generates the image ideal (see moved)."""
+    s = oracle_build_quotient(pres).socle_degree
+    phi = random_invertible_map(pres.nvars, pres.field, s + 3, seed)
+    images = [phi.apply(g) for g in pres.gens]
+    return IdealPresentation([im for im in images if not im.is_zero()],
+                             pres.nvars, pres.field)
+
+
+def model(rng, kind, h):
+    """A stretched or almost-stretched canonical model in h variables with
+    seeded parameters, s at most 5 for h = 2 and 4 above."""
+    s = rng.randint(3, 5 if h == 2 else 4)
+    unit = lambda: q(rng.choice((-3, -2, -1, 1, 2, 3, 5)))
+    if kind == "stretched":
+        tau = rng.randint(1, h)
+        units = tuple(unit() for _ in range(h - tau if tau < h else 0))
+        return make_stretched(StretchedParams(h, s, tau, units))
+    a = parse_poly(f"{rng.randint(-2, 2)} + {rng.randint(-2, 2)}*x2", h, QQ)
+    units = tuple(unit() for _ in range(h - 2))
+    return make_almost_stretched(
+        AlmostStretchedParams(h, rng.randint(2, s - 1), s, a, unit(), units))
+
+
+def check_least_truncation(pres, rng, A=None):
+    """The default build A ends at D = s+2 and gives what the fixed-cap
+    build gives: hf, v, the standard basis, the socle basis, the leading
+    forms and the normal forms of polynomials with terms up to degree
+    s+3.  Returns how far the fixed cap ended above s+2."""
+    A, B = A or build_quotient(pres), oracle_build_quotient(pres)
+    s = A.socle_degree
+    assert A.D == s + 2 <= B.D
+    f = A.field
+    for lead, row in A.ech.working.items():  # primitive, positive and rational at the pivot
+        ints = [c for x in row.values() for c in ((x,) if f is QQ else x[:-1])]
+        assert math.gcd(*ints) == 1
+        assert (row[lead] > 0) if f is QQ else (row[lead][0] > 0 and not any(row[lead][1:-1]))
+    assert (A.hf, A.v, A.std) == (B.hf, B.v, B.std)
+    assert ([list(el.poly.terms.items()) for el in A.socle()[1]]
+            == [list(el.poly.terms.items()) for el in B.socle()[1]])
+    assert leading_forms(pres, algebra=A) == leading_forms(pres, algebra=B)
+    monos = [m for d in range(s + 4) for m in monomials_of_degree(A.nvars, d)]
+    for _ in range(6):
+        terms = {m: QQ.rfrom(rng.randint(-3, 3)) for m in rng.sample(monos, 4)}
+        p = Polynomial(A.nvars, QQ, {m: c for m, c in terms.items() if c}).map_field(A.field)
+        assert list(A.nf(p).terms.items()) == list(B.nf(p).terms.items())
+    return B.D - A.D
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(["stretched", "almost", "random"]), st.integers(2, 4), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_default_build_ends_at_s_plus_2_and_matches_the_fixed_cap(seed, kind, h, move):
+    """Models in 2..4 variables and random ideals in 2..3, their generators
+    in a random order, moved or not."""
+    rng = random.Random(seed)
+    pres = random_ideal(rng, min(h, 3)) if kind == "random" else model(rng, kind, h)
+    gens = list(pres.gens)
+    rng.shuffle(gens)
+    pres = IdealPresentation(gens, pres.nvars, pres.field)
+    check_least_truncation(moved_past_the_cap(pres, seed) if move else pres, rng)
+
+
+def test_default_build_lowers_its_cap_on_seeded_moved_models(monkeypatch):
+    """On moved models, on moved random ideals and on an ideal over
+    QQ(sqrt 2), moved or not, the default build gives what the fixed cap
+    gives.  Where that cap ends above s+2, the cap mostly comes down while
+    rows still go in: more rows than the generators' own are added after
+    the first cut.  In the moved stretched models with x1*x2 last, the
+    first generator's rows fill a degree while the rows of x1*x2 below it
+    are still to come."""
+    rng = random.Random(20269)
+    inputs = [sqrt2_ideal()[0], moved_past_the_cap(sqrt2_ideal()[0], 3)]
+    for h in (2, 3, 4):
+        for kind in ("stretched", "almost") * (2 if h < 4 else 1):
+            inputs.append(moved_past_the_cap(model(rng, kind, h), rng.randint(0, 10 ** 6)))
+    inputs += [moved_past_the_cap(random_ideal(rng, h), h) for h in (2, 3, 3)]
+    for s in (3, 4, 5):
+        gens = make_stretched(StretchedParams(2, s, 1, (q(2),))).gens
+        assert str(gens[0]) == "x1*x2"
+        last = IdealPresentation(gens[::-1], 2, QQ)
+        inputs += [moved_past_the_cap(last, seed) for seed in range(8)]
+    events = []
+    add, truncate = SparseEchelon.add, SparseEchelon.truncate
+    monkeypatch.setattr(SparseEchelon, "add",
+                        lambda self, *a: events.append("add") or add(self, *a))
+    monkeypatch.setattr(SparseEchelon, "truncate",
+                        lambda self, end: events.append("cut") or truncate(self, end))
+    lowered = early = 0
+    for pres in inputs:
+        events.clear()
+        A = build_quotient(pres)
+        after_cut = events[events.index("cut"):] if "cut" in events else []
+        if check_least_truncation(pres, rng, A):
+            lowered += 1
+            early += after_cut.count("add") > len(pres.gens)
+    assert lowered >= 30 and early >= lowered // 2
 
 
 def test_reading_invariants_off_an_algebra_builds_no_echelon(monkeypatch):
