@@ -43,8 +43,11 @@ any scale: macaulay_echelon clears each generator row once and adds its
 variable shifts as they are, extend_scalars re-adds a smaller field's
 working rows as they are, ArtinAlgebra's nf, element products and
 evaluate reduce the working products and substitutions of polynomials
-over their scales, and _reduce copies such a row before it reduces it in
-place.  No value is inexact: the working rows only add, subtract and
+over their scales, and _reduce copies such a row when it first hits a
+pivot, before it reduces it in place.  A row in whose support the first
+scan finds no pivot column is its own full reduction, so add stores it
+at once: its zeros dropped, through wpivot, with no copy and no second
+scan.  No value is inexact: the working rows only add, subtract and
 multiply integers and divide them exactly (by a gcd), they never reach
 rinv or rdiv (1 / a of ints is a float), and every value handed out is a
 raw value built from ints, over QQ a Fraction.
@@ -80,9 +83,10 @@ from .scalars import Field
 
 class MonomialTable:
     """All monomials of degree < D in nvars variables, sorted ascending;
-    degs[r] is the degree of monos[r], and shift[i][r] the rank of
-    x_i * monos[r], or None at degree D-1.  Ranks ascend with degree, so
-    the table at a lower D is a prefix of this one, with the same ranks."""
+    degs[r] is the degree of monos[r], support[r] the number of variables
+    in it, and shift[i][r] the rank of x_i * monos[r], or None at degree
+    D-1.  Ranks ascend with degree, so the table at a lower D is a prefix
+    of this one, with the same ranks."""
 
     _cache = {}
 
@@ -101,6 +105,7 @@ class MonomialTable:
         for d in range(D):
             self.monos.extend(monomials_of_degree(nvars, d))
         self.degs = [sum(m) for m in self.monos]
+        self.support = [len(m) - m.count(0) for m in self.monos]
         self.index = {m: i for i, m in enumerate(self.monos)}
         self.shift = [[self.index.get(m[:i] + (m[i] + 1,) + m[i + 1:]) for m in self.monos]
                       for i in range(nvars)]
@@ -139,24 +144,26 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self._work)
 
-    def _reduce(self, row, scale=None):
+    def _reduce(self, row, scale=None, insert=False):
         """(working row, scale) of the full reduction of a row: a raw row,
-        or with a scale a working row, which is left as it is.  The result
-        holds no zero value.
+        or with a scale a working row, which is left as it is (and may be
+        the row returned when it hits no pivot).  The result holds no zero
+        value.  With insert, a nonzero result is stored as a pivot row.
 
         A working value is zero exactly when it equals wzero, so the zeros
-        of the incoming row are dropped once, here.  The multipliers (a, b)
-        make a*c - b*(pivot entry) exactly zero, so the entry at the pivot
-        drops out with the others that cancel, and every sum that cancels
-        is removed, never stored; a scaled or divided row keeps its nonzero
-        values nonzero."""
+        of the incoming row are dropped once, here.  The row is copied
+        only when it hits a pivot, before it is reduced in place, so a row
+        that hits none goes in as it is, made a pivot row by wpivot.  The
+        multipliers (a, b) make a*c - b*(pivot entry) exactly zero, so the
+        entry at the pivot drops out with the others that cancel, and
+        every sum that cancels is removed, never stored; a scaled or
+        divided row keeps its nonzero values nonzero."""
         f = self.field
         rows = self._work
-        zero, rsub, rmul, riszero = f.wzero, f.rsub, f.rmul, f.riszero
+        zero = f.wzero
+        given = row
         if scale is None:
             row, scale = f.wrow(row)
-        else:
-            row = dict(row)
         if zero in row.values():
             row = {r: c for r, c in row.items() if c != zero}
         while True:
@@ -165,7 +172,10 @@ class SparseEchelon:
                 if r in rows and (hit is None or r < hit):
                     hit = r
             if hit is None:
-                return row, scale
+                break
+            if row is given:
+                row = dict(row)
+            rsub, rmul, riszero = f.rsub, f.rmul, f.riszero
             prow = rows[hit]
             a, b = f.wcofactors(row[hit], prow[hit])
             if a != 1:  # integer cross-multiplication
@@ -179,6 +189,11 @@ class SparseEchelon:
                     row[r2] = s
             if a != 1:
                 row, scale = f.wdivide(row, scale)
+        if insert and row:
+            lead = min(row)
+            prow = f.wpivot(row, lead)
+            rows[lead] = dict(prow) if prow is given else prow  # keep no caller's dict
+        return row, scale
 
     def reduce(self, row):
         """Fully reduce a raw row: eliminate every pivot rank from its support."""
@@ -188,12 +203,7 @@ class SparseEchelon:
         """Insert a raw row, or a working row over the given scale (see
         _reduce); return True if it enlarged the span.  The row passed in
         is not changed."""
-        row = self._reduce(row, scale)[0]
-        if not row:
-            return False
-        lead = min(row)
-        self._work[lead] = self.field.wpivot(row, lead)
-        return True
+        return bool(self._reduce(row, scale, True)[0])
 
     def truncate(self, end: int):
         """Cut the span below column end, in place: the pivot rows with a

@@ -29,6 +29,14 @@ dict over sp * prod_i s_i^E_i (sp the scale of p), and all of them add into
 one dict.  Only products are cut, never p's own terms: an image with a
 constant term takes a term of degree >= D to lower degrees.  ArtinAlgebra
 hands such dicts, with their scales, to the echelon's reduction.
+
+Parsing is exact, in working form: every parsed value is a working dict
+over one scale.  A product is _wmul over the product of the scales, a sum
+brings both to the lcm of their scales, division by a constant c is the
+product with the working form of the raw 1/c, and parse_poly makes one
+Polynomial, raw values once, at the end.  A single term's power c*m to
+the n is c^n by squaring times m with its exponents multiplied by n, as
+in Polynomial.__pow__, so x2^99999999999 costs nothing.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import prod
+from math import lcm, prod
 from operator import add
 
 from .errors import FieldMismatch, ParseError
@@ -104,6 +112,19 @@ def _wmul(f, a, b, D):
                 else:
                     out[m] = v
     return out
+
+
+def _power(f, c, n):
+    """c^n for n >= 1 by squaring with the field's rmul, c a raw or a
+    working value of f (working values multiply to working values)."""
+    out = None
+    while True:
+        if n & 1:
+            out = c if out is None else f.rmul(out, c)
+        n >>= 1
+        if not n:
+            return out
+        c = f.rmul(c, c)
 
 
 class Polynomial:
@@ -245,16 +266,14 @@ class Polynomial:
         )
 
     def __pow__(self, n: int):
-        """self^n for n >= 0; a single term c*m gives c^n * m^n directly."""
+        """self^n for n >= 0; a single term c*m gives c^n * m^n directly,
+        c^n by squaring."""
         if n < 0:
             raise ValueError(f"negative exponent {n}")
         if n and len(self.terms) == 1:
             (m, c), = self.terms.items()
-            f = self.field
-            cn = c
-            for _ in range(n - 1):
-                cn = f.rmul(cn, c)
-            return Polynomial(self.nvars, f, {tuple(e * n for e in m): cn})
+            return Polynomial(self.nvars, self.field,
+                              {tuple([e * n for e in m]): _power(self.field, c, n)})
         out = Polynomial.constant(1, self.nvars, self.field)
         for _ in range(n):
             out = out * self
@@ -350,102 +369,130 @@ def poly_to_str(p: Polynomial) -> str:
 
 # ------------------------------------------------------------------ parsing
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<var>x\d+)|(?P<sqrt>sqrt)|(?P<op>[-+*/^()]))"
-)
+# A non-space character that starts no token matches the last alternative,
+# so the matches cover the text but trailing spaces, with no gap.
+_TOKEN = re.compile(r"\s*(?:(\d+)|x(\d+)|(sqrt)|([-+*/^()])|\S)")
 
 
 def _tokenize(text: str):
-    pos, toks = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"bad character near {text[pos:pos + 10]!r}")
-            break
-        pos = m.end()
-        if m.lastgroup == "num":
-            toks.append(("num", int(m.group("num"))))
-        elif m.lastgroup == "var":
-            toks.append(("var", int(m.group("var")[1:])))
-        elif m.lastgroup == "sqrt":
+    toks = []
+    for m in _TOKEN.finditer(text):
+        num, var, sqrt, op = m.groups()
+        if num is not None:
+            toks.append(("num", int(num)))
+        elif var is not None:
+            toks.append(("var", int(var)))
+        elif op is not None:
+            toks.append((op, None))
+        elif sqrt is not None:
             toks.append(("sqrt", None))
         else:
-            toks.append((m.group("op"), None))
+            pos = m.start()
+            raise ParseError(f"bad character near {text[pos:pos + 10]!r}")
     return toks
 
 
 class _Parser:
+    """Recursive descent over the tokens; every value is a pair (working
+    dict, scale) of the field, as products and substitution keep them (see
+    the module docstring), and parse makes one Polynomial of it."""
+
     def __init__(self, toks, nvars, field):
-        self.toks = toks
+        self.end = len(toks)
+        self.toks = toks + [(None, None)]  # the kind None marks the end
         self.i = 0
         self.nvars = nvars
         self.field = field
+        self.one = (0,) * nvars
 
     def peek(self):
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
+        return self.toks[self.i][0]
 
     def take(self):
-        if self.i >= len(self.toks):
+        if self.i == self.end:
             raise ParseError("unexpected end of input")
-        t = self.toks[self.i]
         self.i += 1
-        return t
+        return self.toks[self.i - 1]
 
     def parse(self) -> Polynomial:
-        p = self.expr()
-        if self.i != len(self.toks):
+        terms, scale = self.expr()
+        if self.i != self.end:
             raise ParseError("trailing input")
-        return p
+        f = self.field
+        return Polynomial(self.nvars, f, f.wraw(terms, scale))
 
     def expr(self):
+        f = self.field
         sign = 1
         if self.peek() in ("+", "-"):
             sign = -1 if self.take()[0] == "-" else 1
-        p = self.term()
+        p, sp = self.term()
         if sign < 0:
-            p = -p
+            p = {m: f.rneg(c) for m, c in p.items()}
         while self.peek() in ("+", "-"):
             op = self.take()[0]
-            q = self.term()
-            p = p - q if op == "-" else p + q
-        return p
+            q, sq = self.term()
+            if sq != sp:
+                scale = lcm(sp, sq)
+                if scale != sp:
+                    p = f.wscale(p, scale // sp)
+                if scale != sq:
+                    q = f.wscale(q, scale // sq)
+                sp = scale
+            combine = f.rsub if op == "-" else f.radd
+            for m, c in q.items():
+                c = combine(p.get(m, f.wzero), c)
+                if f.riszero(c):
+                    p.pop(m, None)
+                else:
+                    p[m] = c
+        return p, sp
 
     def term(self):
-        p = self.factor()
+        f = self.field
+        p, sp = self.factor()
         while self.peek() in ("*", "/"):
             op = self.take()[0]
-            q = self.factor()
-            if op == "*":
-                p = p * q
-            else:
-                c = _as_constant(q)
-                if c is None or c.is_zero():
+            q, sq = self.factor()
+            if op == "/":
+                c = self.constant(q, sq)
+                if c is None or f.riszero(c):
                     raise ParseError("division only by nonzero constants")
-                p = p.scale(c.inverse())
-        return p
+                q, sq = f.wrow({self.one: f.rinv(c)})
+            p, sp = _wmul(f, p, q, None), sp * sq
+        return p, sp
 
     def factor(self):
+        f = self.field
         if self.peek() == "-":
             self.take()
-            return -self.factor()
-        p = self.atom()
+            p, sp = self.factor()
+            return {m: f.rneg(c) for m, c in p.items()}, sp
+        p, sp = self.atom()
         if self.peek() == "^":
             self.take()
-            kind, val = self.take()
+            kind, n = self.take()
             if kind != "num":
                 raise ParseError("exponent must be a natural number")
-            p = p ** val
-        return p
+            if n and len(p) == 1:
+                (m, c), = p.items()
+                return {tuple([e * n for e in m]): _power(f, c, n)}, sp ** n
+            out = {self.one: f.wone}
+            for _ in range(n):
+                out = _wmul(f, out, p, None)
+            return out, sp ** n
+        return p, sp
 
     def atom(self):
-        kind, val = self.take() if self.i < len(self.toks) else (None, None)
+        f = self.field
+        kind, val = self.toks[self.i]
+        self.i += 1
         if kind == "num":
-            return Polynomial.constant(val, self.nvars, self.field)
+            return (f.wscale({self.one: f.wone}, val) if val else {}), 1
         if kind == "var":
             if not 1 <= val <= self.nvars:
                 raise ParseError(f"variable x{val} out of range (nvars={self.nvars})")
-            return Polynomial.variable(val - 1, self.nvars, self.field)
+            return {self.one[:val - 1] + (1,) + self.one[val:]: f.wone}, 1
         if kind == "sqrt":
             if self.peek() != "(":
                 raise ParseError("sqrt must be followed by (...)")
@@ -454,13 +501,13 @@ class _Parser:
             if self.peek() != ")":
                 raise ParseError("unbalanced parentheses in sqrt")
             self.take()
-            c = _as_constant(inner)
+            c = self.constant(*inner)
             if c is None:
                 raise ParseError("sqrt of a non-constant")
-            r = c.sqrt()
+            r = f.rsqrt(c)
             if r is None:
-                raise ParseError(f"sqrt({c!r}) does not exist in {self.field!r}")
-            return Polynomial.constant(r, self.nvars, self.field)
+                raise ParseError(f"sqrt({f.rstr(c)}) does not exist in {f!r}")
+            return ({}, 1) if f.riszero(r) else f.wrow({self.one: r})
         if kind == "(":
             inner = self.expr()
             if self.peek() != ")":
@@ -469,13 +516,13 @@ class _Parser:
             return inner
         raise ParseError("unexpected end of input" if kind is None else f"unexpected {kind!r}")
 
-
-def _as_constant(p: Polynomial):
-    if p.is_zero():
-        return p.field.zero
-    if list(p.terms) == [(0,) * p.nvars]:
-        return p.constant_coeff()
-    return None
+    def constant(self, terms, scale):
+        """The raw value of a constant working dict over scale, or None."""
+        if not terms:
+            return self.field.rzero
+        if list(terms) == [self.one]:
+            return self.field.wraw(terms, scale)[self.one]
+        return None
 
 
 def parse_poly(text: str, nvars: int, field: Field = QQ) -> Polynomial:

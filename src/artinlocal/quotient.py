@@ -183,7 +183,7 @@ def macaulay_echelon(pres: IdealPresentation, D: int, lower: bool = False):
         layer = {0: gen_rows[-1]}  # multiplier rank -> working row of m*g, for the rows kept
         d = table.degs[min(row)] + 1  # the degree of m*g for the next multipliers m
         while d < table.D:
-            monos, shifts = table.monos, table.shift
+            support, shifts = table.support, table.shift
             hits, source = {}, {}
             for k, work in layer.items():
                 for shift in shifts:
@@ -195,8 +195,7 @@ def macaulay_echelon(pres: IdealPresentation, D: int, lower: bool = False):
                         source[c] = shift, work
             layer = {}
             for c in sorted(hits):
-                m = monos[c]
-                if hits[c] == len(m) - m.count(0):
+                if hits[c] == support[c]:
                     shift, (w, scale) = source[c]
                     w = {shift[r]: v for r, v in w.items() if shift[r] is not None}
                     if ech.add(w, scale):

@@ -40,9 +40,10 @@ that the field chooses, through the ``w*`` methods: a row of integral
 values over one positive integer scale, meaning values / scale.  Over
 ``QQ`` the values are Python ints.  Over an extension they are raw values
 with denominator 1, which radd, rsub and rmul keep at denominator 1 with
-no gcd.  ``wcofactors`` gives the multipliers (a, b), a a positive int,
-that clear an entry c against a pivot entry L by cross-multiplication,
-a*c - b*L = 0.  ``wscale`` multiplies a row by a, and ``wdivide`` divides
+no gcd; ``wzero`` and ``wone`` are the working 0 and 1.  ``wcofactors``
+gives the multipliers (a, b), a a positive int, that clear an entry c
+against a pivot entry L by cross-multiplication, a*c - b*L = 0.
+``wscale`` multiplies a row by a, and ``wdivide`` divides
 the gcd of its integers out of a row and its scale.  ``wpivot`` makes the
 entry of a pivot row at its pivot a positive rational integer.  Over an
 extension it multiplies the row by the conjugates of that entry x,
@@ -247,7 +248,7 @@ class RationalField(Field):
 
     # ----- working form of echelon rows: ints over one integer scale
 
-    wzero = 0
+    wzero, wone = 0, 1
 
     def wrow(self, row):
         """(ints, scale) with row = ints / scale: scale is the lcm of the
@@ -282,11 +283,15 @@ class RationalField(Field):
 
     def wpivot(self, row, lead):
         """Working form of a nonzero pivot row with no zero entry: the
-        primitive integer row positive at lead."""
-        row = self.wdivide(row, 0)[0]
+        primitive integer row positive at lead (row itself if it is one)."""
+        g = 0
+        for c in row.values():
+            g = gcd(g, c)
+            if g == 1:
+                break
         if row[lead] < 0:
-            row = {r: -v for r, v in row.items()}
-        return row
+            g = -g
+        return row if g == 1 else {r: c // g for r, c in row.items()}
 
     def wraw(self, row, scale):
         if scale == 1:
@@ -404,7 +409,7 @@ class QuadraticExtension(Field):
         self.depth = base.depth + 1
         n = self.n = 1 << self.depth
         self.rzero = self.wzero = (0,) * n + (1,)
-        self.rone = (1,) + (0,) * (n - 1) + (1,)
+        self.rone = self.wone = (1,) + (0,) * (n - 1) + (1,)
         self.sqrt_theta = (0,) * (n // 2) + (1,) + (0,) * (n // 2 - 1) + (1,)
         if self.depth == 1:
             self.radd, self.rsub, self.rmul = _ring1(theta.numerator)

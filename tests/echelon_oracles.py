@@ -36,12 +36,16 @@ oracle_mul forms its product with them.  ideals_equal, the ideal equality
 the quotient tests use, is built on the library's build_quotient and
 row_space_equal.  The build at a fixed cap, from max(4, max degree + 2)
 one degree up at a time and never lowered, is the reference for the
-default build, which lowers its cap to s+2 as degrees fill.
+default build, which lowers its cap to s+2 as degrees fill.  The parser
+whose values are Polynomials, with one Polynomial operation per sum,
+product and power (a power one factor at a time), is the reference for
+the one whose values are working dicts.
 """
 
+import re
 from math import comb
 
-from artinlocal.errors import NotArtinian
+from artinlocal.errors import NotArtinian, ParseError
 from artinlocal.linalg import (
     MonomialTable,
     SparseEchelon,
@@ -274,6 +278,135 @@ def oracle_substitute(p, images, D):
             term = oracle_mul_trunc(term, powers[i][e], D)
         out = out + term
     return out
+
+
+_ORACLE_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<var>x\d+)|(?P<sqrt>sqrt)|(?P<op>[-+*/^()]))"
+)
+
+
+class _OracleParser:
+    """Recursive descent over the polynomial grammar with Polynomial values;
+    parse_poly's messages for malformed text."""
+
+    def __init__(self, text, nvars, field):
+        self.toks, pos = [], 0
+        while pos < len(text):
+            m = _ORACLE_TOKEN.match(text, pos)
+            if not m:
+                if text[pos:].strip():
+                    raise ParseError(f"bad character near {text[pos:pos + 10]!r}")
+                break
+            pos = m.end()
+            kind = m.lastgroup
+            if kind == "num":
+                self.toks.append(("num", int(m.group("num"))))
+            elif kind == "var":
+                self.toks.append(("var", int(m.group("var")[1:])))
+            else:
+                self.toks.append((m.group("op") if kind == "op" else kind, None))
+        self.i = 0
+        self.nvars = nvars
+        self.field = field
+
+    def peek(self):
+        return self.toks[self.i][0] if self.i < len(self.toks) else None
+
+    def take(self):
+        if self.i >= len(self.toks):
+            raise ParseError("unexpected end of input")
+        self.i += 1
+        return self.toks[self.i - 1]
+
+    def constant(self, p):
+        if p.is_zero():
+            return p.field.zero
+        if list(p.terms) == [(0,) * p.nvars]:
+            return p.constant_coeff()
+        return None
+
+    def expr(self):
+        sign = -1 if self.peek() == "-" else 1
+        if self.peek() in ("+", "-"):
+            self.take()
+        p = self.term()
+        if sign < 0:
+            p = -p
+        while self.peek() in ("+", "-"):
+            op = self.take()[0]
+            q = self.term()
+            p = p - q if op == "-" else p + q
+        return p
+
+    def term(self):
+        p = self.factor()
+        while self.peek() in ("*", "/"):
+            op = self.take()[0]
+            q = self.factor()
+            if op == "*":
+                p = oracle_mul_trunc(p, q, None)
+            else:
+                c = self.constant(q)
+                if c is None or c.is_zero():
+                    raise ParseError("division only by nonzero constants")
+                p = p.scale(c.inverse())
+        return p
+
+    def factor(self):
+        if self.peek() == "-":
+            self.take()
+            return -self.factor()
+        p = self.atom()
+        if self.peek() == "^":
+            self.take()
+            kind, n = self.take()
+            if kind != "num":
+                raise ParseError("exponent must be a natural number")
+            out = Polynomial.constant(1, self.nvars, self.field)
+            for _ in range(n):
+                out = oracle_mul_trunc(out, p, None)
+            p = out
+        return p
+
+    def atom(self):
+        kind, val = self.take() if self.i < len(self.toks) else (None, None)
+        if kind == "num":
+            return Polynomial.constant(val, self.nvars, self.field)
+        if kind == "var":
+            if not 1 <= val <= self.nvars:
+                raise ParseError(f"variable x{val} out of range (nvars={self.nvars})")
+            return Polynomial.variable(val - 1, self.nvars, self.field)
+        if kind == "sqrt":
+            if self.peek() != "(":
+                raise ParseError("sqrt must be followed by (...)")
+            self.take()
+            inner = self.expr()
+            if self.peek() != ")":
+                raise ParseError("unbalanced parentheses in sqrt")
+            self.take()
+            c = self.constant(inner)
+            if c is None:
+                raise ParseError("sqrt of a non-constant")
+            r = c.sqrt()
+            if r is None:
+                raise ParseError(f"sqrt({c!r}) does not exist in {self.field!r}")
+            return Polynomial.constant(r, self.nvars, self.field)
+        if kind == "(":
+            inner = self.expr()
+            if self.peek() != ")":
+                raise ParseError("unbalanced parentheses")
+            self.take()
+            return inner
+        raise ParseError("unexpected end of input" if kind is None else f"unexpected {kind!r}")
+
+
+def oracle_parse_poly(text, nvars, field):
+    """parse_poly with Polynomial values throughout."""
+    parser = _OracleParser(text, nvars, field)
+    p = parser.expr()
+    if parser.i != len(parser.toks):
+        raise ParseError("trailing input")
+    return p
 
 
 def oracle_mul(a, b):

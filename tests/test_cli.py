@@ -116,6 +116,15 @@ def test_bad_ideal_file(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "parse-error"
 
 
+def test_huge_exponent_gives_the_not_artinian_record(tmp_path, capsys):
+    """x2^99999999999 parses at once to its monomial, which lies past every
+    truncation, so (x1^2) alone is left and the build reports it."""
+    path = write_ideal(tmp_path, "vars: 2\nx1^2\nx2^99999999999\n")
+    code, _, err = run(capsys, "invariants", path)
+    assert code == 1
+    assert json.loads(err)["error"]["code"] == "not-artinian"
+
+
 def test_verify_rgs_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "rgs")
     assert code == 0

@@ -1,5 +1,6 @@
 """Multivariate polynomial arithmetic, parsing, and ring maps; the
-fraction-free products and substitution against the Fraction oracles."""
+fraction-free products and substitution against the Fraction oracles, and
+the working-form parser against the Polynomial-valued one."""
 
 import random
 from fractions import Fraction
@@ -20,7 +21,7 @@ from artinlocal.polynomials import (
 )
 from artinlocal.scalars import QQ, Scalar, adjoin_sqrt
 
-from echelon_oracles import oracle_mul_trunc, oracle_substitute
+from echelon_oracles import oracle_mul_trunc, oracle_parse_poly, oracle_substitute
 
 SQRT2 = adjoin_sqrt(QQ, Scalar(QQ, QQ.rfrom(2)))
 TOWER = adjoin_sqrt(SQRT2, SQRT2.radd(SQRT2.rfrom(3), SQRT2.sqrt_theta))
@@ -148,6 +149,18 @@ def test_single_term_power_equals_repeated_multiplication(field, data):
         assert (p ** n).terms == want.terms
 
 
+def test_single_term_powers_take_the_exponent_at_once():
+    """A single term's power multiplies its exponents and raises its
+    coefficient by squaring, so huge exponents cost nothing; in text too."""
+    x2 = Polynomial.variable(1, 2, QQ)
+    for n in (3000000, 99999999999):
+        assert (x2 ** n).terms == {(0, n): QQ.rone}
+        assert parse_poly(f"x2^{n}", 2, QQ).terms == {(0, n): QQ.rone}
+    assert parse_poly("-(3/2*x1)^5", 2, QQ).terms == {(5, 0): QQ.rfrom(Fraction(-243, 32))}
+    r2 = SQRT2.sqrt_theta
+    assert (Polynomial(1, SQRT2, {(1,): r2}) ** 41).terms == {(41,): SQRT2.rmake((0, 2 ** 20), 1)}
+
+
 def test_negative_exponent_raises():
     for p in (parse_poly("x1", 2, QQ), parse_poly("x1 + x2", 2, QQ)):
         with pytest.raises(ValueError):
@@ -248,3 +261,73 @@ def test_substitute_keeps_terms_of_p_past_the_cut_when_images_have_constants():
     p = parse_poly("x1^3", 1, QQ)
     image = parse_poly("1 + x1", 1, QQ)
     assert p.substitute([image], 2) == parse_poly("1 + 3*x1", 1, QQ)
+
+
+# ------------------------------------------ working-form parser vs the oracle
+
+
+def grammar_texts(field):
+    """Random text of the polynomial grammar in x1..x3: sums, products,
+    powers of sums, parentheses, unary minus, division by constants and
+    sqrt(...), with spaces here and there; every divisor is a nonzero
+    constant and every square root exists in the field, so every text
+    parses."""
+    roots = ["sqrt(4)", "sqrt(9/4)", "sqrt(0)", "sqrt((1 + 3)*4)"]
+    if field is not QQ:
+        roots += ["sqrt(2)", "sqrt(8)", "sqrt(3 + 2*sqrt(2))", "sqrt(9/2)"]
+    leaves = st.one_of(st.integers(0, 12).map(str),
+                       st.sampled_from(["x1", "x2", "x3", "x1^2", "x3^0"]),
+                       st.sampled_from(roots))
+    ops = st.sampled_from(["+", "-", "*", " + ", " - ", " * "])
+
+    def grow(child):
+        return st.one_of(
+            st.tuples(child, ops, child).map("".join),
+            child.map(lambda e: f"({e})"),
+            child.map(lambda e: f"-{e}"),
+            st.tuples(child, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(child, st.sampled_from(["2", "7", "(2 - 5)", "sqrt(4)", "(1 + 1)"]))
+            .map(lambda t: f"{t[0]}/{t[1]}"))
+
+    return st.recursive(leaves, grow, max_leaves=6)
+
+
+def parse_outcome(parse, text, field):
+    """The parsed polynomial, or the text of the ParseError."""
+    try:
+        return parse(text, 3, field)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@pytest.mark.parametrize("field", [QQ, SQRT2], ids=["QQ", "QQ(sqrt2)"])
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_parser_matches_the_polynomial_valued_oracle(field, data):
+    """Each text, and the text with one character deleted, inserted or
+    replaced, gives the oracle's polynomial, value for value, or its
+    ParseError message."""
+    text = data.draw(grammar_texts(field))
+    got = parse_outcome(parse_poly, text, field)
+    assert not isinstance(got, str), (text, got)
+    assert_exact(got, oracle_parse_poly(text, 3, field))
+    k = data.draw(st.integers(0, len(text)))
+    c = data.draw(st.sampled_from(list("x1234()+-*/^ s") + ["sqrt", "x0", "x4", "&"]))
+    for bad in (text[:k] + text[k + 1:], text[:k] + c + text[k:], text[:k] + c + text[k + 1:]):
+        got, want = parse_outcome(parse_poly, bad, field), parse_outcome(oracle_parse_poly, bad, field)
+        if isinstance(want, str):
+            assert got == want, bad
+        else:
+            assert_exact(got, want)
+
+
+@pytest.mark.parametrize("text", [
+    "x1/x2", "x0", "(x1", "x1^-1", "x1^2^2", "x1 +", "x4", "2 ** x1", "x1^", "",
+    "x1/0", "x1/(x2 - x2)", "sqrt(3)", "sqrt(x1)", "sqrt x1", "sqrt((x1)", "(x1))",
+    "x1 & x2", "x1 x2", "1.5*x1", "x1^x2", "y1",
+])
+def test_malformed_text_raises_the_oracles_message(text):
+    """The same ParseError text as the Polynomial-valued parser."""
+    want = parse_outcome(oracle_parse_poly, text, QQ)
+    assert want.startswith("ParseError: ")
+    assert parse_outcome(parse_poly, text, QQ) == want

@@ -29,7 +29,8 @@ the substitution cut below D; and row reduction over a tower must run with
 rinv raising.  The default build, which lowers its cap as degrees fill,
 must end at D = s+2 and give the fixed-cap build's hf, v, standard basis,
 socle, leading forms and normal forms, and zero values in an incoming row
-must be dropped.
+must be dropped.  A row that reaches no pivot goes in at once, as the
+oracle's pivot row.
 """
 
 import functools
@@ -130,6 +131,15 @@ def moved(pres, seed):
     images = [phi.apply(g) for g in pres.gens]
     return IdealPresentation([im for im in images if not im.is_zero()],
                              pres.nvars, pres.field)
+
+
+def assert_working_form(ech):
+    """Every working row is primitive, positive and rational at its pivot."""
+    f = ech.field
+    for lead, row in ech.working.items():
+        ints = [c for x in row.values() for c in ((x,) if f is QQ else x[:-1])]
+        assert math.gcd(*ints) == 1
+        assert (row[lead] > 0) if f is QQ else (row[lead][0] > 0 and not any(row[lead][1:-1]))
 
 
 def pivot_rows(ech):
@@ -483,6 +493,59 @@ def test_zero_values_of_an_incoming_row_are_dropped(field):
     assert not any(field.riszero(c) for row in ech.working.values() for c in row.values())
 
 
+@pytest.mark.parametrize("field", [QQ, adjoin_sqrt(adjoin_sqrt(QQ, q(2)), 3)],
+                         ids=["QQ", "QQ(sqrt2)(sqrt3)"])
+def test_rows_that_reach_no_pivot_go_in_as_the_oracle_stores_them(field):
+    """A row with no pivot column in its support goes in at once, as the
+    normalized-row oracle's pivot row: rows with zero values, at pivot
+    columns too, non-primitive rows, rows with a negative leading entry,
+    raw rows and working rows over a scale.  The caller's row is left
+    unchanged and is not kept: clearing it after add changes nothing."""
+    rng = random.Random(20269)
+    ech, oracle = SparseEchelon(field), OracleEchelon(field)
+    seen = {"zero at a pivot": 0, "kept as given": 0, "negative lead": 0}
+    for _ in range(120):
+        free = [c for c in range(600) if c not in ech.leads]
+        row = {c: random_row_entry(rng, field) for c in rng.sample(free, rng.randint(1, 4))}
+        lead = min(row)
+        shape = rng.choice(("primitive", "multiple", "any"))
+        if shape == "primitive":  # primitive and positive at its lead once cleared
+            row = {c: field.rfrom(rng.randint(-3, 3) or 1) for c in row}
+            row[lead] = field.rone
+        elif shape == "multiple":
+            row = {c: field.rmul(v, field.rfrom(6)) for c, v in row.items()}
+        if rng.random() < 0.3 and field.rcoords(row[lead])[0][0] > 0:
+            row[lead] = field.rneg(row[lead])
+        seen["negative lead"] += field.rcoords(row[lead])[0][0] < 0
+        if rng.random() < 0.4:
+            for c in rng.sample(list(ech.leads) + free, 2):
+                row.setdefault(c, field.rzero)
+                seen["zero at a pivot"] += c in ech.leads
+        assert not any(c in ech.leads for c, v in row.items() if not field.riszero(v))
+        assert oracle.add(row)
+        if rng.random() < 0.5:
+            given, scale = field.wrow(row)
+            if rng.random() < 0.3:
+                given, scale = field.wscale(given, 5), scale * 5
+            seen["kept as given"] += (min(given) == lead
+                                      and field.wpivot(given, lead) is given)
+            before = list(given.items())
+            assert ech.add(given, scale)
+        else:
+            given = row
+            before = list(given.items())
+            assert ech.add(given)
+        assert list(given.items()) == before
+        given.clear()
+    pivots = pivot_rows(ech)
+    assert list(pivots) == list(oracle.pivots)
+    for lead, row in oracle.pivots.items():
+        assert list(pivots[lead].items()) == list(row.items()), lead
+    assert ech.rank == oracle.rank == 120
+    assert_working_form(ech)
+    assert all(seen.values()), seen
+
+
 SQRT2 = adjoin_sqrt(QQ, q(2))
 
 
@@ -584,11 +647,7 @@ def check_least_truncation(pres, rng, A=None):
     A, B = A or build_quotient(pres), oracle_build_quotient(pres)
     s = A.socle_degree
     assert A.D == s + 2 <= B.D
-    f = A.field
-    for lead, row in A.ech.working.items():  # primitive, positive and rational at the pivot
-        ints = [c for x in row.values() for c in ((x,) if f is QQ else x[:-1])]
-        assert math.gcd(*ints) == 1
-        assert (row[lead] > 0) if f is QQ else (row[lead][0] > 0 and not any(row[lead][1:-1]))
+    assert_working_form(A.ech)
     assert (A.hf, A.v, A.std) == (B.hf, B.v, B.std)
     assert ([list(el.poly.terms.items()) for el in A.socle()[1]]
             == [list(el.poly.terms.items()) for el in B.socle()[1]])
