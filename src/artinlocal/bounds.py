@@ -15,7 +15,6 @@ r = e - C(h+t-1, t-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import comb
 
 from .polynomials import Polynomial, lex_monomials
@@ -23,23 +22,31 @@ from .quotient import IdealPresentation
 from .scalars import QQ
 
 
+def _top(x: int, j: int) -> int:
+    """The largest n >= j with C(n, j) <= x, for x, j >= 1: n doubles from
+    j until C(n, j) > x, then the last step is bisected, so no C(n, j) is
+    formed past twice the answer."""
+    lo, hi = j, 2 * j
+    while comb(hi, j) <= x:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if comb(mid, j) <= x else (lo, mid)
+    return lo
+
+
 def binomial_expansion(n: int, i: int):
     """The i-binomial expansion of n >= 1: pairs (n_j, j) with
-    n = sum C(n_j, j), n_i > n_{i-1} > ... >= j for each term."""
+    n = sum C(n_j, j), n_i > n_{i-1} > ... >= j for each term.  Each n_j
+    is the largest with C(n_j, j) <= the rest, which is all of it at j = 1."""
     if n < 1 or i < 1:
         raise ValueError("need n >= 1 and i >= 1")
-    out = []
-    j = i
-    rest = n
-    while rest > 0 and j >= 1:
-        nj = j
-        while comb(nj + 1, j) <= rest:
-            nj += 1
+    out, rest, j = [], n, i
+    while rest:
+        nj = _top(rest, j)
         out.append((nj, j))
         rest -= comb(nj, j)
         j -= 1
-    if rest:
-        raise ArithmeticError("binomial expansion failed")
     return out
 
 
@@ -53,15 +60,13 @@ def macaulay_shift(n: int, i: int) -> int:
 
 def t_and_r(e: int, h: int):
     """The unique t >= 2 with C(h+t-1, t-1) <= e < C(h+t, t), and the
-    remainder r = e - C(h+t-1, t-1).  Requires e >= h+1 (so I in n^2)."""
+    remainder r = e - C(h+t-1, t-1).  Requires e >= h+1 (so I in n^2).
+    For n = h+t-1 that is C(n, h) <= e < C(n+1, h): n is the largest with
+    C(n, h) <= e, and n >= h+1 as C(h+1, h) = h+1 <= e."""
     if h < 1 or e < h + 1:
         raise ValueError("need h >= 1 and e >= h + 1")
-    t = 2
-    while not (comb(h + t - 1, t - 1) <= e < comb(h + t, t)):
-        t += 1
-        if t > e + 2:
-            raise ArithmeticError("no admissible t found")
-    return t, e - comb(h + t - 1, t - 1)
+    n = _top(e, h)
+    return n - h + 1, e - comb(n, h)
 
 
 def erv_upper(e: int, h: int) -> int:
@@ -125,7 +130,7 @@ def lex_segment(hf, nvars=None):
         grown = total - macaulay_shift(hf[j - 1], j - 1) if j > 1 else 0
         seg = total - (hf[j] if j <= s else 0)
         gens += [Polynomial(nvars, QQ, {m: QQ.rone})
-                 for m in islice(lex_monomials(nvars, j), grown, seg)]
+                 for m in lex_monomials(nvars, j, grown, seg)]
     return IdealPresentation(gens, nvars, QQ)
 
 

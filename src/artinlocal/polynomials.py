@@ -32,11 +32,12 @@ hands such dicts, with their scales, to the echelon's reduction.
 
 Parsing is exact, in working form: every parsed value is a working dict
 over one scale.  A product is _wmul over the product of the scales, a sum
-brings both to the lcm of their scales, division by a constant c is the
-product with the working form of the raw 1/c, and parse_poly makes one
-Polynomial, raw values once, at the end.  A single term's power c*m to
-the n is c^n by squaring times m with its exponents multiplied by n, as
-in Polynomial.__pow__, so x2^99999999999 costs nothing.
+_wadd, which brings both to the lcm of their scales (Polynomial's + and -
+are wrow, _wadd and wraw too), and a power _wpow (Polynomial.__pow__ too):
+a single term's c*m to the n is c^n times m with its exponents multiplied
+by n, so x2^99999999999 costs nothing, and powers square with
+scalars._power.  Division by a constant c is the product with the working
+form of the raw 1/c, and parse_poly makes one Polynomial at the end.
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from math import lcm, prod
 from operator import add
 
 from .errors import FieldMismatch, ParseError
-from .scalars import Field, QQ, Scalar, common_field
+from .scalars import Field, QQ, Scalar, _power, common_field
 
 Monomial = tuple
 
@@ -71,15 +72,17 @@ def mono_str(m: Monomial) -> str:
     return "*".join(parts)
 
 
-def lex_monomials(nvars: int, d: int):
+def lex_monomials(nvars: int, d: int, start: int = 0, stop=None):
     """Yield the exponent tuples of total degree d in descending lex order
-    (x1 > x2 > ...), one per multiset of d variable indices.
+    (x1 > x2 > ...), one per multiset of d variable indices; with start
+    and stop, only those of positions start..stop-1 in that order, the
+    index tuples before start skipped unconverted.
 
     combinations_with_replacement gives the sorted index tuples p in
     ascending order.  If p < q first differ at position k, they agree
     below p_k in their counts of every index < p_k, and p holds index p_k
     once more than q does; so the exponent tuple of p is the larger."""
-    for picks in combinations_with_replacement(range(nvars), d):
+    for picks in islice(combinations_with_replacement(range(nvars), d), start, stop):
         e = [0] * nvars
         for i in picks:
             e[i] += 1
@@ -114,17 +117,38 @@ def _wmul(f, a, b, D):
     return out
 
 
-def _power(f, c, n):
-    """c^n for n >= 1 by squaring with the field's rmul, c a raw or a
-    working value of f (working values multiply to working values)."""
-    out = None
-    while True:
-        if n & 1:
-            out = c if out is None else f.rmul(out, c)
-        n >>= 1
-        if not n:
-            return out
-        c = f.rmul(c, c)
+def _wadd(f, p, sp, q, sq, sub=False):
+    """(sum, scale) of p / sp + q / sq, or p / sp - q / sq with sub, for
+    working dicts p and q over the field f: both are brought to the lcm
+    of the scales and added, p's terms first and q's new ones after them,
+    and a sum that cancels is not kept.  p may be changed in place."""
+    if sq != sp:
+        scale = lcm(sp, sq)
+        if scale != sp:
+            p = f.wscale(p, scale // sp)
+        if scale != sq:
+            q = f.wscale(q, scale // sq)
+        sp = scale
+    combine, zero, riszero = f.rsub if sub else f.radd, f.wzero, f.riszero
+    for m, c in q.items():
+        c = combine(p.get(m, zero), c)
+        if riszero(c):
+            p.pop(m, None)
+        else:
+            p[m] = c
+    return p, sp
+
+
+def _wpow(f, p, sp, n, one):
+    """(power, scale) of (p / sp)^n for n >= 0, p a working dict over the
+    field f and one the constant monomial: a single term c*m gives c^n *
+    m^n at once, and any other p is squared with _wmul."""
+    if not n:
+        return {one: f.wone}, 1
+    if len(p) == 1:
+        (m, c), = p.items()
+        return {tuple([e * n for e in m]): _power(f.rmul, c, n)}, sp ** n
+    return _power(lambda a, b: _wmul(f, a, b, None), p, n), sp ** n
 
 
 class Polynomial:
@@ -171,13 +195,12 @@ class Polynomial:
     def constant_coeff(self) -> Scalar:
         return self.coeff((0,) * self.nvars)
 
-    def linear_coeffs(self):
-        """Coefficients of x1..xh as a list of Scalars."""
-        out = []
-        for i in range(self.nvars):
-            m = tuple(1 if j == i else 0 for j in range(self.nvars))
-            out.append(self.coeff(m))
-        return out
+    def linear_row(self):
+        """{i: raw coefficient of x_(i+1)} over the i whose coefficient is
+        nonzero, in ascending i."""
+        f, one = self.field, (0,) * self.nvars
+        row = {i: self.terms.get(one[:i] + (1,) + one[i + 1:]) for i in range(self.nvars)}
+        return {i: c for i, c in row.items() if c is not None and not f.riszero(c)}
 
     # arithmetic
 
@@ -203,19 +226,17 @@ class Polynomial:
             terms[m] = field.coerce(Scalar(self.field, c)).val
         return Polynomial(self.nvars, field, terms)
 
-    def __add__(self, other):
+    def _add(self, other, sub):
+        """self + other, or self - other with sub, through _wadd."""
         a, b = self._sameify(other)
         if a is None:
             return NotImplemented
         f = a.field
-        terms = dict(a.terms)
-        for m, c in b.terms.items():
-            s = f.radd(terms.get(m, f.rzero), c)
-            if f.riszero(s):
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return Polynomial(a.nvars, f, terms)
+        p, q = f.wrow(a.terms), f.wrow(b.terms)
+        return Polynomial(a.nvars, f, f.wraw(*_wadd(f, *p, *q, sub)))
+
+    def __add__(self, other):
+        return self._add(other, False)
 
     __radd__ = __add__
 
@@ -224,7 +245,7 @@ class Polynomial:
         return Polynomial(self.nvars, f, {m: f.rneg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial) else -(self._sameify(other)[1]))
+        return self._add(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -266,18 +287,12 @@ class Polynomial:
         )
 
     def __pow__(self, n: int):
-        """self^n for n >= 0; a single term c*m gives c^n * m^n directly,
-        c^n by squaring."""
+        """self^n for n >= 0, in working form by _wpow."""
         if n < 0:
             raise ValueError(f"negative exponent {n}")
-        if n and len(self.terms) == 1:
-            (m, c), = self.terms.items()
-            return Polynomial(self.nvars, self.field,
-                              {tuple([e * n for e in m]): _power(self.field, c, n)})
-        out = Polynomial.constant(1, self.nvars, self.field)
-        for _ in range(n):
-            out = out * self
-        return out
+        f = self.field
+        p = _wpow(f, *f.wrow(self.terms), n, (0,) * self.nvars)
+        return Polynomial(self.nvars, f, f.wraw(*p))
 
     def substitute(self, images, D) -> "Polynomial":
         """Evaluate at x_i -> images[i], truncating at degree D throughout,
@@ -422,31 +437,15 @@ class _Parser:
         return Polynomial(self.nvars, f, f.wraw(terms, scale))
 
     def expr(self):
-        f = self.field
-        sign = 1
+        """The terms summed from 0 by _wadd, a leading sign included."""
+        p, sp, op = {}, 1, "+"
         if self.peek() in ("+", "-"):
-            sign = -1 if self.take()[0] == "-" else 1
-        p, sp = self.term()
-        if sign < 0:
-            p = {m: f.rneg(c) for m, c in p.items()}
-        while self.peek() in ("+", "-"):
             op = self.take()[0]
-            q, sq = self.term()
-            if sq != sp:
-                scale = lcm(sp, sq)
-                if scale != sp:
-                    p = f.wscale(p, scale // sp)
-                if scale != sq:
-                    q = f.wscale(q, scale // sq)
-                sp = scale
-            combine = f.rsub if op == "-" else f.radd
-            for m, c in q.items():
-                c = combine(p.get(m, f.wzero), c)
-                if f.riszero(c):
-                    p.pop(m, None)
-                else:
-                    p[m] = c
-        return p, sp
+        while True:
+            p, sp = _wadd(self.field, p, sp, *self.term(), op == "-")
+            if self.peek() not in ("+", "-"):
+                return p, sp
+            op = self.take()[0]
 
     def term(self):
         f = self.field
@@ -474,13 +473,7 @@ class _Parser:
             kind, n = self.take()
             if kind != "num":
                 raise ParseError("exponent must be a natural number")
-            if n and len(p) == 1:
-                (m, c), = p.items()
-                return {tuple([e * n for e in m]): _power(f, c, n)}, sp ** n
-            out = {self.one: f.wone}
-            for _ in range(n):
-                out = _wmul(f, out, p, None)
-            return out, sp ** n
+            return _wpow(f, p, sp, n, self.one)
         return p, sp
 
     def atom(self):
@@ -574,7 +567,7 @@ class RingMap:
             return False
         ech = SparseEchelon(self.field)
         for im in self.images:
-            ech.add({k: c.val for k, c in enumerate(im.linear_coeffs()) if not c.is_zero()})
+            ech.add(im.linear_row())
         return ech.rank == self.nvars
 
     def then(self, second: "RingMap") -> "RingMap":

@@ -57,7 +57,7 @@ from .polynomials import (
     mono_key,
     parse_poly,
 )
-from .scalars import Field, QQ, Scalar, common_field
+from .scalars import Field, QQ, Scalar, _power, common_field
 
 D_START_FLOOR = 4
 D_MAX = 32
@@ -150,30 +150,40 @@ def macaulay_echelon(pres: IdealPresentation, D: int, lower: bool = False):
     hf's first zero is s+1; so whenever s+2 <= D the echelon ends at
     D = s+2.
 
-    Returns (table, ech, v), table the final one; v = dim I/nI whenever
-    n^D <= nI, D = table.D.
+    hf[j] counts the non-pivots of each degree j below the cap, from
+    C(h+j-1, j) down: a row that add keeps is stored under a new pivot, the
+    last key of ech.leads (dicts keep insertion order), whose degree loses
+    one; a rejected row changes no pivot, and a cut to D' removes exactly
+    the pivots, and the counts, of degree >= D'.  A full degree is a zero.
+
+    Returns (table, ech, v, hf), table the final one, D = table.D and hf
+    the D counts; v = dim I/nI whenever n^D <= nI.
     """
     f, h = pres.field, pres.nvars
     table = MonomialTable(h, D)
     ech = SparseEchelon(f)
     gen_rows = []
-    # first rank of each degree j < D, moved past the ranks seen to be
-    # pivots; a pivot below the cap stays one, so it only moves up
-    unfilled = [comb(h + j - 1, h) for j in range(D + 1)]
-    ends = unfilled[1:]  # ends[j]: the ranks of degree <= j are those below it
+    hf = [comb(h + j - 1, j) for j in range(D)]
+    leads, degs = ech.leads, table.degs  # the ranks of degs are the same at every cap
 
-    def filled():
-        """The least degree j < table.D - 1 whose every monomial is a
-        pivot, or None."""
-        leads = ech.leads
-        for j in range(1, table.D - 1):
-            r, end = unfilled[j], ends[j]
-            while r < end and r in leads:
-                r += 1
-            unfilled[j] = r
-            if r == end:
-                return j
-        return None
+    def add(row, scale):
+        if not ech.add(row, scale):
+            return False
+        hf[degs[next(reversed(leads))]] -= 1
+        return True
+
+    def cut():
+        """For the least full degree j < table.D - 1, if any, cut the
+        table, the echelon and hf at the cap j+1 and return the end
+        C(h+j, h) of the ranks kept; else None."""
+        nonlocal table
+        j = next((j for j in range(1, table.D - 1) if not hf[j]), None)
+        if j is None:
+            return None
+        table, end = MonomialTable(h, j + 1), comb(h + j, h)
+        ech.truncate(end)
+        del hf[j + 1:]
+        return end
 
     for g in pres.gens:
         row = row_from_poly(g, table)
@@ -198,21 +208,18 @@ def macaulay_echelon(pres: IdealPresentation, D: int, lower: bool = False):
                 if hits[c] == support[c]:
                     shift, (w, scale) = source[c]
                     w = {shift[r]: v for r, v in w.items() if shift[r] is not None}
-                    if ech.add(w, scale):
+                    if add(w, scale):
                         layer[c] = w, scale
             d += 1
-            if lower and (j := filled()) is not None:
-                table, end = MonomialTable(h, j + 1), ends[j]
-                ech.truncate(end)
+            if lower and (end := cut()) is not None:
                 layer = {c: ({r: v for r, v in w.items() if r < end}, scale)
                          for c, (w, scale) in layer.items()}
                 gen_rows = [({r: v for r, v in w.items() if r < end}, scale)
                             for w, scale in gen_rows]
-    v = sum(1 for row, scale in gen_rows if ech.add(row, scale))
-    if lower and (j := filled()) is not None:
-        table = MonomialTable(h, j + 1)
-        ech.truncate(ends[j])
-    return table, ech, v
+    v = sum(1 for row, scale in gen_rows if add(row, scale))
+    if lower:
+        cut()
+    return table, ech, v, hf
 
 
 class ArtinAlgebra:
@@ -407,18 +414,11 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        """By squaring: nf is canonical and A associative, so every order
-        of the products gives the same normal form."""
+        """By squaring (scalars._power): nf is canonical and A associative,
+        so every order of the products gives the same normal form."""
         if n < 0:
             raise ValueError(f"negative exponent {n}")
-        out, base = None, self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return self.algebra.element(1) if out is None else out
+        return _power(AlgebraElement.__mul__, self, n) if n else self.algebra.element(1)
 
     def residue(self) -> Scalar:
         return self.poly.constant_coeff()
@@ -481,14 +481,9 @@ def build_quotient(pres: IdealPresentation, D=None) -> ArtinAlgebra:
     Dcur = min(D if D is not None else max(D_START_FLOOR, pres.max_degree + 2),
                D_MAX)
     while True:
-        table, ech, v = macaulay_echelon(pres, Dcur, lower)
-        h, degs = pres.nvars, table.degs
-        hf = [comb(h + j - 1, j) for j in range(table.D)]
-        for lead in ech.leads:
-            hf[degs[lead]] -= 1
-        zero_at = next((j for j in range(table.D) if hf[j] == 0), None)
-        if zero_at is not None:
-            return ArtinAlgebra(pres, table.D, table, ech, v, hf[:zero_at])
+        table, ech, v, hf = macaulay_echelon(pres, Dcur, lower)
+        if 0 in hf:
+            return ArtinAlgebra(pres, table.D, table, ech, v, hf[:hf.index(0)])
         if Dcur >= D_MAX:
             raise NotArtinian(
                 f"not Artinian, or socle degree >= {D_MAX - 1}: the Hilbert"
@@ -649,8 +644,8 @@ def row_space_equal(p1: IdealPresentation, p2: IdealPresentation, D: int) -> boo
     the independent reference check that the tests and demos use.
     """
     f = common_field(p1.field, p2.field)
-    _, e1, _ = macaulay_echelon(p1.map_field(f), D)
-    _, e2, _ = macaulay_echelon(p2.map_field(f), D)
+    e1 = macaulay_echelon(p1.map_field(f), D)[1]
+    e2 = macaulay_echelon(p2.map_field(f), D)[1]
     return same_row_space(e1, e2)
 
 

@@ -87,6 +87,19 @@ def _int_nth_root(n: int, k: int):
     return r if r ** k == n else None
 
 
+def _power(mul, x, n):
+    """x^n for n >= 1 by squaring with the product mul, in at most
+    2*(n.bit_length() - 1) products: the library's one exponentiation."""
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else mul(out, x)
+        n >>= 1
+        if not n:
+            return out
+        x = mul(x, x)
+
+
 def _small_primes(bound: int):
     """The primes below bound, by the sieve of Eratosthenes."""
     sieve = bytearray([1]) * bound
@@ -154,9 +167,7 @@ class Field:
         return Scalar(self, self.rone)
 
     def sqrt(self, s: "Scalar"):
-        s = self.coerce(s)
-        raw = self.rsqrt(s.val)
-        return None if raw is None else Scalar(self, raw)
+        return self.nth_root(s, 2)
 
     def nth_root(self, s: "Scalar", n: int):
         s = self.coerce(s)
@@ -705,10 +716,8 @@ class Scalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one
-        for _ in range(n):
-            out = out * self
-        return out
+        f = self.field
+        return Scalar(f, _power(f.rmul, self.val, n) if n else f.rone)
 
     def inverse(self):
         return Scalar(self.field, self.field.rinv(self.val))

@@ -191,8 +191,7 @@ def certify(A: ArtinAlgebra, model: IdealPresentation, witness: RingMap, what: s
         if not A.evaluate(g, witness.images).is_zero():
             raise CertificationFailed(
                 f"{what} failed certification: a model generator maps outside the ideal")
-    table, ech, _ = macaulay_echelon(model, A.socle_degree + 2)
-    if len(table.monos) - ech.rank != A.length:
+    if sum(macaulay_echelon(model, A.socle_degree + 2)[3]) != A.length:
         raise CertificationFailed(
             f"{what} failed certification: the model has another colength")
 
@@ -260,12 +259,6 @@ def normalize_units(params, allow_extension=False):
 # ---------------------------------------------------------- generic search
 
 
-def _linear_row(el: AlgebraElement):
-    return {
-        i: c.val for i, c in enumerate(el.poly.linear_coeffs()) if not c.is_zero()
-    }
-
-
 def _graded_classes_independent(A: ArtinAlgebra, elems, j) -> bool:
     """Are the classes of the given elements independent modulo m^(j+1)?
 
@@ -291,7 +284,7 @@ def _candidate_linears(A: ArtinAlgebra, rng):
             c = rng.randint(-3, 3)
             if c:
                 el = el + A.variable(i) * c
-        if any(not c.is_zero() for c in el.poly.linear_coeffs()):
+        if el.poly.linear_row():
             yield el
 
 
@@ -457,14 +450,14 @@ def _complete_basis(A: ArtinAlgebra, fixed, count):
     """
     ech = SparseEchelon(A.field)
     for el in fixed:
-        if not ech.add(_linear_row(el)):
+        if not ech.add(el.poly.linear_row()):
             raise RuntimeError("fixed elements are linearly dependent mod m^2")
     out = []
     for i in range(A.nvars):
         if len(out) == count:
             break
         cand = A.variable(i)
-        if ech.add(_linear_row(cand)):
+        if ech.add(cand.poly.linear_row()):
             out.append(cand)
     if len(out) != count:
         raise RuntimeError("coordinate variables do not complete a basis of m/m^2")
@@ -491,10 +484,10 @@ def _stretched_witness(A: ArtinAlgebra, seed):
     # socle elements with independent classes mod m^2
     _, soc = A.socle()
     ech = SparseEchelon(A.field)
-    ech.add(_linear_row(x1))
+    ech.add(x1.poly.linear_row())
     ys = []
     for v in soc:
-        row = _linear_row(v)
+        row = v.poly.linear_row()
         if row and ech.add(row):
             ys.append(v)
     if len(ys) != tau - 1:

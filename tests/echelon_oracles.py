@@ -39,7 +39,9 @@ one degree up at a time and never lowered, is the reference for the
 default build, which lowers its cap to s+2 as degrees fill.  The parser
 whose values are Polynomials, with one Polynomial operation per sum,
 product and power (a power one factor at a time), is the reference for
-the one whose values are working dicts.
+the one whose values are working dicts; its sums are oracle_add, the
+term-by-term loop on raw values that is the reference for Polynomial's +
+and -, which add in working form over the lcm of the scales.
 """
 
 import re
@@ -149,9 +151,9 @@ def separate_echelon(pres, D):
 
 
 def oracle_macaulay_echelon(pres, D):
-    """(table, ech, v) as quotient.macaulay_echelon returns them, trying
-    every multiple m*g with deg(m) >= 1 before the generators; v = dim I/nI
-    for any D with n^D contained in nI."""
+    """(table, ech, v), the first three of what quotient.macaulay_echelon
+    returns, trying every multiple m*g with deg(m) >= 1 before the
+    generators; v = dim I/nI for any D with n^D contained in nI."""
     table = MonomialTable(pres.nvars, D)
     ech = OracleEchelon(pres.field)
     gen_rows = []
@@ -176,7 +178,7 @@ def oracle_build_quotient(pres):
     lowered, so it may end above s+2."""
     D = min(max(D_START_FLOOR, pres.max_degree + 2), D_MAX)
     while True:
-        table, ech, v = macaulay_echelon(pres, D)
+        table, ech, v, _ = macaulay_echelon(pres, D)
         hf = [0] * D
         for r in range(len(table.monos)):
             if r not in ech.leads:
@@ -258,6 +260,22 @@ def oracle_mul_trunc(a, b, D):
     return Polynomial(a.nvars, f, terms)
 
 
+def oracle_add(a, b, sub=False):
+    """a + b, or a - b with sub: a's terms copied, then each term of b,
+    negated with sub, added into them with one field operation on raw
+    values, a sum that cancels removed."""
+    a, b = a._sameify(b)
+    f = a.field
+    terms = dict(a.terms)
+    for m, c in b.terms.items():
+        s = f.radd(terms.get(m, f.rzero), f.rneg(c) if sub else c)
+        if f.riszero(s):
+            terms.pop(m, None)
+        else:
+            terms[m] = s
+    return Polynomial(a.nvars, f, terms)
+
+
 def oracle_substitute(p, images, D):
     """p at x_i -> images[i], over the common field of p's and the images'
     coefficients: each term from its constant, multiplied by one cached
@@ -276,7 +294,7 @@ def oracle_substitute(p, images, D):
             while len(powers[i]) <= e:
                 powers[i].append(oracle_mul_trunc(powers[i][-1], images[i], D))
             term = oracle_mul_trunc(term, powers[i][e], D)
-        out = out + term
+        out = oracle_add(out, term)
     return out
 
 
@@ -334,8 +352,7 @@ class _OracleParser:
             p = -p
         while self.peek() in ("+", "-"):
             op = self.take()[0]
-            q = self.term()
-            p = p - q if op == "-" else p + q
+            p = oracle_add(p, self.term(), op == "-")
         return p
 
     def term(self):

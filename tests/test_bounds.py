@@ -30,6 +30,67 @@ def test_binomial_expansion_reconstructs(n, i):
     assert all(k >= j for k, j in parts)
 
 
+def linear_t_and_r(e, h):
+    """t_and_r by stepping t up from 2 until C(h+t-1, t-1) <= e < C(h+t, t)."""
+    t = 2
+    while not (math.comb(h + t - 1, t - 1) <= e < math.comb(h + t, t)):
+        t += 1
+    return t, e - math.comb(h + t - 1, t - 1)
+
+
+def linear_binomial_expansion(n, i):
+    """binomial_expansion by stepping each n_j up from j while C(n_j + 1, j)
+    still fits in the rest."""
+    out, rest = [], n
+    for j in range(i, 0, -1):
+        if not rest:
+            break
+        nj = j
+        while math.comb(nj + 1, j) <= rest:
+            nj += 1
+        out.append((nj, j))
+        rest -= math.comb(nj, j)
+    return out
+
+
+def test_bisected_searches_match_the_linear_scans():
+    """t_and_r and binomial_expansion, whose searches double and bisect,
+    against the scans that step one at a time, for e <= 200 and h <= 5,
+    and for n <= 2000 and i <= 6."""
+    for h in range(1, 6):
+        for e in range(h + 1, 201):
+            assert t_and_r(e, h) == linear_t_and_r(e, h), (e, h)
+    for i in range(1, 7):
+        for n in range(1, 2001):
+            assert binomial_expansion(n, i) == linear_binomial_expansion(n, i), (n, i)
+
+
+def test_bound_searches_take_logarithmic_steps(monkeypatch):
+    """At e = 10^12 and h = 1, t = e and r = 0 are found by at most
+    2*bit_length(e) + 1 binomials, none past twice the answer; the linear
+    scan would form 10^12 of them.  The same holds for the expansion in
+    macaulay_shift(10^7, 1), whose one term is C(10^7, 1)."""
+    from artinlocal import bounds
+
+    calls = []
+
+    def comb(n, k):
+        calls.append(n)
+        assert len(calls) <= 100, "the search forms binomials one step at a time"
+        return math.comb(n, k)
+
+    monkeypatch.setattr(bounds, "comb", comb)
+    for e, search in ((10 ** 12, lambda e: t_and_r(e, 1)),
+                      (10 ** 7, lambda e: binomial_expansion(e, 1))):
+        calls.clear()
+        search(e)
+        assert len(calls) <= 2 * e.bit_length() + 1 and max(calls) <= 2 * e
+    monkeypatch.undo()
+    rep = bound_report(10 ** 12, 1)
+    assert (rep.t, rep.r, rep.upper) == (10 ** 12, 0, 1)
+    assert macaulay_shift(10 ** 7, 1) == math.comb(10 ** 7 + 1, 2)
+
+
 def test_shift_worked_values():
     assert macaulay_shift(5, 2) == 7
     assert macaulay_shift(3, 2) == 4

@@ -21,7 +21,7 @@ from artinlocal.polynomials import (
 )
 from artinlocal.scalars import QQ, Scalar, adjoin_sqrt
 
-from echelon_oracles import oracle_mul_trunc, oracle_parse_poly, oracle_substitute
+from echelon_oracles import oracle_add, oracle_mul_trunc, oracle_parse_poly, oracle_substitute
 
 SQRT2 = adjoin_sqrt(QQ, Scalar(QQ, QQ.rfrom(2)))
 TOWER = adjoin_sqrt(SQRT2, SQRT2.radd(SQRT2.rfrom(3), SQRT2.sqrt_theta))
@@ -121,6 +121,14 @@ def test_lex_monomials_are_the_sorted_monomials_descending():
     for n in range(6):
         for d in range(9):
             assert list(lex_monomials(n, d)) == sorted(monomials_of_degree(n, d), reverse=True)
+
+
+def test_lex_monomials_start_and_stop_give_the_slice():
+    for n in range(1, 5):
+        for d in range(6):
+            full = list(lex_monomials(n, d))
+            for start, stop in ((0, None), (1, 3), (2, None), (len(full) // 2, len(full))):
+                assert list(lex_monomials(n, d, start, stop)) == full[start:stop]
 
 
 def single_terms(field):
@@ -254,6 +262,62 @@ def test_substitute_matches_the_fraction_oracle(field, data):
     images = [data.draw(field_polys(data.draw(sub), k, lowest)) for _ in range(n)]
     for D in CUTS:
         assert_exact(p.substitute(images, D), oracle_substitute(p, images, D))
+
+
+def assert_same_terms(got, want):
+    """assert_exact, and the terms in the same order."""
+    assert_exact(got, want)
+    assert list(got.terms) == list(want.terms)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_add_and_sub_match_the_term_loop(field, data):
+    """+ and -, summed in working form over the lcm of the scales, against
+    the loop that adds term by term on raw values: the same values in the
+    same order.  One summand may lie over a subfield; values are zero or
+    have mixed denominators up to 10^15; and a third summand repeats some
+    of p's terms, as they are or negated, so that sums cancel."""
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(field_polys(field, n))
+    r = data.draw(field_polys(data.draw(st.sampled_from(subfields(field))), n))
+    signs = data.draw(st.lists(st.sampled_from((0, 1, -1)), min_size=len(p.terms),
+                               max_size=len(p.terms)))
+    echo = {m: c if k > 0 else field.rneg(c)
+            for (m, c), k in zip(p.terms.items(), signs) if k}
+    q = Polynomial(n, field, {**echo, **data.draw(field_polys(field, n)).terms})
+    for a, b in ((p, r), (r, p), (p, q), (q, p), (p, p)):
+        assert_same_terms(a + b, oracle_add(a, b))
+        assert_same_terms(a - b, oracle_add(a, b, sub=True))
+    assert (p - p).is_zero()
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_power_equals_repeated_multiplication(field, data):
+    """Powers by squaring of polynomials of up to 4 terms (zero values
+    left out, as Polynomial keeps none), n = 0..9, against the products
+    one factor at a time from 1, value for value."""
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(field_polys(field, n, max_deg=2))
+    p = Polynomial(n, field, {m: c for m, c in p.terms.items() if not field.riszero(c)})
+    want = Polynomial.constant(1, n, field)
+    for k in range(10):
+        assert_exact(p ** k, want)
+        want = oracle_mul_trunc(want, p, None)
+
+
+@pytest.mark.parametrize("field", [QQ, SQRT2], ids=["QQ", "QQ(sqrt2)"])
+def test_parser_powers_of_sums_match_the_oracle(field):
+    """Powers 0..9 of sums in text, whose parse squares working dicts,
+    against the oracle's products one factor at a time."""
+    root = "sqrt(2)" if field is SQRT2 else "sqrt(9/4)"
+    for base in ("x1 + x2", f"2/3*x1 - {root}*x2^2 + 5", "-x3/7 + (x1 - 1)^2"):
+        for n in range(10):
+            text = f"({base})^{n} - x2*({base})^{n}/3"
+            assert_exact(parse_poly(text, 3, field), oracle_parse_poly(text, 3, field))
 
 
 def test_substitute_keeps_terms_of_p_past_the_cut_when_images_have_constants():

@@ -12,6 +12,7 @@ from artinlocal.errors import FieldMismatch, NotArtinian, ResidueNotPower
 from artinlocal.polynomials import Polynomial, parse_poly, random_invertible_map
 from artinlocal.quotient import (
     D_MAX,
+    AlgebraElement,
     IdealPresentation,
     algebra_report,
     build_quotient,
@@ -203,3 +204,16 @@ def test_report_is_stable_json_material():
     assert rep["schema"] == 1
     assert rep["hilbert_function"] == [1, 2, 1, 1]
     assert rep["min_gens"] == 2
+
+
+def test_element_power_takes_at_most_two_products_per_bit(monkeypatch):
+    """(1 + x1)^n in k[[x1, x2]]/(x1^3, x2^2) is 1 + n*x1 + C(n, 2)*x1^2;
+    at n = 10^6 it takes at most 2*bit_length(n) products."""
+    A = build_quotient(pres("x1^3", "x2^2"))
+    calls = []
+    mul = AlgebraElement.__mul__
+    monkeypatch.setattr(AlgebraElement, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    n = 10 ** 6
+    got = A.element("1 + x1") ** n
+    assert len(calls) <= 2 * n.bit_length()
+    assert got == A.element(f"1 + {n}*x1 + {n * (n - 1) // 2}*x1^2")

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artinlocal.errors import FieldExtensionRequired
-from artinlocal.scalars import QQ, QuadraticExtension, Scalar, adjoin_sqrt, common_field
+from artinlocal.scalars import (
+    QQ,
+    QuadraticExtension,
+    RationalField,
+    Scalar,
+    _power,
+    adjoin_sqrt,
+    common_field,
+)
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -353,3 +361,51 @@ def test_depth_2_theta_with_large_coordinates_is_made_canonical_quickly():
     assert time.perf_counter() - start < 1.0
     root = F.coerce(theta).sqrt()
     assert root is not None and root * root == F.coerce(theta)
+
+
+POWER_FIELDS = [QQ, TOWERS[3]]  # QQ and QQ(sqrt 2)(sqrt 3)
+
+
+@pytest.mark.parametrize("field", POWER_FIELDS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_scalar_power_equals_repeated_multiplication(field, data):
+    """x^n by squaring against n factors of x from 1, and x^-n against n
+    factors of 1/x, for n = 0..9; a negative power of 0 raises."""
+    x = Scalar(field, data.draw(tower_values(field)))
+    for n in range(10):
+        want = field.one
+        for _ in range(n):
+            want = want * x
+        assert (x ** n).field == field and (x ** n).val == want.val
+        if x.is_zero():
+            if n:
+                with pytest.raises(ZeroDivisionError):
+                    x ** -n
+            continue
+        want = field.one
+        for _ in range(n):
+            want = want * x.inverse()
+        assert (x ** -n).val == want.val
+
+
+def test_powers_take_at_most_two_products_per_bit(monkeypatch):
+    """_power at n = 10^6 makes at most 2*bit_length(n) products, and so
+    does a Scalar power, over QQ and over a depth-2 tower."""
+    n = 10 ** 6
+    calls = []
+
+    def mul(a, b):
+        calls.append(1)
+        return a * b % 1000003
+
+    assert _power(mul, 3, n) == pow(3, n, 1000003)
+    assert len(calls) <= 2 * n.bit_length()
+    for field, owner in ((QQ, RationalField), (TOWERS[3], TOWERS[3])):
+        rmul = field.rmul
+        # QQ's rmul is spied on its class, so the spy gets self first
+        monkeypatch.setattr(owner, "rmul", lambda *args: calls.append(1) or rmul(*args[-2:]))
+        for x, want in ((-field.one, field.one), (field.scalar(2), field.scalar(2 ** n))):
+            calls.clear()
+            assert x ** n == want
+            assert len(calls) <= 2 * n.bit_length()

@@ -44,6 +44,7 @@ from hypothesis import given, settings, strategies as st
 import artinlocal.quotient as quotient
 from artinlocal.classify7 import classify_ideal, make_model
 from artinlocal.linalg import (
+    MonomialTable,
     SparseEchelon,
     nullspace,
     poly_from_row,
@@ -156,7 +157,7 @@ def pivot_rows(ech):
 
 def check_echelon_matches_oracle(pres, D):
     """The shifted-row echelon is the every-multiple echelon, row for row."""
-    _, ech, v = macaulay_echelon(pres, D)
+    _, ech, v, _ = macaulay_echelon(pres, D)
     _, oracle, oracle_v = oracle_macaulay_echelon(pres, D)
     pivots = pivot_rows(ech)
     assert list(pivots) == list(oracle.pivots)
@@ -314,7 +315,7 @@ def test_macaulay_echelon_tries_fewer_rows_and_keeps_as_many(monkeypatch):
     assert (tried, kept) == (listed_tried, listed_kept)
     assert tried < oracle_tried
     assert kept == oracle_kept
-    (_, ech, v), (_, listed, listed_v) = echelons[:2]
+    (_, ech, v, _), (_, listed, listed_v) = echelons[:2]
     assert list(pivot_rows(ech).items()) == list(pivot_rows(listed).items())
     assert v == listed_v
 
@@ -324,8 +325,8 @@ def test_macaulay_echelon_gives_the_same_rows_twice():
     changes the next call on the same presentation."""
     for _, pres in GRID[::4]:
         D = build_quotient(pres).D
-        (t1, e1, v1), (t2, e2, v2) = (macaulay_echelon(pres, D) for _ in range(2))
-        assert t1 is t2 and v1 == v2
+        (t1, e1, v1, hf1), (t2, e2, v2, hf2) = (macaulay_echelon(pres, D) for _ in range(2))
+        assert t1 is t2 and (v1, hf1) == (v2, hf2)
         assert list(pivot_rows(e1).items()) == list(pivot_rows(e2).items())
 
 
@@ -708,6 +709,44 @@ def test_default_build_lowers_its_cap_on_seeded_moved_models(monkeypatch):
             lowered += 1
             early += after_cut.count("add") > len(pres.gens)
     assert lowered >= 30 and early >= lowered // 2
+
+
+def recount(ech, h, D):
+    """The non-pivot monomials of each degree below D, counted over ech.leads."""
+    hf = [math.comb(h + j - 1, j) for j in range(D)]
+    degs = MonomialTable(h, D).degs
+    for lead in ech.leads:
+        hf[degs[lead]] -= 1
+    return hf
+
+
+def test_per_degree_counts_equal_a_recount_after_every_lowering(monkeypatch):
+    """The counts macaulay_echelon keeps as rows go in decide each lowering
+    as a recount over ech.leads does: at every cut, the least full degree j
+    below the cap less one by the recount is the one cut to, end =
+    C(h+j, h).  The counts returned equal the recount of the final
+    echelon, which has no full degree left below D-1.  On the seeded
+    grid, from the default start cap and one above it."""
+    truncate, caps = SparseEchelon.truncate, []
+
+    def spy(self, end):
+        hf = recount(self, h, caps[-1])
+        j = next(j for j in range(1, caps[-1] - 1) if not hf[j])
+        assert end == math.comb(h + j, h)
+        truncate(self, end)
+        caps.append(j + 1)
+
+    monkeypatch.setattr(SparseEchelon, "truncate", spy)
+    lowerings = 0
+    for _, pres in GRID:
+        h, start = pres.nvars, max(4, pres.max_degree + 2)
+        for D in (start, start + 1):
+            caps[:] = [D]
+            table, ech, _, hf = macaulay_echelon(pres, D, lower=True)
+            assert table.D == caps[-1] and hf == recount(ech, h, table.D)
+            assert all(hf[1:table.D - 1])
+            lowerings += len(caps) - 1
+    assert lowerings >= 40
 
 
 def test_reading_invariants_off_an_algebra_builds_no_echelon(monkeypatch):
