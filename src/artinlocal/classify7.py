@@ -176,19 +176,11 @@ def _refine_witness(A: ArtinAlgebra, model: IdealPresentation, P, Q):
 
 
 def _partial(g: Polynomial, i: int) -> Polynomial:
+    """d g / d x_(i+1): distinct terms of g differentiate to distinct
+    monomials, so no two terms add."""
     f = g.field
-    terms = {}
-    for m, c in g.terms.items():
-        if m[i] == 0:
-            continue
-        mm = tuple(e - 1 if k == i else e for k, e in enumerate(m))
-        cc = f.rmul(c, f.rfrom(m[i]))
-        s = f.radd(terms.get(mm, f.rzero), cc)
-        if f.riszero(s):
-            terms.pop(mm, None)
-        else:
-            terms[mm] = s
-    return Polynomial(2, f, terms)
+    return Polynomial(2, f, {m[:i] + (m[i] - 1,) + m[i + 1:]: f.rmul(c, f.rfrom(m[i]))
+                             for m, c in g.terms.items() if m[i]})
 
 
 # ------------------------------------------------------------- classifier

@@ -155,18 +155,19 @@ class Polynomial:
     __slots__ = ("nvars", "field", "terms")
 
     def __init__(self, nvars: int, field: Field, terms=None):
+        """terms maps monomials to raw values; zero values are dropped here,
+        once, so no stored value is zero (the dict is copied only then)."""
         self.nvars = nvars
         self.field = field
+        if terms and any(map(field.riszero, terms.values())):
+            terms = {m: c for m, c in terms.items() if not field.riszero(c)}
         self.terms = terms or {}
 
     # construction helpers
 
     @classmethod
     def constant(cls, c, nvars, field):
-        c = field.coerce(c)
-        if c.is_zero():
-            return cls(nvars, field)
-        return cls(nvars, field, {(0,) * nvars: c.val})
+        return cls(nvars, field, {(0,) * nvars: field.coerce(c).val})
 
     @classmethod
     def variable(cls, i, nvars, field):
@@ -303,7 +304,9 @@ class Polynomial:
     def _wsubstitute(self, images, D):
         """(field, working dict, scale) of substitute (see the module
         docstring): the ladder of x_i holds s_i^E_i for e = 0 and
-        s_i^(E_i - e) * w_i^e for 1 <= e <= E_i."""
+        s_i^(E_i - e) * w_i^e for 1 <= e <= E_i.  Sums that cancel stay in
+        the dict as zeros; it ends in Polynomial or SparseEchelon._reduce,
+        and both drop them."""
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
         if not images:
@@ -334,7 +337,7 @@ class Polynomial:
                     term = _wmul(f, term, ladder[e], D)
             for mo, v in term.items():
                 out[mo] = radd(out[mo], v) if mo in out else v
-        return f, {m: c for m, c in out.items() if not f.riszero(c)}, scale
+        return f, out, scale
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):

@@ -13,10 +13,11 @@ One such echelon per ideal carries every invariant (the method of Lazard,
 equations", 1983).  The row of m*g is a variable shift of the stored row
 of a divisor (m/x_i)*g, and a multiple is not tried when a divisor's row
 reduced to zero, since its own row would too (see macaulay_echelon).
-Write s for the socle degree; the build ends at D = s+2.  It starts at
-max(4, max degree + 2), lowers the cap to j+1 as soon as every monomial of
-some degree j is a pivot (then n^j <= I), and steps D up by one while hf
-has no zero below it (see build_quotient).
+Write s for the socle degree; every build ends at D = s+2.  The echelon
+lowers its cap to j+1 as soon as every monomial of some degree j is a pivot
+(then n^j <= I); the build starts at max(4, max degree + 2), or at a given
+D, and steps D up by one while hf has no zero below it (see
+build_quotient).
 
 * Hilbert function.  The pivot of a row is its lowest monomial, so the pivot
   set is the set of lowest monomials of the nonzero elements of the span.
@@ -107,7 +108,7 @@ class IdealPresentation:
         return f"IdealPresentation({', '.join(repr(g) for g in self.gens)})"
 
 
-def macaulay_echelon(pres: IdealPresentation, D: int, lower: bool = False):
+def macaulay_echelon(pres: IdealPresentation, D: int):
     """Echelonized span of {m*g : deg(m)+ord(g) < D}, with the rank v the
     generators add on top of the rows of nI (deg(m) >= 1), which go in first.
 
@@ -132,7 +133,7 @@ def macaulay_echelon(pres: IdealPresentation, D: int, lower: bool = False):
     terms in the same order for every such i.  Each generator row is put in
     the field's working form once, and its shifts are added in that form.
 
-    With lower, the cap comes down as soon as a degree fills.  After each
+    The cap comes down as soon as a degree fills.  After each
     degree of multipliers, and once more at the end, let j < D-1 be the
     least degree whose every monomial is a pivot.  The pivot rows of degree
     j are elements of I + n^D, zero below degree j, whose degree-j parts
@@ -155,6 +156,10 @@ def macaulay_echelon(pres: IdealPresentation, D: int, lower: bool = False):
     last key of ech.leads (dicts keep insertion order), whose degree loses
     one; a rejected row changes no pivot, and a cut to D' removes exactly
     the pivots, and the counts, of degree >= D'.  A full degree is a zero.
+
+    So the final cap is one more than the least full degree of I + n^D
+    below D-1, or D if there is none: the final echelon holds I*_j for
+    every j below it, and no full degree is left below its cap less one.
 
     Returns (table, ech, v, hf), table the final one, D = table.D and hf
     the D counts; v = dim I/nI whenever n^D <= nI.
@@ -211,33 +216,32 @@ def macaulay_echelon(pres: IdealPresentation, D: int, lower: bool = False):
                     if add(w, scale):
                         layer[c] = w, scale
             d += 1
-            if lower and (end := cut()) is not None:
+            if (end := cut()) is not None:
                 layer = {c: ({r: v for r, v in w.items() if r < end}, scale)
                          for c, (w, scale) in layer.items()}
                 gen_rows = [({r: v for r, v in w.items() if r < end}, scale)
                             for w, scale in gen_rows]
     v = sum(1 for row, scale in gen_rows if add(row, scale))
-    if lower:
-        cut()
+    cut()
     return table, ech, v, hf
 
 
 class ArtinAlgebra:
     """A finite-dimensional local quotient with a fixed monomial basis."""
 
-    def __init__(self, pres: IdealPresentation, D: int, table, ech, v, hf):
+    def __init__(self, pres: IdealPresentation, table, ech, v, hf):
         self.pres = pres
         self.nvars = pres.nvars
         self.field = pres.field
-        self.D = D
+        self.D = table.D
         self.table = table
         self.ech = ech
         self.v = v
         self.hf = tuple(hf)
         self.socle_degree = len(hf) - 1
-        # hf(s+1) = 0 puts every monomial of degree s+1..D-1 in I (Nakayama),
-        # so each is a pivot: std, the non-pivots, has degree <= s, and a
-        # fully reduced row is supported on std alone.
+        # hf(s+1) = 0 puts every monomial of degree s+1 = D-1 in I
+        # (Nakayama), so each is a pivot: std, the non-pivots, has degree
+        # <= s, and a fully reduced row is supported on std alone.
         self.std = [i for i in range(len(table.monos)) if i not in ech.leads]
         self.std_pos = {r: i for i, r in enumerate(self.std)}
         self.length = len(self.std)
@@ -269,11 +273,9 @@ class ArtinAlgebra:
         return self.element(p).coords()
 
     def from_coords(self, coords) -> Polynomial:
-        terms = {}
-        for pos, c in enumerate(coords):
-            if not self.field.riszero(c):
-                terms[self.table.monos[self.std[pos]]] = c
-        return Polynomial(self.nvars, self.field, terms)
+        monos, std = self.table.monos, self.std
+        return Polynomial(self.nvars, self.field,
+                          {monos[std[pos]]: c for pos, c in enumerate(coords)})
 
     def element(self, p) -> "AlgebraElement":
         if isinstance(p, str):
@@ -397,7 +399,7 @@ class AlgebraElement:
     def __mul__(self, other):
         """The normal form of the product, formed below degree s+1.
 
-        hf(s+1) = 0 puts every monomial of degree s+1..D-1 in I, so each
+        hf(s+1) = 0 puts every monomial of degree s+1 = D-1 in I, so each
         reduces to 0, and nf drops the terms of degree >= D; nf is linear,
         so the terms the cut product leaves out change nothing.  The product
         is formed in working form and reaches nf over its scale (see
@@ -463,27 +465,27 @@ class AlgebraElement:
 
 
 def build_quotient(pres: IdealPresentation, D=None) -> ArtinAlgebra:
-    """Build the Artinian quotient; with D left out it ends at D = s+2.
-    Past D_MAX it raises NotArtinian: the ideal is not Artinian, or its
-    socle degree is at least D_MAX - 1.
+    """Build the Artinian quotient; it ends at D = s+2.  Past D_MAX it
+    raises NotArtinian: the ideal is not Artinian, or its socle degree is
+    at least D_MAX - 1.
 
     The echelon at D spans (I + n^D)/n^D, and for j < D, (I + n^D)*_j =
     I*_j: an element of order >= D cannot change an initial form of degree
     j.  So the standard monomials of degree j < D count HF_{R/I}(j), and the
     first D with a zero below it gives the exact Hilbert function (a zero
     at j gives n^j <= I + n^(j+1), so n^j <= I by Nakayama).  The build
-    starts at max(4, max degree + 2) and steps D up by one until hf has a
-    zero below D.  With D left out, macaulay_echelon lowers its cap as
-    degrees fill, down to s+2, the least that min_gens and certify need;
-    an explicit D is kept as it is, or stepped up.
+    starts at D, or without one at max(4, max degree + 2), and steps D up
+    by one until hf has a zero below it; macaulay_echelon lowers its cap as
+    degrees fill, down to s+2, the least that min_gens and certify need.
+    So D only sets where the build starts: a caller that knows s passes
+    s+2 or more and builds once.
     """
-    lower = D is None
     Dcur = min(D if D is not None else max(D_START_FLOOR, pres.max_degree + 2),
                D_MAX)
     while True:
-        table, ech, v, hf = macaulay_echelon(pres, Dcur, lower)
+        table, ech, v, hf = macaulay_echelon(pres, Dcur)
         if 0 in hf:
-            return ArtinAlgebra(pres, table.D, table, ech, v, hf[:hf.index(0)])
+            return ArtinAlgebra(pres, table, ech, v, hf[:hf.index(0)])
         if Dcur >= D_MAX:
             raise NotArtinian(
                 f"not Artinian, or socle degree >= {D_MAX - 1}: the Hilbert"
@@ -587,7 +589,7 @@ def extend_scalars(A: ArtinAlgebra, field: Field) -> ArtinAlgebra:
     ech = SparseEchelon(field)
     for row in A.ech.working.values():
         ech.add(field.wembed(row, A.field), 1)
-    return ArtinAlgebra(A.pres.map_field(field), A.D, A.table, ech, A.v, A.hf)
+    return ArtinAlgebra(A.pres.map_field(field), A.table, ech, A.v, A.hf)
 
 
 # ------------------------------------------------------------ Hensel roots
@@ -642,6 +644,15 @@ def row_space_equal(p1: IdealPresentation, p2: IdealPresentation, D: int) -> boo
     Builds a Macaulay echelon for each ideal and compares their row spaces.
     The library certifies witnesses with structure.certify instead; this is
     the independent reference check that the tests and demos use.
+
+    Each echelon lowers its cap, and the answer is still that of the
+    echelons at D.  The final cap is one more than the least full degree of
+    I + n^D below D-1, or D if there is none (see macaulay_echelon), so it
+    depends on I + n^D alone: ideals that agree mod n^D end at the same cap
+    with the same span.  If both end at the same cap D' < D, n^(D'-1) lies
+    in both ideals, so agreeing mod n^D' means they are equal.  Ideals
+    whose caps differ have different pivot sets, as the lower cap's last
+    degree is full and the higher cap's is not, so they compare unequal.
     """
     f = common_field(p1.field, p2.field)
     e1 = macaulay_echelon(p1.map_field(f), D)[1]

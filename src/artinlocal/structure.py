@@ -177,8 +177,11 @@ def certify(A: ArtinAlgebra, model: IdealPresentation, witness: RingMap, what: s
       J + n^(s+2) have the same colength.
     * Each g(phi), g a model generator, is 0 in A (A.evaluate) exactly
       when it lies in I.  So phi(J) + n^(s+2) <= I.
-    * The model's echelon at s+2 must give colength(J + n^(s+2)) =
-      A.length = colength(I); then the inclusion is an equality,
+    * The model's echelon from s+2 must give colength(J + n^(s+2)) =
+      A.length = colength(I).  Its counts sum to that colength even where
+      it lowers its cap to j+1 < s+2: degree j is full, so n^j <= J +
+      n^(s+2) (see macaulay_echelon), and the colength is that of the
+      degrees below j.  Then the inclusion is an equality,
       I = phi(J) + n^(s+2), and n^(s+2) = n * n^(s+1) <= nI, so
       I = phi(J) + nI and Nakayama gives phi(J) = I.
     Conversely phi(J) = I passes every check.
@@ -307,23 +310,18 @@ def find_lean_basis(A: ArtinAlgebra, seed=0):
     coordinate variables followed by random small-integer combinations.
     The powers of each power candidate are taken once, from one ladder,
     which is returned with the elements: ([x1] or [x1, x2], [1, x1, ...,
-    x1^s]).
+    x1^s]).  A stretched algebra takes the first power element; an
+    almost-stretched one also searches it a partner, and every candidate
+    drawn, power or partner, counts against LEAN_BASIS_BUDGET.
     """
     s = A.socle_degree
     if s < 2:
         raise NotStretched("socle degree below 2")
     rng = random.Random(seed)
-    if A.is_stretched():
-        cands = _candidate_linears(A, rng)
-        for _ in range(LEAN_BASIS_BUDGET):
-            x1 = next(cands)
-            powers = _ladder(x1, s)
-            if not powers[s].is_zero():
-                return [x1], powers
-        raise SearchExhausted("no stretched power element found")
-    if not A.is_almost_stretched():
+    stretched = A.is_stretched()
+    if not stretched and not A.is_almost_stretched():
         raise NotAlmostStretched("m^2 is not 2-generated")
-    t = max(j for j in range(2, len(A.hf)) if A.hf[j] == 2)
+    t = max((j for j in range(2, len(A.hf)) if A.hf[j] == 2), default=1)
     # A power element alone may admit no partner (its multiples can die
     # early), so on partner failure the power element is rechosen.
     power_cands = _candidate_linears(A, rng)
@@ -335,6 +333,8 @@ def find_lean_basis(A: ArtinAlgebra, seed=0):
         powers = _ladder(x1, s)
         if powers[s].is_zero():
             continue
+        if stretched:
+            return [x1], powers
         found_power = True
         partner_cands = _candidate_linears(A, rng)
         for _ in range(20):
@@ -437,30 +437,30 @@ def _diagonalize_units(A: ArtinAlgebra, zs, base: AlgebraElement):
     return zs, tuple(units)
 
 
-def _complete_basis(A: ArtinAlgebra, fixed, count):
-    """Extend the linear parts of `fixed` to a basis of m/m^2 with count
-    coordinate variables; returns their elements.
+def _complete_basis(A: ArtinAlgebra, fixed, cands, count):
+    """Extend the linear parts of `fixed` by those of count candidates, each
+    kept when its class in m/m^2 is independent of those kept before it;
+    returns the candidates kept.
 
     The linear part of a normal form holds its coordinates at the standard
     monomials of degree 1, which are its class in m/m^2 (see
-    _graded_classes_independent).  The variables generate m, so their
-    classes span m/m^2: adding each variable whose class is independent of
-    those kept ends at a basis, embdim - len(fixed) variables later.
-    RuntimeError if the variables fall short of count.
+    _graded_classes_independent).  With the coordinate variables as
+    candidates this ends at a basis of m/m^2, embdim - len(fixed) variables
+    later, as their classes span it.  RuntimeError if the candidates fall
+    short of count.
     """
     ech = SparseEchelon(A.field)
     for el in fixed:
         if not ech.add(el.poly.linear_row()):
             raise RuntimeError("fixed elements are linearly dependent mod m^2")
     out = []
-    for i in range(A.nvars):
+    for cand in cands:
         if len(out) == count:
             break
-        cand = A.variable(i)
         if ech.add(cand.poly.linear_row()):
             out.append(cand)
     if len(out) != count:
-        raise RuntimeError("coordinate variables do not complete a basis of m/m^2")
+        raise RuntimeError("candidates do not complete the classes in m/m^2")
     return out
 
 
@@ -482,17 +482,8 @@ def _stretched_witness(A: ArtinAlgebra, seed):
     h, s, tau = A.embdim, A.socle_degree, A.cm_type
     (x1,), p1 = find_lean_basis(A, seed=seed)
     # socle elements with independent classes mod m^2
-    _, soc = A.socle()
-    ech = SparseEchelon(A.field)
-    ech.add(x1.poly.linear_row())
-    ys = []
-    for v in soc:
-        row = v.poly.linear_row()
-        if row and ech.add(row):
-            ys.append(v)
-    if len(ys) != tau - 1:
-        raise RuntimeError("socle linear parts have unexpected rank")
-    zs = _complete_basis(A, [x1] + ys, h - tau)
+    ys = _complete_basis(A, [x1], A.socle()[1], tau - 1)
+    zs = _complete_basis(A, [x1] + ys, map(A.variable, range(A.nvars)), h - tau)
     # arrange x1 * z_j = 0
     zs = [_clear_product(A, z, x1 * z, p1[2:], p1[1:s], "x1*z products") for z in zs]
     units = ()
@@ -528,7 +519,7 @@ def _almost_stretched_witness(A: ArtinAlgebra, seed):
     if s < t + 1:
         raise NotGorenstein("socle degree equals the last 2-slot")
     (x1, x2), p1 = find_lean_basis(A, seed=seed)
-    zs = _complete_basis(A, [x1, x2], h - 2)
+    zs = _complete_basis(A, [x1, x2], map(A.variable, range(A.nvars)), h - 2)
     # arrange x1 * z_j = 0, then x1^t * x2 = 0
     x2s = [p1[j] * x2 for j in range(t)]
     cols, shifts = p1[2:] + x2s[1:], p1[1:s] + x2s[:-1]
@@ -577,11 +568,8 @@ def _almost_stretched_witness(A: ArtinAlgebra, seed):
     w = w_coeffs[0]
     if w.is_zero():
         raise RuntimeError("unit coefficient vanished")
-    a_terms = {}
-    for (m, c) in zip(a_monos, a_coeffs):
-        if not c.is_zero():
-            a_terms[(m[0], m[1]) + (0,) * (h - 2)] = c.val
-    a_poly = Polynomial(h, A.field, a_terms)
+    a_poly = Polynomial(h, A.field, {m + (0,) * (h - 2): c.val
+                                     for m, c in zip(a_monos, a_coeffs)})
     params = AlmostStretchedParams(h, t, s, a_poly, w, units)
     images = [x1.poly, x2.poly] + [z.poly for z in zs]
     return params, RingMap(images, A.D)

@@ -34,9 +34,10 @@ per pair of terms, each term of a substitution added to the result one at
 a time, are the reference for the fraction-free ones on working values;
 oracle_mul forms its product with them.  ideals_equal, the ideal equality
 the quotient tests use, is built on the library's build_quotient and
-row_space_equal.  The build at a fixed cap, from max(4, max degree + 2)
-one degree up at a time and never lowered, is the reference for the
-default build, which lowers its cap to s+2 as degrees fill.  The parser
+row_space_equal.  The build at a fixed cap on the divisor-list loop, from
+max(4, max degree + 2) one degree up at a time and never lowered, so
+sharing no code with the lowering, is the reference for build_quotient,
+which lowers its cap to s+2 as degrees fill.  The parser
 whose values are Polynomials, with one Polynomial operation per sum,
 product and power (a power one factor at a time), is the reference for
 the one whose values are working dicts; its sums are oracle_add, the
@@ -63,7 +64,6 @@ from artinlocal.quotient import (
     ArtinAlgebra,
     build_quotient,
     extend_scalars,
-    macaulay_echelon,
     row_space_equal,
 )
 from artinlocal.scalars import Scalar, common_field
@@ -151,9 +151,10 @@ def separate_echelon(pres, D):
 
 
 def oracle_macaulay_echelon(pres, D):
-    """(table, ech, v), the first three of what quotient.macaulay_echelon
-    returns, trying every multiple m*g with deg(m) >= 1 before the
-    generators; v = dim I/nI for any D with n^D contained in nI."""
+    """(table, ech, v) at the cap D, never lowered: the first three of what
+    quotient.macaulay_echelon returns when it ends at D, trying every
+    multiple m*g with deg(m) >= 1 before the generators; v = dim I/nI for
+    any D with n^D contained in nI."""
     table = MonomialTable(pres.nvars, D)
     ech = OracleEchelon(pres.field)
     gen_rows = []
@@ -173,28 +174,28 @@ def oracle_macaulay_echelon(pres, D):
 
 
 def oracle_build_quotient(pres):
-    """The quotient built at a fixed cap: from max(4, max degree + 2), one
-    degree up at a time until hf has a zero below it, the cap never
-    lowered, so it may end above s+2."""
+    """The quotient built at a fixed cap on the divisor-list loop: from
+    max(4, max degree + 2), one degree up at a time until hf has a zero
+    below it, the cap never lowered, so it may end above s+2."""
     D = min(max(D_START_FLOOR, pres.max_degree + 2), D_MAX)
     while True:
-        table, ech, v, _ = macaulay_echelon(pres, D)
+        table, ech, v = divisor_list_macaulay_echelon(pres, D)
         hf = [0] * D
         for r in range(len(table.monos)):
             if r not in ech.leads:
                 hf[table.degs[r]] += 1
         if 0 in hf:
-            return ArtinAlgebra(pres, D, table, ech, v, hf[:hf.index(0)])
+            return ArtinAlgebra(pres, table, ech, v, hf[:hf.index(0)])
         if D >= D_MAX:
             raise NotArtinian(f"the Hilbert function did not vanish below {D_MAX}")
         D += 1
 
 
 def divisor_list_macaulay_echelon(pres, D):
-    """(table, ech, v) by the divisor-list loop on SparseEchelon: every
-    multiplier m in table order, tried when the rows of all its divisors
-    m/x_i were kept, as the x_i-shift of the raw row of (m/x_i)*g for the
-    first such i."""
+    """(table, ech, v) at the cap D, never lowered, by the divisor-list
+    loop on SparseEchelon: every multiplier m in table order, tried when
+    the rows of all its divisors m/x_i were kept, as the x_i-shift of the
+    raw row of (m/x_i)*g for the first such i."""
     table = MonomialTable(pres.nvars, D)
     ech = SparseEchelon(pres.field)
     gen_rows = []

