@@ -64,7 +64,7 @@ def make_model(case: str, p=None, field: Field = QQ) -> IdealPresentation:
     if case == "case2b2":
         if p is None:
             raise ValueError("case2b2 needs the parameter p")
-        p = field.coerce(p) if isinstance(p, Scalar) else field.scalar(p)
+        p = field.coerce(p)
         if p.is_zero() or (p * p - 1).is_zero():
             raise ValueError("case2b2 needs p != 0 and p^2 != 1")
         x1 = Polynomial.variable(0, 2, p.field)
@@ -264,7 +264,7 @@ def _classify_case2b2(A: ArtinAlgebra, x1e, x2e, d, allow_extension: bool):
     """The roots c of d^2 + 4 and e of -2/c have residues sqrt(dbar^2 + 4)
     and sqrt(-2/cbar), so both are adjoined on scalars first and A is
     extended once.  nth_root then takes its residue roots in the final
-    field, and they are the roots adjoined here: a tower's rsqrt of an
+    field, and they are the roots adjoined here: a tower's square root of an
     element lifted from its base returns the base field's root, lifted."""
     field, cbar = _sqrt_growing(A.field, d.residue() ** 2 + 4, allow_extension)
     field, _ = _sqrt_growing(field, cbar.inverse() * (-2), allow_extension)
@@ -311,8 +311,8 @@ def invariant_separates(p, q, field: Field = QQ) -> bool:
 
     The models are isomorphic exactly when p^2 = q^2.
     """
-    p = field.coerce(p) if isinstance(p, Scalar) else field.scalar(p)
-    q = p.field.coerce(q) if isinstance(q, Scalar) else p.field.scalar(q)
+    p = field.coerce(p)
+    q = p.field.coerce(q)
     return not (p * p - q * q).is_zero()
 
 

@@ -19,8 +19,9 @@ class ParseError(ValueError):
 
 
 class NotArtinian(ValueError):
-    """The Hilbert function did not vanish below the truncation cap D_MAX:
-    the quotient is not Artinian, or its socle degree is >= D_MAX - 1."""
+    """At once for fewer generators than variables (Krull's height theorem:
+    not Artinian), else when the Hilbert function did not vanish below the
+    cap D_MAX: not Artinian, or socle degree >= D_MAX - 1."""
 
 
 class NotStretched(ValueError):

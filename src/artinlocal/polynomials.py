@@ -207,9 +207,8 @@ class Polynomial:
 
     def _sameify(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            other = Polynomial.constant(other, self.nvars, self.field) \
-                if not isinstance(other, Scalar) or other.field == self.field \
-                else Polynomial.constant(other, self.nvars, common_field(self.field, other.field))
+            f = common_field(self.field, other.field) if isinstance(other, Scalar) else self.field
+            other = Polynomial.constant(other, self.nvars, f)
         if not isinstance(other, Polynomial):
             return None, None
         if other.nvars != self.nvars:
@@ -265,8 +264,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            c = other if isinstance(other, Scalar) else self.field.scalar(other)
-            return self.scale(c)
+            return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.mul_trunc(other, None)
@@ -311,9 +309,7 @@ class Polynomial:
             raise ValueError("need one image per variable")
         if not images:
             raise ValueError("no variables")
-        f = self.field
-        for im in images:
-            f = common_field(f, im.field)
+        f = common_field(self.field, *(im.field for im in images))
         terms, scale = f.wrow(self.map_field(f).terms)
         ladders = []
         for i, im in enumerate(images):
@@ -500,7 +496,7 @@ class _Parser:
             c = self.constant(*inner)
             if c is None:
                 raise ParseError("sqrt of a non-constant")
-            r = f.rsqrt(c)
+            r = f.rnth_root(c, 2)
             if r is None:
                 raise ParseError(f"sqrt({f.rstr(c)}) does not exist in {f!r}")
             return ({}, 1) if f.riszero(r) else f.wrow({self.one: r})
@@ -542,11 +538,9 @@ class RingMap:
         if not images:
             raise ValueError("empty map")
         nvars = images[0].nvars
-        field = images[0].field
-        for im in images:
-            if im.nvars != nvars:
-                raise ValueError("images live in different rings")
-            field = common_field(field, im.field)
+        if any(im.nvars != nvars for im in images):
+            raise ValueError("images live in different rings")
+        field = common_field(*(im.field for im in images))
         images = [im.map_field(field).truncate(D) for im in images]
         for im in images:
             if not im.constant_coeff().is_zero():

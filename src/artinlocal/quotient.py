@@ -15,9 +15,9 @@ of a divisor (m/x_i)*g, and a multiple is not tried when a divisor's row
 reduced to zero, since its own row would too (see macaulay_echelon).
 Write s for the socle degree; every build ends at D = s+2.  The echelon
 lowers its cap to j+1 as soon as every monomial of some degree j is a pivot
-(then n^j <= I); the build starts at max(4, max degree + 2), or at a given
-D, and steps D up by one while hf has no zero below it (see
-build_quotient).
+(then n^j <= I); the build starts at the max degree + 2, or at a given D,
+and steps D up by one while hf has no zero below it; fewer generators than
+variables are rejected at once (see build_quotient).
 
 * Hilbert function.  The pivot of a row is its lowest monomial, so the pivot
   set is the set of lowest monomials of the nonzero elements of the span.
@@ -60,7 +60,6 @@ from .polynomials import (
 )
 from .scalars import Field, QQ, Scalar, _power, common_field
 
-D_START_FLOOR = 4
 D_MAX = 32
 
 
@@ -76,9 +75,7 @@ class IdealPresentation:
         if nvars is None:
             nvars = gens[0].nvars
         if field is None:
-            field = gens[0].field
-            for g in gens[1:]:
-                field = common_field(field, g.field)
+            field = common_field(*(g.field for g in gens))
         gens = [g.map_field(field) for g in gens]
         for g in gens:
             if g.nvars != nvars:
@@ -467,21 +464,27 @@ class AlgebraElement:
 def build_quotient(pres: IdealPresentation, D=None) -> ArtinAlgebra:
     """Build the Artinian quotient; it ends at D = s+2.  Past D_MAX it
     raises NotArtinian: the ideal is not Artinian, or its socle degree is
-    at least D_MAX - 1.
+    at least D_MAX - 1.  With r < h generators it raises NotArtinian at
+    once: by Krull's height theorem I has height <= r < h, so it is not
+    n-primary.
 
     The echelon at D spans (I + n^D)/n^D, and for j < D, (I + n^D)*_j =
     I*_j: an element of order >= D cannot change an initial form of degree
     j.  So the standard monomials of degree j < D count HF_{R/I}(j), and the
     first D with a zero below it gives the exact Hilbert function (a zero
     at j gives n^j <= I + n^(j+1), so n^j <= I by Nakayama).  The build
-    starts at D, or without one at max(4, max degree + 2), and steps D up
+    starts at D, or without one at the max degree d + 2, and steps D up
     by one until hf has a zero below it; macaulay_echelon lowers its cap as
     degrees fill, down to s+2, the least that min_gens and certify need.
     So D only sets where the build starts: a caller that knows s passes
-    s+2 or more and builds once.
+    s+2 or more and builds once.  When d = 1, I is generated by linear
+    forms, so I = n (s = 0), where any start D >= 3 fills degree 1 at once
+    and ends at D = 2, or I is not Artinian: no higher start changes that.
     """
-    Dcur = min(D if D is not None else max(D_START_FLOOR, pres.max_degree + 2),
-               D_MAX)
+    if len(pres.gens) < pres.nvars:
+        raise NotArtinian(f"not Artinian: fewer generators ({len(pres.gens)}) than"
+                          f" variables ({pres.nvars}) (Krull's height theorem)")
+    Dcur = min(D if D is not None else pres.max_degree + 2, D_MAX)
     while True:
         table, ech, v, hf = macaulay_echelon(pres, Dcur)
         if 0 in hf:

@@ -229,9 +229,6 @@ class RationalField(Field):
     def riszero(self, a):
         return not a
 
-    def rsqrt(self, a):
-        return self.rnth_root(a, 2)
-
     def rnth_root(self, a, n):
         if n == 1:
             return a
@@ -413,7 +410,7 @@ class QuadraticExtension(Field):
         coords = [c * den for c in coords]
         k2 = _square_part(gcd(*coords)) ** 2
         theta = base.rmake([c // k2 for c in coords], 1)
-        if base.rsqrt(theta) is not None:
+        if base.rnth_root(theta, 2) is not None:
             raise ValueError("theta is already a square in the base field")
         self.base = base
         self.theta = theta
@@ -485,25 +482,26 @@ class QuadraticExtension(Field):
     def rdiv(self, x, y):
         return self.rmul(x, self.rinv(y))
 
-    def rsqrt(self, x):
+    def _sqrt(self, x):
+        """A square root of x in this field, or None: rnth_root(x, 2)."""
         B = self.base
         a, b = self._split(x)
         if B.riszero(b):
-            r = B.rsqrt(a)
+            r = B.rnth_root(a, 2)
             if r is not None:
                 return self._join(r, B.rzero)
             # maybe a = t*theta with t a square: sqrt = sqrt(t)*sqrt(theta)
-            r = B.rsqrt(B.rdiv(a, self.theta))
+            r = B.rnth_root(B.rdiv(a, self.theta), 2)
             if r is not None:
                 return self._join(B.rzero, r)
             return None
         # (p + q*sqrt(theta))^2 = x forces p^2 = (a +- sqrt(norm))/2
-        n = B.rsqrt(B.rsub(B.rmul(a, a), B.rmul(self.theta, B.rmul(b, b))))
+        n = B.rnth_root(B.rsub(B.rmul(a, a), B.rmul(self.theta, B.rmul(b, b))), 2)
         if n is None:
             return None
         two = B.rfrom(2)
         for sign in (n, B.rneg(n)):
-            p = B.rsqrt(B.rdiv(B.radd(a, sign), two))
+            p = B.rnth_root(B.rdiv(B.radd(a, sign), two), 2)
             if p is not None and not B.riszero(p):
                 cand = self._join(p, B.rdiv(b, B.rmul(two, p)))
                 if self.rmul(cand, cand) == x:
@@ -514,10 +512,10 @@ class QuadraticExtension(Field):
         if n == 1:
             return x
         if n == 2:
-            return self.rsqrt(x)
+            return self._sqrt(x)
         if n == 4:
-            r = self.rsqrt(x)
-            return None if r is None else self.rsqrt(r)
+            r = self._sqrt(x)
+            return None if r is None else self._sqrt(r)
         a, b = self._split(x)
         if self.base.riszero(b):
             r = self.base.rnth_root(a, n)
@@ -638,17 +636,18 @@ def adjoin_sqrt(field: Field, theta) -> QuadraticExtension:
     return QuadraticExtension(field, theta)
 
 
-def common_field(f1: Field, f2: Field) -> Field:
-    """The deeper of two fields when one sits inside the other."""
-    if f1 == f2:
-        return f1
-    for a, b in ((f1, f2), (f2, f1)):
+def common_field(f1: Field, *rest: Field) -> Field:
+    """The deepest of the fields, when each of the others is it or one of
+    its iterated bases."""
+    for f2 in rest:
+        a, b = (f1, f2) if f1.depth >= f2.depth else (f2, f1)
         g = a
-        while isinstance(g, QuadraticExtension):
+        while g.depth > b.depth:
             g = g.base
-            if g == b:
-                return a
-    raise FieldMismatch(f"incompatible fields {f1} and {f2}")
+        if g != b:
+            raise FieldMismatch(f"incompatible fields {f1} and {f2}")
+        f1 = a
+    return f1
 
 
 class Scalar:

@@ -3,9 +3,13 @@
 A numerical semigroup S = <n1, ..., nk> (gcd 1) is the value semigroup of
 the monomial curve (t^n1, ..., t^nk); the minimal presentation size of S
 equals the minimal number of generators of the defining ideal of the curve.
-That number is computed combinatorially from factorization graphs, and
-cross-checked on small instances by a graded linear-algebra oracle on the
-binomial kernel.
+The Apery set of n1 (Rosales and Garcia-Sanchez, "Numerical Semigroups",
+2009, ch. 1) answers every membership question: it gives F, finds redundant
+generators, prunes enumerate_semigroups and decides symmetry.  The
+presentation count still lists factorizations (factorization graphs,
+cross-checked on small instances by a linear-algebra oracle on the binomial
+kernel) until the benchmark stops keeping every pass's digests (ROADMAP
+item 1), which unblocks Betti elements from Apery candidates (item 2).
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from .scalars import QQ
 
 
 def _apery_set(gens):
-    """Minimal semigroup element in each residue class mod the multiplicity.
+    """Least element of <gens> in each residue class mod gens[0], or None
+    for a class that <gens> does not reach (only when the gcd exceeds 1).
 
     Shortest-path search on the residue graph: from residue r one can step
     to (r + n_i) mod n1 at cost n_i.
@@ -41,18 +46,6 @@ def _apery_set(gens):
                 dist[r2] = d2
                 heapq.heappush(heap, (d2, r2))
     return tuple(dist)
-
-
-def _representable(target, gens):
-    """Is target a non-negative integer combination of gens?"""
-    reach = [False] * (target + 1)
-    reach[0] = True
-    for v in range(1, target + 1):
-        for n in gens:
-            if n <= v and reach[v - n]:
-                reach[v] = True
-                break
-    return reach[target]
 
 
 @dataclass(frozen=True)
@@ -85,12 +78,17 @@ class NumericalSemigroup:
         return self.apery[x % self.gens[0]] <= x
 
     def is_symmetric(self):
-        """Symmetric about the Frobenius number; equivalently the semigroup
-        ring is Gorenstein."""
-        F = self.frobenius
-        if F < 0:
-            return True
-        return all((x in self) != (F - x in self) for x in range(F + 1))
+        """Symmetric about F (x in S exactly when F - x is not; never both,
+        as F is not in S), equivalently a Gorenstein semigroup ring: exactly
+        when w_i + w_(n1-1-i) = M for w the sorted Apery set and M = F + n1
+        its maximum (Rosales and Garcia-Sanchez, Prop. 4.10).  As w -> M - w
+        reverses order, that says M - Ap = Ap.  If S is symmetric and w in
+        Ap, M - w = F - (w - n1) lies in S and M - w - n1 = F - w does not.
+        Conversely, for x not in S take w in Ap, w = x + q*n1 with q >= 1:
+        F - x = (M - w) + (q - 1)*n1 lies in S.  <1> (Ap = (0,), F = -1) is
+        symmetric."""
+        w = sorted(self.apery)
+        return all(a + b == w[-1] for a, b in zip(w, reversed(w)))
 
     def factorizations(self, m):
         """All exponent vectors u with sum(u_i * n_i) = m."""
@@ -117,7 +115,9 @@ def semigroup_invariants(gens) -> NumericalSemigroup:
 
     Raises GcdNotOne if the generators are not coprime overall and
     NonMinimalGenerators if some generator lies in the semigroup generated
-    by the others (or is repeated).
+    by the others (or is repeated): exactly when n - m lies in S for a
+    smaller generator m, as a sum of the others equal to n uses only
+    smaller ones, and one of n - m < n cannot use n.
     """
     gens = tuple(sorted(int(n) for n in gens))
     if not gens or gens[0] < 1:
@@ -126,17 +126,15 @@ def semigroup_invariants(gens) -> NumericalSemigroup:
         raise GcdNotOne(f"gcd of {gens} is {math.gcd(*gens)}")
     if len(set(gens)) != len(gens):
         raise NonMinimalGenerators("repeated generator")
-    if len(gens) > 1:
-        for i, n in enumerate(gens):
-            others = gens[:i] + gens[i + 1:]
-            if _representable(n, others):
-                raise NonMinimalGenerators(
-                    f"{n} is generated by the remaining elements"
-                )
     apery = _apery_set(gens)
     assert all(d is not None for d in apery) and len(apery) == gens[0]
-    frobenius = max(apery) - gens[0]
-    return NumericalSemigroup(gens, apery, frobenius)
+    S = NumericalSemigroup(gens, apery, max(apery) - gens[0])
+    for i, n in enumerate(gens):
+        if any(n - m in S for m in gens[:i]):
+            raise NonMinimalGenerators(
+                f"{n} is generated by the remaining elements"
+            )
+    return S
 
 
 # ----------------------------------------------------- factorization graphs
@@ -189,10 +187,8 @@ def min_presentation_size(S: NumericalSemigroup) -> int:
     of generators v(I) of the defining ideal of the monomial curve.
 
     Each element m whose factorization graph has c(m) components
-    contributes c(m) - 1 relations.
+    contributes c(m) - 1 relations.  For <1> (F = -1) the scan is empty.
     """
-    if S.embdim == 1:
-        return 0
     total = 0
     for m in range(2 * S.gens[0], betti_search_bound(S) + 1):
         if m not in S:
@@ -218,9 +214,7 @@ def kernel_min_gens(S: NumericalSemigroup) -> int:
     Apery set of n1, so m - n_i - n1 has a factorization w.  A factorization
     of m using i and w + e_i + e_1 differ by the x_i-image of a degree
     m - n_i difference, two using n1 by an x_1-image, so the images span
-    every difference in degree m."""
-    if S.embdim == 1:
-        return 0
+    every difference in degree m.  For <1> (F = -1) the scan is empty."""
     k = len(S.gens)
     total = 0
     for m in range(2 * S.gens[0], S.frobenius + S.gens[0] + S.gens[-1] + 1):
@@ -321,23 +315,23 @@ def enumerate_semigroups(max_mult, max_embdim, max_gen):
     embedding dimension <= max_embdim, and every generator <= max_gen.
 
     The generator cap makes the family finite; it is a parameter so callers
-    can choose how deep to scan.
+    can choose how deep to scan.  A prefix grows by each larger n that the
+    Apery set of the prefix puts outside <prefix>, so every tuple built is
+    minimal (see semigroup_invariants).
     """
     out = []
 
-    def rec(gens, last):
-        if len(gens) >= 1 and math.gcd(*gens) == 1:
-            try:
-                out.append(semigroup_invariants(gens))
-            except NonMinimalGenerators:
-                pass
+    def rec(gens):
+        if math.gcd(*gens) == 1:
+            out.append(semigroup_invariants(gens))
         if len(gens) == max_embdim:
             return
-        for n in range(last + 1, max_gen + 1):
-            if gens and _representable(n, gens):
-                continue
-            rec(gens + [n], n)
+        apery, n1 = _apery_set(gens), gens[0]
+        for n in range(gens[-1] + 1, max_gen + 1):
+            w = apery[n % n1]
+            if w is None or w > n:
+                rec(gens + [n])
 
     for n1 in range(2, max_mult + 1):
-        rec([n1], n1)
+        rec([n1])
     return out

@@ -67,10 +67,7 @@ class StretchedParams:
 
     @property
     def field(self) -> Field:
-        f = QQ
-        for u in self.units:
-            f = common_field(f, u.field)
-        return f
+        return common_field(QQ, *(u.field for u in self.units))
 
 
 def make_stretched(params: StretchedParams) -> IdealPresentation:
@@ -127,10 +124,7 @@ class AlmostStretchedParams:
 
     @property
     def field(self) -> Field:
-        f = common_field(self.w.field, self.a.field)
-        for u in self.units:
-            f = common_field(f, u.field)
-        return f
+        return common_field(self.w.field, self.a.field, *(u.field for u in self.units))
 
 
 def make_almost_stretched(params: AlmostStretchedParams) -> IdealPresentation:
@@ -511,13 +505,14 @@ def _almost_stretched_witness(A: ArtinAlgebra, seed):
     has one solution, and z - sum_j c_j x1^(j-1) - sum_j d_j x1^(j-2) x2
     has x1 * z = 0; x1^t * x2 in m^(t+1) is sum_j c_j x1^j, and
     x2 - sum_j c_j x1^(j-t) has x1^t * x2 = 0.
+
+    Here t < s always: m * m^s = m^(s+1) = 0 puts m^s in the socle, which
+    is 1-dimensional once A is Gorenstein, so hf(s) = dim m^s = 1, not 2.
     """
     if not A.gorenstein:
         raise NotGorenstein(f"Cohen-Macaulay type is {A.cm_type}")
     h, s = A.embdim, A.socle_degree
     t = max(j for j in range(2, len(A.hf)) if A.hf[j] == 2)
-    if s < t + 1:
-        raise NotGorenstein("socle degree equals the last 2-slot")
     (x1, x2), p1 = find_lean_basis(A, seed=seed)
     zs = _complete_basis(A, [x1, x2], map(A.variable, range(A.nvars)), h - 2)
     # arrange x1 * z_j = 0, then x1^t * x2 = 0

@@ -59,7 +59,6 @@ from artinlocal.linalg import (
 from artinlocal.polynomials import Polynomial, mono_key, monomials_of_degree
 from artinlocal.quotient import (
     D_MAX,
-    D_START_FLOOR,
     AlgebraElement,
     ArtinAlgebra,
     build_quotient,
@@ -177,7 +176,7 @@ def oracle_build_quotient(pres):
     """The quotient built at a fixed cap on the divisor-list loop: from
     max(4, max degree + 2), one degree up at a time until hf has a zero
     below it, the cap never lowered, so it may end above s+2."""
-    D = min(max(D_START_FLOOR, pres.max_degree + 2), D_MAX)
+    D = min(max(4, pres.max_degree + 2), D_MAX)
     while True:
         table, ech, v = divisor_list_macaulay_echelon(pres, D)
         hf = [0] * D

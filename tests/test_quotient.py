@@ -1,6 +1,7 @@
 """Artinian quotients: Hilbert functions, socles, generator counts, roots."""
 
 import gc
+import time
 import weakref
 from fractions import Fraction
 from itertools import permutations
@@ -54,6 +55,32 @@ def test_leading_forms_pick_up_hidden_generator():
 def test_non_artinian_raises():
     with pytest.raises(NotArtinian):
         build_quotient(pres("x1^2"))
+
+
+@st.composite
+def under_generated(draw):
+    """h in 2..6 and r in 1..h-1 nonzero polynomials in h variables with no
+    constant term, of degree at most 4."""
+    h = draw(st.integers(2, 6))
+    monos = st.lists(st.integers(0, 2), min_size=h, max_size=h).map(tuple).filter(
+        lambda m: 1 <= sum(m) <= 4)
+    gens = []
+    for _ in range(draw(st.integers(1, h - 1))):
+        terms = draw(st.dictionaries(monos, st.integers(-3, 3).filter(bool),
+                                     min_size=1, max_size=4))
+        gens.append(Polynomial(h, QQ, {m: QQ.rfrom(c) for m, c in terms.items()}))
+    return IdealPresentation(gens, h)
+
+
+@given(under_generated())
+@settings(max_examples=40, deadline=None)
+def test_fewer_generators_than_variables_raise_at_once(p):
+    """By Krull's height theorem r < h generators never give an Artinian
+    quotient, and the build says so before it builds an echelon."""
+    start = time.perf_counter()
+    with pytest.raises(NotArtinian, match="Krull"):
+        build_quotient(p)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_socle_degree_at_the_cap_is_reported_as_such():

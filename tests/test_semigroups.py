@@ -1,6 +1,7 @@
 """Numerical semigroups, factorization graphs, presentation counts."""
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,12 @@ from artinlocal.semigroups import (
     min_presentation_size,
     semigroup_invariants,
     semigroup_report,
+)
+
+from semigroup_oracles import (
+    oracle_enumerate_semigroups,
+    oracle_is_symmetric,
+    oracle_non_minimal,
 )
 
 
@@ -116,6 +123,35 @@ def test_betti_elements_lie_within_the_search_bound():
         assert betti and max(betti) <= F + n1 + nk <= betti_search_bound(S), S
         attained += max(betti) == F + n1 + nk
     assert attained
+
+
+def test_minimality_and_symmetry_agree_with_the_dynamic_program():
+    """On every gcd-1 set of at most 4 integers from 1..22, the Apery test
+    rejects a redundant generator exactly when the dynamic program finds
+    one, and the Apery symmetry criterion agrees with the scan of 0..F."""
+    sets = [c for k in range(1, 5) for c in combinations(range(1, 23), k)
+            if math.gcd(*c) == 1]
+    assert len(sets) == 8435
+    for gens in sets:
+        want = oracle_non_minimal(gens)
+        try:
+            S = semigroup_invariants(gens)
+        except NonMinimalGenerators:
+            assert want, gens
+            continue
+        assert not want, gens
+        assert S.is_symmetric() == oracle_is_symmetric(S), gens
+
+
+def test_enumeration_agrees_with_the_dynamic_program():
+    """Pruning by the Apery set of the prefix gives the tuples, in order,
+    of testing each candidate by the dynamic program and letting
+    semigroup_invariants reject the non-minimal ones; symmetry agrees with
+    the scan of 0..F on all of them."""
+    fam = enumerate_semigroups(12, 4, 36)
+    assert len(fam) == 10430
+    assert [S.gens for S in fam] == oracle_enumerate_semigroups(12, 4, 36)
+    assert all(S.is_symmetric() == oracle_is_symmetric(S) for S in fam)
 
 
 def test_enumerate_respects_caps():

@@ -665,6 +665,24 @@ def check_least_truncation(pres, rng, A=None):
     return B.D - A.D
 
 
+def test_all_linear_ideals_end_at_2_as_the_fixed_cap_does():
+    """Generators that are all linear start the build at D = 3.  For I = n
+    degree 1 fills at once, so the build ends at D = 2 with hf (1,) and
+    v = h, and gives what the fixed cap from 4 gives.  (x1) in one
+    variable builds too."""
+    rng = random.Random(11)
+    n3 = IdealPresentation.from_strings(["x1", "x2", "x3"], 3)
+    for pres in (IdealPresentation.from_strings(["x1", "x2"], 2),
+                 IdealPresentation.from_strings(["x1+x2", "x1-x2"], 2),
+                 moved(n3, 5)):
+        assert pres.max_degree == 1
+        A = build_quotient(pres)
+        assert (A.hf, A.D, A.v) == ((1,), 2, pres.nvars)
+        assert check_least_truncation(pres, rng, A) == 2
+    A = build_quotient(IdealPresentation.from_strings(["x1"], 1))
+    assert (A.hf, A.D, A.v) == ((1,), 2, 1)
+
+
 @given(st.integers(min_value=0, max_value=10 ** 6),
        st.sampled_from(["stretched", "almost", "random"]), st.integers(2, 4), st.booleans())
 @settings(max_examples=30, deadline=None)
