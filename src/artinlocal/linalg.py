@@ -56,14 +56,16 @@ The echelon stores its pivot rows only in working form.  leads is a live
 view of the pivot columns, for membership and counting, and working a live
 read-only view of the working rows themselves.  Every reader reads
 working, since any nonzero multiple of a row has the same span and
-support: leading_forms, the back-substitution of solve_dense and
-nullspace below, extend_scalars, same_row_space (each row goes to
-contains over scale 1) and the split-quadric test in classify7, which
-reads a discriminant, the same up to a nonzero square.  No raw pivot row
-is ever built.
+support: leading_forms (its shifted echelon, and its dual count, which
+keeps the kernel vectors of the rows in working form), the
+back-substitution of solve_dense and nullspace below, extend_scalars,
+same_row_space (each row goes to contains over scale 1) and the
+split-quadric test in classify7, which reads a discriminant, the same up
+to a nonzero square.  No raw pivot row is ever built.
 
 solve_dense and nullspace add their rows to a SparseEchelon and
-back-substitute on its working rows in decreasing pivot order.  They
+back-substitute on its working rows in decreasing pivot order, sorted
+once per system and passed to _kernel_vector for each vector.  They
 return what Gauss-Jordan elimination returns, value for value: both pivot
 sets are the columns where the rank rises from left to right, a kernel
 vector is fixed by its entries at the non-pivot columns, which both set
@@ -233,17 +235,18 @@ def same_row_space(e1: SparseEchelon, e2: SparseEchelon) -> bool:
 # ------------------------------------------------------------ solves
 
 
-def _kernel_vector(f: Field, rows, col, value, n: int):
-    """The length-n kernel vector of the working pivot rows that is value
-    at the non-pivot column col and 0 at the other non-pivot columns.
+def _kernel_vector(f: Field, rows, order, col, value):
+    """(x, scale) with x / scale the kernel vector of the working pivot
+    rows that is value at the non-pivot column col and 0 at the other
+    non-pivot columns; x is a working row with no zero entry, and order
+    lists the pivots in decreasing order, sorted once by the caller.
 
-    The vector is kept as x / scale in working form.  At pivot p with
-    working entry L the solved entry is -s / L, s the row's sum over the
-    later columns; with (a, b) = wcofactors(s, L) that is -b / a, so x and
-    scale are multiplied by a and x[p] = -b."""
+    At pivot p with working entry L the solved entry is -s / L, s the
+    row's sum over the later columns; with (a, b) = wcofactors(s, L) that
+    is -b / a, so x and scale are multiplied by a and x[p] = -b."""
     x, scale = f.wrow({col: value})
     radd, rmul = f.radd, f.rmul
-    for piv in sorted(rows, reverse=True):
+    for piv in order:
         prow = rows[piv]
         s = f.wzero
         for k, c in prow.items():
@@ -258,6 +261,11 @@ def _kernel_vector(f: Field, rows, col, value, n: int):
         x[piv] = f.rneg(b)
         if a != 1:
             x, scale = f.wdivide(x, scale)
+    return x, scale
+
+
+def _dense(f: Field, x, scale, n: int):
+    """The length-n list of raw values of the working row x / scale."""
     x = f.wraw(x, scale)
     return [x.get(k, f.rzero) for k in range(n)]
 
@@ -275,7 +283,9 @@ def solve_dense(M, b, field: Field):
         ech.add({k: c for k, c in enumerate(list(row) + [bi]) if not field.riszero(c)})
     if n in ech.leads:
         return None
-    return _kernel_vector(field, ech.working, n, field.rneg(field.rone), n + 1)[:n]
+    order = sorted(ech.leads, reverse=True)
+    x, scale = _kernel_vector(field, ech.working, order, n, field.rneg(field.rone))
+    return _dense(field, x, scale, n)
 
 
 def nullspace(rows, n: int, field: Field):
@@ -285,6 +295,6 @@ def nullspace(rows, n: int, field: Field):
     ech = SparseEchelon(field)
     for row in rows:
         ech.add(row)
-    return [_kernel_vector(field, ech.working, fc, field.rone, n)
+    order = sorted(ech.leads, reverse=True)
+    return [_dense(field, *_kernel_vector(field, ech.working, order, fc, field.rone), n)
             for fc in range(n) if fc not in ech.working]
-

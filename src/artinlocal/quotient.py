@@ -31,7 +31,11 @@ variables are rejected at once (see build_quotient).
   their terms in degree >= j; their degree-j parts are leading forms of
   elements of I, they are triangular in their pivots, and there are
   C(h-1+j, j) - hf(j) = dim I*_j of them, so they are a basis of I*_j.
-  For j >= s+1, n^j <= I gives I*_j = all forms of degree j.
+  For j >= s+1, n^j <= I gives I*_j = all forms of degree j.  The
+  generators of I* born in degree j are counted on the smaller side: the
+  x_i-shifts of that basis of I*_(j-1), or the dual count, which takes
+  h * hf(j-1) unknowns from the kernel vectors of the same rows, one per
+  standard monomial (Macaulay duality, see leading_forms).
 
 All downstream invariants (socle, Cohen-Macaulay type, minimal generator
 counts, leading-form ideals, Hensel root lifting) are driven by this basis.
@@ -47,6 +51,7 @@ from .errors import NotArtinian, ResidueNotPower
 from .linalg import (
     MonomialTable,
     SparseEchelon,
+    _kernel_vector,
     nullspace,
     poly_from_row,
     row_from_poly,
@@ -546,30 +551,125 @@ def leading_forms(pres: IdealPresentation, algebra=None) -> LeadingFormData:
     distinct lowest monomials are independent.  So when the x_i*b, b in the
     basis of I*_(j-1), have dim I*_j distinct lowest monomials, they span
     I*_j (n * I*_(j-1) <= I*_j) and no generator is born in degree j.
+
+    Otherwise dim n * I*_(j-1) is counted on the smaller side, with
+    hf(s+1) = 0: the shifted echelon (_new_gens_by_shifts) reduces the
+    h * dim I*_(j-1) shifts x_i*b, and the dual count
+    (_new_gens_by_duality) solves for h * hf(j-1) unknowns.  The dual
+    count runs when h * hf(j-1) <= dim I*_(j-1), the shifted echelon
+    otherwise; both sizes are known before either runs, and only these
+    degrees cut the rows of I*_(j-1) to their degree-(j-1) parts.
+
+    The dual count is Macaulay's inverse system (Emsalem, Bull. SMF 106,
+    1978; Iarrobino and Kanev, LNM 1721, 1999) taken one degree at a time.
+    Write S_d for the forms of degree d and, for a functional F on S_j,
+    x_i o F for the functional u -> F(x_i*u) on S_(j-1).
+
+    * The dual basis.  The pivots of I*_(j-1) and the standard monomials t
+      of degree j-1 split the monomials of degree j-1, so S_(j-1) is the
+      direct sum of I*_(j-1) and the span of the t.  The functionals that
+      vanish on I*_(j-1) so have a basis phi_t, one per t: 0 on
+      I*_(j-1), 1 at t and 0 at the other standard monomials.  As values
+      on the monomials, phi_t is the kernel vector of the degree-(j-1)
+      rows that is 1 at t and 0 at the other non-pivot columns
+      (linalg._kernel_vector); the rows are triangular in their pivots.
+    * The count.  F vanishes on n * I*_(j-1) exactly when every x_i o F
+      vanishes on I*_(j-1), that is when x_i o F = G_i =
+      sum_t a_(i,t)*phi_t for some a.  Every monomial w of degree j >= 1
+      is x_i*(w/x_i) for each x_i dividing it, so F is fixed by its
+      contractions, and for a given a such an F exists exactly when, for
+      every w, the values G_i(w/x_i) agree over the x_i dividing w.  Let
+      E have one row per pair (w, i) with x_i | w and i past the least
+      such i0: the row that gives G_i(w/x_i) - G_i0(w/x_i0) from a.  The
+      phi_t are independent, so F <-> a is one to one, and the
+      functionals that vanish on n * I*_(j-1), of dimension
+      dim S_j - dim n * I*_(j-1), number h * hf(j-1) - rank E.  With
+      dim I*_j = dim S_j - hf(j), new_gens[j] = dim I*_j - dim n * I*_(j-1)
+      = h * hf(j-1) - hf(j) - rank E.
+    * Its rows.  The row of (w, i) is zero unless w/x_i or w/x_i0 lies in
+      the support of some phi_t, so only the w = x_i*u, u in a support,
+      are visited.  A nonzero multiple of phi_t scales columns of E and
+      keeps its rank, so the working kernel vectors serve as they are.
+    * The stop.  new_gens[j] >= 0, so rank E <= h * hf(j-1) - hf(j): once
+      E's rank reaches that bound no row can raise it, and the rest are
+      neither built nor added.
     """
     A = algebra if algebra is not None else build_quotient(pres)
     f, h, s, tab = A.field, A.nvars, A.socle_degree, A.table
-    ends = [comb(h + j, h) for j in range(s + 1)]  # ranks of degree <= j are below ends[j]
-    rows = {j: {} for j in range(s + 1)}  # degree -> {pivot: working row}, a basis of I*_j
-    for lead, row in A.ech.working.items():
-        if lead < ends[s]:
-            j = tab.degs[lead]
-            rows[j][lead] = {r: c for r, c in row.items() if r < ends[j]}
-    dims = {j: len(rows[j]) for j in range(1, s + 1)}
+    hf = A.hf + (0,)
+    leads = [[] for _ in range(s + 1)]  # degree j -> the pivots of a basis of I*_j
+    for lead in A.ech.leads:
+        if tab.degs[lead] <= s:
+            leads[tab.degs[lead]].append(lead)
+    dims = {j: len(leads[j]) for j in range(1, s + 1)}
     for j in (s + 1, s + 2):
         dims[j] = comb(h + j - 1, j)
     new_gens = {}
     for j in range(1, s + 2):
-        if len({shift[lead] for lead in rows[j - 1] for shift in tab.shift}) == dims[j]:
+        prev = leads[j - 1]
+        if len({shift[lead] for lead in prev for shift in tab.shift}) == dims[j]:
             new_gens[j] = 0
             continue
-        shifted = SparseEchelon(f)
-        for row in rows[j - 1].values():
-            for shift in tab.shift:
-                shifted.add({shift[r]: c for r, c in row.items()}, 1)
-        new_gens[j] = dims[j] - shifted.rank
+        end = comb(h + j - 1, h)  # ranks of degree <= j-1 are below end
+        rows = {lead: {r: c for r, c in A.ech.working[lead].items() if r < end}
+                for lead in prev}
+        if h * hf[j - 1] <= len(prev):
+            std = A.std[sum(hf[:j - 1]):sum(hf[:j])]  # the standard ranks of degree j-1
+            new_gens[j] = _new_gens_by_duality(f, tab, rows, std, hf[j])
+        else:
+            new_gens[j] = _new_gens_by_shifts(f, tab, rows, dims[j])
     new_gens[s + 2] = 0
     return LeadingFormData(dims, new_gens, sum(new_gens.values()))
+
+
+def _new_gens_by_shifts(f, tab, rows, dim_j) -> int:
+    """new_gens[j] = dim I*_j - dim n * I*_(j-1), the latter the rank of
+    every x_i-shift of the working rows of I*_(j-1)."""
+    shifted = SparseEchelon(f)
+    for row in rows.values():
+        for shift in tab.shift:
+            shifted.add({shift[r]: c for r, c in row.items()}, 1)
+    return dim_j - shifted.rank
+
+
+def _new_gens_by_duality(f, tab, rows, std, hf_j) -> int:
+    """new_gens[j] = h * hf(j-1) - hf(j) - rank E (see leading_forms), from
+    the working rows of I*_(j-1) and its standard ranks std; E's rows go in
+    until its rank reaches h * hf(j-1) - hf(j)."""
+    order = sorted(rows, reverse=True)
+    phis = [_kernel_vector(f, rows, order, t, f.rone)[0] for t in std]
+    bound = len(tab.shift) * len(phis) - hf_j
+    ech = SparseEchelon(f)
+    for row in _consistency_rows(f, tab, phis):
+        if ech.add(row, 1) and ech.rank == bound:
+            break
+    return bound - ech.rank
+
+
+def _consistency_rows(f, tab, phis):
+    """The nonzero rows of E (see leading_forms), in working form: for each
+    w = x_i*u, u in the support of some phi, and each x_i dividing w past
+    the least x_i0, the entries phi_k(w/x_i) at column i*len(phis) + k and
+    -phi_k(w/x_i0) at column i0*len(phis) + k."""
+    n, rneg = len(phis), f.rneg
+    divisors = {}  # w -> {i: w/x_i} for the w/x_i in some support
+    for phi in phis:
+        for u in phi:
+            for i, shift in enumerate(tab.shift):
+                divisors.setdefault(shift[u], {})[i] = u
+    for w, divs in divisors.items():
+        i0, *rest = [i for i, e in enumerate(tab.monos[w]) if e]
+        u0 = divs.get(i0)
+        for i in rest:
+            u = divs.get(i)
+            row = {}
+            for k, phi in enumerate(phis):
+                if u in phi:
+                    row[i * n + k] = phi[u]
+                if u0 in phi:
+                    row[i0 * n + k] = rneg(phi[u0])
+            if row:
+                yield row
 
 
 # ------------------------------------------------------------ field change

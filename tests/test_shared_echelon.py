@@ -32,7 +32,11 @@ basis, socle, leading forms and normal forms; the echelon from a start
 above s+2 must equal row for row the every-multiple echelon at the cap it
 ends at, and row_space_equal must answer as two fixed-cap echelons do.
 Zero values in an incoming row must be dropped.  A row that reaches no
-pivot goes in at once, as the oracle's pivot row.
+pivot goes in at once, as the oracle's pivot row.  leading_forms must
+take each of its three counts on the seeded grid, agree with the oracle
+on the heaviest stretched and almost-stretched cells, sheared or not,
+over towers and on generated ideals, and stop adding rows to its dual
+count once their rank reaches its bound.
 """
 
 import functools
@@ -56,6 +60,7 @@ from artinlocal.linalg import (
 )
 from artinlocal.polynomials import (
     Polynomial,
+    RingMap,
     monomials_of_degree,
     parse_poly,
     random_invertible_map,
@@ -334,21 +339,132 @@ def test_macaulay_echelon_gives_the_same_rows_twice():
         assert list(pivot_rows(e1).items()) == list(pivot_rows(e2).items())
 
 
-def test_leading_forms_takes_both_branches_on_seeded_grid(monkeypatch):
-    """Each degree j = 1..s+1 either settles dim n*I*_(j-1) by counting
-    lowest monomials or runs one echelon; the grid must do both."""
+def spy_on_leading_form_counts(monkeypatch):
+    """Counts of the calls of each of leading_forms' two counts, and one
+    [rows built, rows added] pair per dual count: _consistency_rows is run
+    to the end, and every row leading_forms asks for is one it adds."""
+    calls = {"shifts": 0, "duality": 0}
+    rows = []
+
+    def counting(name):
+        original = getattr(quotient, f"_new_gens_by_{name}")
+
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(quotient, f"_new_gens_by_{name}", count)
+
+    consistency_rows = quotient._consistency_rows
+
+    def built_and_added(f, tab, phis):
+        built = list(consistency_rows(f, tab, phis))
+        rows.append([len(built), 0])
+        for row in built:
+            rows[-1][1] += 1
+            yield row
+
+    counting("shifts")
+    counting("duality")
+    monkeypatch.setattr(quotient, "_consistency_rows", built_and_added)
+    return calls, rows
+
+
+def test_leading_forms_takes_all_three_branches_on_seeded_grid(monkeypatch):
+    """Each degree j = 1..s+1 settles dim n*I*_(j-1) by counting lowest
+    monomials, or runs the shifted echelon or the dual count; the grid must
+    take all three."""
     algebras = [build_quotient(pres) for _, pres in GRID]
-    echelons = []
-
-    class CountingEchelon(SparseEchelon):
-        def __init__(self, field):
-            echelons.append(field)
-            super().__init__(field)
-
-    monkeypatch.setattr(quotient, "SparseEchelon", CountingEchelon)
+    calls, _ = spy_on_leading_form_counts(monkeypatch)
     for A in algebras:
         leading_forms(A.pres, algebra=A)
-    assert 0 < len(echelons) < sum(A.socle_degree + 1 for A in algebras)
+    degrees = sum(A.socle_degree + 1 for A in algebras)
+    assert calls["shifts"] > 0 and calls["duality"] > 0
+    assert calls["shifts"] + calls["duality"] < degrees
+
+
+def sheared(pres, coeffs):
+    """The ideal carried by the linear change x_i -> x_i + c_i*x_(i+1),
+    i < h, c_i the scalars of coeffs.  A linear change keeps the degrees
+    of the generators, so the separate-echelon oracle stays fast on models
+    whose random moves (see moved) it takes seconds on."""
+    h, f = pres.nvars, pres.field
+    xs = [Polynomial.variable(i, h, f) for i in range(h)]
+    images = [x + y * c for x, y, c in zip(xs, xs[1:], coeffs)] + xs[len(coeffs):]
+    phi = RingMap(images, pres.max_degree + 1)
+    return IdealPresentation([phi.apply(g) for g in pres.gens], h, f)
+
+
+def heavy_leading_form_cells():
+    """The invariants pool's heaviest leading-form cells: stretched and
+    almost-stretched models with h = 4, 5 and s = 5..8, with seeded
+    units, each also sheared but for s = 8 (2 s each for the oracle); and
+    the QQ(sqrt 2) and QQ(sqrt 2)(sqrt 3) ideals, with an almost-stretched
+    model over QQ(sqrt 2)(sqrt 3) sheared by sqrt 2 and sqrt 3."""
+    rng = random.Random(20271)
+    unit = lambda: q(rng.choice((-3, -2, -1, 1, 2, 3, 5)))
+    out = []
+    for h, s in ((4, 5), (4, 6), (4, 8), (5, 5)):
+        tau = 1 + s % h
+        units = tuple(unit() for _ in range(h - tau if tau < h else 0))
+        out.append((f"stretched h={h} s={s} tau={tau}",
+                    make_stretched(StretchedParams(h, s, tau, units))))
+        t = 2 + (s + h) % (s - 2)
+        a = parse_poly(f"{rng.randint(-2, 2)} + {rng.randint(-2, 2)}*x2", h, QQ)
+        units = tuple(unit() for _ in range(h - 2))
+        out.append((f"almost h={h} t={t} s={s}", make_almost_stretched(
+            AlmostStretchedParams(h, t, s, a, unit(), units))))
+    out += [(f"sheared {label}",
+             sheared(pres, [rng.choice((-2, -1, 1, 2)) for _ in range(pres.nvars - 1)]))
+            for label, pres in out if " s=8" not in label]
+    almost = out[1][1]  # h = 4, s = 5
+    tower = sqrt2_sqrt3_ideal()
+    F = tower.field
+    roots = (F.scalar(F.base.sqrt_theta), F.scalar(F.sqrt_theta), F.one)
+    out += [("QQ(sqrt2)", sqrt2_ideal()[0]), ("QQ(sqrt2)(sqrt3)", tower),
+            ("sheared almost h=4 s=5 over QQ(sqrt2)(sqrt3)",
+             sheared(almost.map_field(F), roots))]
+    return out
+
+
+def check_leading_forms_against_oracle(pres):
+    A = build_quotient(pres)
+    data = leading_forms(pres, algebra=A)
+    assert (data.dims, data.new_gens, data.v_star) == oracle_leading_forms(pres, A.socle_degree)
+
+
+@pytest.mark.parametrize(
+    "pres", [pytest.param(pres, id=label) for label, pres in heavy_leading_form_cells()])
+def test_leading_forms_match_the_oracle_on_heavy_cells(pres):
+    check_leading_forms_against_oracle(pres)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(2, 3), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_leading_forms_match_the_oracle_on_generated_ideals(seed, nvars, shear):
+    """Exponents up to 6 in two variables and 4 in three, so that high
+    degrees with a small hf take the dual count."""
+    rng = random.Random(seed)
+    pres = random_ideal(rng, nvars, max_exp=6 if nvars == 2 else 4)
+    if shear:
+        pres = sheared(pres, [rng.choice((-2, -1, 1, 2)) for _ in range(nvars - 1)])
+    check_leading_forms_against_oracle(pres)
+
+
+def test_dual_count_stops_once_the_rank_reaches_its_bound(monkeypatch):
+    """On a stretched model with h = 5, s = 2 only the degree j = s+1 = 3
+    takes the dual count.  hf(2) = 1 and hf(3) = 0, so E's rank is at most
+    5 * 1 - 0 = 5; it reaches 5 (no generator is born in degree 3) before
+    the rows run out, so leading_forms asks for fewer rows than E has."""
+    pres = make_stretched(StretchedParams(5, 2, 2, (q(2), q(-3), q(5))))
+    A = build_quotient(pres)
+    assert A.hf == (1, 5, 1)
+    calls, rows = spy_on_leading_form_counts(monkeypatch)
+    data = leading_forms(pres, algebra=A)
+    assert calls["duality"] == len(rows) == 1
+    (built, added), = rows
+    assert data.new_gens[3] == 0
+    assert 5 <= added < built
+    assert (data.dims, data.new_gens, data.v_star) == oracle_leading_forms(pres, 2)
 
 
 def tower_basis(field):
