@@ -590,33 +590,24 @@ def _sprinkle(rng) -> bool:
 
 def random_invertible_map(nvars, field, D, rng) -> RingMap:
     """Random map with invertible linear part and small integer coefficients,
-    plus a random sprinkle of degree-2 terms."""
+    plus a random sprinkle of degree-2 terms.  Each image's terms go into
+    one dict, in the order of the draws: the linear terms, redrawn until
+    their rank is nvars, then the sprinkle."""
     if isinstance(rng, int):
         rng = random.Random(rng)
+    xs = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
     while True:
-        imgs = []
-        for _ in range(nvars):
-            img = Polynomial(nvars, field)
-            for j in range(nvars):
-                c = rng.randint(-3, 3)
-                if c:
-                    img = img + Polynomial.variable(j, nvars, field).scale(
-                        field.scalar(c)
-                    )
-            imgs.append(img)
-        try:
-            m = RingMap(imgs, D)
-        except ValueError:
-            continue
-        if not m.is_invertible():
-            continue
-        break
+        linear = [{x: field.rfrom(c) for x in xs if (c := rng.randint(-3, 3))}
+                  for _ in range(nvars)]
+        if RingMap([Polynomial(nvars, field, t) for t in linear], D).is_invertible():
+            break
+    quadrics = monomials_of_degree(nvars, 2)
     imgs = []
-    for img in m.images:
-        for mono in monomials_of_degree(nvars, 2):
+    for terms in linear:
+        for mono in quadrics:
             if _sprinkle(rng):
                 c = rng.randint(-2, 2)
                 if c:
-                    img = img + Polynomial(nvars, field, {mono: field.rfrom(c)})
-        imgs.append(img)
+                    terms[mono] = field.rfrom(c)
+        imgs.append(Polynomial(nvars, field, terms))
     return RingMap(imgs, D)

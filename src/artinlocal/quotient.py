@@ -12,7 +12,12 @@ One such echelon per ideal carries every invariant (the method of Lazard,
 "Groebner bases, Gaussian elimination and resolution of systems of algebraic
 equations", 1983).  The row of m*g is a variable shift of the stored row
 of a divisor (m/x_i)*g, and a multiple is not tried when a divisor's row
-reduced to zero, since its own row would too (see macaulay_echelon).
+reduced to zero, since its own row would too.  The multiples of the
+single-term generators c*x^a, most generators of the canonical models
+and every generator of a lex segment, go in first as one batch: they are
+the unit rows of the monomials of nM below D, M the ideal of those x^a,
+found by one search over the table's shifts, and each goes in as it is,
+hitting no pivot (see macaulay_echelon).
 Write s for the socle degree; every build ends at D = s+2.  The echelon
 lowers its cap to j+1 as soon as every monomial of some degree j is a pivot
 (then n^j <= I); the build starts at the max degree + 2, or at a given D,
@@ -24,8 +29,9 @@ variables are rejected at once (see build_quotient).
   It does not depend on the order in which rows are inserted, and neither do
   hf, the standard basis or any normal form.
 * v(I) = dim I/nI.  The rows with a multiplier of degree >= 1 span
-  (nI + n^D)/n^D; they go in first, and the rank the generators then add is
-  dim (I + n^D)/(nI + n^D).  Since hf(s+1) = 0, Nakayama gives
+  (nI + n^D)/n^D; they go in first (those of the single-term generators
+  as the batch of unit rows of nM), and the rank the generators then add
+  is dim (I + n^D)/(nI + n^D).  Since hf(s+1) = 0, Nakayama gives
   n^(s+1) <= I, so n^D <= n * n^(s+1) <= nI and that rank is dim I/nI.
 * Leading forms.  For j < D, the rows whose pivot has degree j have all
   their terms in degree >= j; their degree-j parts are leading forms of
@@ -114,14 +120,32 @@ def macaulay_echelon(pres: IdealPresentation, D: int):
     """Echelonized span of {m*g : deg(m)+ord(g) < D}, with the rank v the
     generators add on top of the rows of nI (deg(m) >= 1), which go in first.
 
-    Rows go in generator by generator, multipliers m in table order, and a
-    row of m*g is not tried when the row of a divisor (m/x_i)*g with
-    deg(m/x_i) >= 1 was rejected or skipped (Lazard's criterion).  That
-    row lies in the span of the rows before it (if skipped, by induction);
-    the order on (g, m) is multiplicative, so m*g lies in the span of their
-    x_i-shifts, each earlier or zero mod n^D.  A rejected row changes
-    nothing, so the pivot rows, their order and v are those of trying
-    every row.
+    The rows m*g with deg(m) >= 1 of the single-term generators g = c*x^a
+    go in before any other row, as one batch of unit rows.  Let M be the
+    ideal of those generators' monomials.  Each such row, cut below D, is
+    c times the unit row of the monomial m*x^a of nM, or zero; and each
+    monomial of nM is x_i*u with u a multiple of some x^a, so such an m*x^a.
+    So the batch, the unit rows of the monomials of nM below D, spans the
+    rows of nI of the single-term generators.  Those monomials are the
+    ranks that one or more steps of table.shift reach from the generators'
+    ranks, found by one search.  The batch goes in first, in rank order:
+    distinct unit rows are an echelon basis of their span, so each hits no
+    pivot, and add stores it after one scan of its one entry, as it stores
+    any row that hits none (see SparseEchelon._reduce).  A presentation
+    with no single-term generator has an empty batch.
+
+    The other generators' rows then go in generator by generator,
+    multipliers m in table order, and a row of m*g is not tried when the
+    row of a divisor (m/x_i)*g with deg(m/x_i) >= 1 was rejected or
+    skipped (Lazard's criterion).  That row lies in the span of the rows
+    before it (if skipped, by induction); the order on (g, m) is
+    multiplicative, so m*g lies in the span of their x_i-shifts, each
+    earlier or zero mod n^D: the x_i-shift of a batch row is a batch row
+    (nM is closed under x_i) or zero mod n^D.  A rejected row changes
+    nothing, so the pivot rows, their order and v are those of trying every
+    row in this order: the single-term generators' rows m*g in the rank
+    order of m*x^a (the row of a monomial already in is rejected), then
+    every m*g of the other generators, then the generators.
 
     The multipliers go one degree at a time.  The candidates of degree d+1
     are the shifts x_i*m of the multipliers m of degree d whose rows were
@@ -135,23 +159,23 @@ def macaulay_echelon(pres: IdealPresentation, D: int):
     terms in the same order for every such i.  Each generator row is put in
     the field's working form once, and its shifts are added in that form.
 
-    The cap comes down as soon as a degree fills.  After each
-    degree of multipliers, and once more at the end, let j < D-1 be the
-    least degree whose every monomial is a pivot.  The pivot rows of degree
-    j are elements of I + n^D, zero below degree j, whose degree-j parts
-    are triangular in their pivots, so they span every form of degree j:
+    The cap comes down as soon as a degree fills.  After each degree of
+    multipliers, and once more at the end, let j < D-1 be the least degree
+    whose every monomial is a pivot.  The pivot rows of degree j are
+    elements of I + n^D, zero below degree j, whose degree-j parts are
+    triangular in their pivots, so they span every form of degree j:
     n^j <= I + n^(j+1), and n^j <= I by Nakayama.  The cap becomes
     D' = j+1, and the pivot rows, the rows of the degree's kept multiples
     and the generator rows are cut below D' (SparseEchelon.truncate).  The
     cut pivot rows are an echelon basis of the cut span, and every row
     tried or skipped so far is, cut, an m*g mod n^D' that it holds or that
-    Lazard's criterion puts in it (a relation mod n^D holds mod n^D').  So
-    the build goes on at D' with the next degree and the later generators,
-    on the (h, D') table, whose ranks are those of D below D', and it ends
-    with the echelon of (I + n^D')/n^D'.  v is still dim I/nI, as
-    n^D' = n * n^j <= nI.  At the end, a full degree is a zero of hf, and
-    hf's first zero is s+1; so whenever s+2 <= D the echelon ends at
-    D = s+2.
+    Lazard's criterion puts in it (a relation mod n^D holds mod n^D'); the
+    batch cut below D' is the batch at D'.  So the build goes on at D' with
+    the next degree and the later generators, on the (h, D') table, whose
+    ranks are those of D below D', and it ends with the echelon of
+    (I + n^D')/n^D'.  v is still dim I/nI, as n^D' = n * n^j <= nI.  At
+    the end, a full degree is a zero of hf, and hf's first zero is s+1; so
+    whenever s+2 <= D the echelon ends at D = s+2.
 
     hf[j] counts the non-pivots of each degree j below the cap, from
     C(h+j-1, j) down: a row that add keeps is stored under a new pivot, the
@@ -169,7 +193,7 @@ def macaulay_echelon(pres: IdealPresentation, D: int):
     f, h = pres.field, pres.nvars
     table = MonomialTable(h, D)
     ech = SparseEchelon(f)
-    gen_rows = []
+    gen_rows = [f.wrow(row_from_poly(g, table)) for g in pres.gens]
     hf = [comb(h + j - 1, j) for j in range(D)]
     leads, degs = ech.leads, table.degs  # the ranks of degs are the same at every cap
 
@@ -181,23 +205,31 @@ def macaulay_echelon(pres: IdealPresentation, D: int):
 
     def cut():
         """For the least full degree j < table.D - 1, if any, cut the
-        table, the echelon and hf at the cap j+1 and return the end
-        C(h+j, h) of the ranks kept; else None."""
-        nonlocal table
+        table, the echelon, the generator rows and hf at the cap j+1 and
+        return the end C(h+j, h) of the ranks kept; else None."""
+        nonlocal table, gen_rows
         j = next((j for j in range(1, table.D - 1) if not hf[j]), None)
         if j is None:
             return None
         table, end = MonomialTable(h, j + 1), comb(h + j, h)
         ech.truncate(end)
+        gen_rows = [({r: v for r, v in w.items() if r < end}, scale) for w, scale in gen_rows]
         del hf[j + 1:]
         return end
 
-    for g in pres.gens:
-        row = row_from_poly(g, table)
-        if not row:
+    single = [len(g.terms) == 1 for g in pres.gens]
+    batch, layer = set(), {k for one, (w, _) in zip(single, gen_rows) if one for k in w}
+    while layer:
+        layer = {c for k in layer for shift in table.shift if (c := shift[k]) is not None} - batch
+        batch |= layer
+    wone = f.wone
+    for k in sorted(batch):
+        add({k: wone}, 1)
+    for i in range(len(gen_rows)):
+        row = gen_rows[i][0]
+        if single[i] or not row:
             continue
-        gen_rows.append(f.wrow(row))
-        layer = {0: gen_rows[-1]}  # multiplier rank -> working row of m*g, for the rows kept
+        layer = {0: gen_rows[i]}  # multiplier rank -> working row of m*g, for the rows kept
         d = table.degs[min(row)] + 1  # the degree of m*g for the next multipliers m
         while d < table.D:
             support, shifts = table.support, table.shift
@@ -221,8 +253,6 @@ def macaulay_echelon(pres: IdealPresentation, D: int):
             if (end := cut()) is not None:
                 layer = {c: ({r: v for r, v in w.items() if r < end}, scale)
                          for c, (w, scale) in layer.items()}
-                gen_rows = [({r: v for r, v in w.items() if r < end}, scale)
-                            for w, scale in gen_rows]
     v = sum(1 for row, scale in gen_rows if add(row, scale))
     cut()
     return table, ech, v, hf

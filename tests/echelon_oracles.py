@@ -9,14 +9,16 @@ build their echelons on OracleEchelon, elimination with every row scaled
 to 1 at its pivot and every operation a field operation on raw values,
 where the library's SparseEchelon runs on integer rows over QQ.  So they
 share no row reduction with the paths they check.  The Macaulay echelon that
-tries every multiple m*g is the reference for the row-saving one the
-library runs, and the loop that lists every multiplier's divisors is the
-reference for the one that builds each degree's candidates from the rows
-kept in the degree before.  Dense Gauss-Jordan elimination that sweeps
-whole rows is the reference for the dense solves the library builds on
-SparseEchelon, and the socle from the multiplication matrices of the
-variables' normal forms, with its kernel from that Gauss-Jordan sweep, is
-the reference for the one built from table shifts.  One dense solve for
+tries every multiple m*g, those of the single-term generators first in
+the rank order of their products, is the reference for the row-saving one
+the library runs, which stores those as one batch of unit rows; the loop
+that lists every multiplier's divisors is the reference for the one that
+builds each degree's candidates from the rows kept in the degree before.
+Dense Gauss-Jordan elimination that sweeps whole rows is the reference
+for the dense solves the library builds on SparseEchelon, and the socle
+from the multiplication matrices of the variables' normal forms, with its
+kernel from that Gauss-Jordan sweep, is the reference for the one built
+from table shifts.  One dense solve for
 whole unknown elements over those multiplication matrices, whose columns
 are the coordinates of polynomial products, is the reference for the
 witness stages' scalar solves over the powers of x1.  The product of elements
@@ -153,10 +155,13 @@ def oracle_macaulay_echelon(pres, D):
     """(table, ech, v) at the cap D, never lowered: the first three of what
     quotient.macaulay_echelon returns when it ends at D, trying every
     multiple m*g with deg(m) >= 1 before the generators; v = dim I/nI for
-    any D with n^D contained in nI."""
+    any D with n^D contained in nI.  The multiples of the single-term
+    generators go first, all of them, in the rank order of their products
+    (the library's batch of unit rows); then those of the other generators,
+    generator by generator."""
     table = MonomialTable(pres.nvars, D)
     ech = OracleEchelon(pres.field)
-    gen_rows = []
+    gen_rows, batch, others = [], [], []
     for g in pres.gens:
         terms = list(g.truncate(D).terms.items())
         if not terms:
@@ -167,7 +172,9 @@ def oracle_macaulay_echelon(pres, D):
             for mult in monomials_of_degree(pres.nvars, d):
                 row = shifted_row(terms, mult, table)
                 if row:
-                    ech.add(row)
+                    (batch if len(g.terms) == 1 else others).append(row)
+    for row in sorted(batch, key=min) + others:
+        ech.add(row)
     v = sum(1 for row in gen_rows if ech.add(row))
     return table, ech, v
 

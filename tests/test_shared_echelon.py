@@ -36,7 +36,12 @@ pivot goes in at once, as the oracle's pivot row.  leading_forms must
 take each of its three counts on the seeded grid, agree with the oracle
 on the heaviest stretched and almost-stretched cells, sheared or not,
 over towers and on generated ideals, and stop adding rows to its dual
-count once their rank reaches its bound.
+count once their rank reaches its bound.  The batch of unit rows for the
+multiples of single-term generators must give the fixed-cap build and
+the every-multiple echelon on ideals that mix single terms (scaled, over
+QQ and QQ(sqrt 2)) with other generators, hold no generator itself (v of
+(x1 - x2^2, x1*x2, x2^3) is 2), and leave a monomial ideal's unit rows of
+nM and generator rows as the only rows _reduce sees.
 """
 
 import functools
@@ -48,6 +53,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import artinlocal.quotient as quotient
+from artinlocal.bounds import lex_segment
 from artinlocal.classify7 import classify_ideal, make_model
 from artinlocal.linalg import (
     MonomialTable,
@@ -337,6 +343,94 @@ def test_macaulay_echelon_gives_the_same_rows_twice():
         (t1, e1, v1, hf1), (t2, e2, v2, hf2) = (macaulay_echelon(pres, D) for _ in range(2))
         assert t1 is t2 and (v1, hf1) == (v2, hf2)
         assert list(pivot_rows(e1).items()) == list(pivot_rows(e2).items())
+
+
+def mixed_ideal(rng, nvars, field):
+    """A pure power of each variable and up to two more monomials of
+    degree 2..3, each a single term with a random nonzero coefficient
+    (-3*x1^2, or sqrt 2 * x2^3 over QQ(sqrt 2)), plus one or two
+    generators of two or three terms, all in a random order."""
+    def coeff():
+        c = field.rfrom(rng.choice((-3, -2, -1, 1, 2, 3)))
+        return c if field is QQ or rng.randint(0, 1) else field.rmul(c, field.sqrt_theta)
+
+    monos = [m for d in (2, 3) for m in monomials_of_degree(nvars, d)]
+    singles = [tuple(rng.randint(2, 4) if k == i else 0 for k in range(nvars))
+               for i in range(nvars)] + rng.sample(monos, rng.randint(0, 2))
+    gens = [Polynomial(nvars, field, {m: coeff()}) for m in singles]
+    for _ in range(rng.randint(1, 2)):
+        gens.append(Polynomial(nvars, field, {m: coeff() for m in rng.sample(monos, rng.randint(2, 3))}))
+    rng.shuffle(gens)
+    return IdealPresentation(gens, nvars, field)
+
+
+def check_single_term_batch(pres, rng):
+    """The build with the batch of unit rows gives what the fixed-cap build
+    on the divisor-list loop gives, and its echelon is the every-multiple
+    echelon row for row, from the default start and from one above."""
+    A = build_quotient(pres)
+    check_least_truncation(pres, rng, A)
+    for D in (A.D, A.D + 1):
+        check_echelon_matches_oracle(pres, D)
+
+
+@pytest.mark.parametrize("field", [QQ, adjoin_sqrt(QQ, q(2))], ids=["QQ", "QQ(sqrt2)"])
+def test_single_term_batch_matches_the_oracles_on_seeded_mixed_ideals(field):
+    rng = random.Random(20281)
+    for _ in range(6):
+        check_single_term_batch(mixed_ideal(rng, rng.randint(2, 3), field), rng)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(2, 3), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_single_term_batch_matches_the_oracles_on_generated_mixed_ideals(seed, nvars, sqrt2):
+    rng = random.Random(seed)
+    check_single_term_batch(mixed_ideal(rng, nvars, adjoin_sqrt(QQ, q(2)) if sqrt2 else QQ), rng)
+
+
+def test_the_batch_holds_only_proper_multiples_of_the_single_terms():
+    """In (x1 - x2^2, x1*x2, x2^3), x1*x2 - x2^3 = x2*(x1 - x2^2) lies in
+    nI, so v = 2.  The batch is nM, not M: were x1*x2 and x2^3 put in with
+    their multiples, only x1 - x2^2 would be left for the generator rows to
+    add, and v would read 1."""
+    pres = IdealPresentation.from_strings(["x1 - x2^2", "x1*x2", "x2^3"], 2)
+    A = build_quotient(pres)
+    assert (A.hf, A.v) == ((1, 1, 1), 2)
+    assert oracle_build_quotient(pres).v == 2
+    check_echelon_matches_oracle(pres, A.D + 1)
+
+
+def test_a_monomial_ideal_tries_only_its_batch_and_generator_rows(monkeypatch):
+    """Every row of nI of a monomial ideal goes in with the batch: _reduce
+    sees the unit row of each monomial of nM below the cap, in rank order,
+    then the generator rows, and no multiple's row, from start caps s+1 to
+    s+4.  Degree s+1 is full once the generator rows are in (for the lex
+    segment only then: its x3^5, of degree s+1 = 5, is a generator and not
+    in nM), so from s+3 and s+4 the cap comes down once, at the end."""
+    reduce, truncate, calls = SparseEchelon._reduce, SparseEchelon.truncate, []
+
+    def spy(self, row, *rest):
+        calls.append(dict(row))
+        return reduce(self, row, *rest)
+
+    monkeypatch.setattr(SparseEchelon, "_reduce", spy)
+    monkeypatch.setattr(SparseEchelon, "truncate",
+                        lambda self, end: calls.append("cut") or truncate(self, end))
+    for pres in (IdealPresentation.from_strings(["x1^3", "x2^3", "x3^3"], 3),
+                 lex_segment((1, 3, 4, 2, 1))):
+        s = len(build_quotient(pres).hf) - 1
+        monos = [next(iter(g.terms)) for g in pres.gens]
+        for D in range(s + 1, s + 5):
+            table = MonomialTable(pres.nvars, D)
+            nM = [r for r, m in enumerate(table.monos)
+                  if any(m != a and all(map(int.__ge__, m, a)) for a in monos)]
+            gens = [row_from_poly(g, table) for g in pres.gens]
+            calls.clear()
+            v = macaulay_echelon(pres, D)[2]
+            assert calls[:len(nM)] == [{r: 1} for r in nM]
+            rest = [c if c == "cut" else set(c) for c in calls[len(nM):]]
+            assert rest == [set(g) for g in gens] + ["cut"] * (D > s + 2)
+            assert v == sum(1 for g in gens if g)
 
 
 def spy_on_leading_form_counts(monkeypatch):
