@@ -123,13 +123,13 @@ def _refine_witness(A: ArtinAlgebra, model: IdealPresentation, P, Q):
     Each step solves the linearized system modulo m^(k+1), where k is the
     current residual order, so all residual degrees <= k are cleared (and
     lower degrees stay clear) in one exact linear solve.  Correction
-    directions per image: every monomial of degree >= 2 (these span m^2)
-    plus the four GL-tangent directions P and Q themselves, which realize
-    unit rescalings and linear mixing of the images.  No proof that the
-    residual order rises is known yet, so the loop checks instead: a step
-    that lowers the order raises "lost ground", and a residual left after
-    REFINE_STEPS steps raises "did not converge".  Returns the refined
-    witness map x1 -> P, x2 -> Q.
+    directions per image: every monomial of degree 2..s (these span m^2,
+    as m^(s+1) is 0 in A) plus the four GL-tangent directions P and Q
+    themselves, which realize unit rescalings and linear mixing of the
+    images.  No proof that the residual order rises is known yet, so the
+    loop checks instead: a step that lowers the order raises "lost
+    ground", and a residual left after REFINE_STEPS steps raises "did not
+    converge".  Returns the refined witness map x1 -> P, x2 -> Q.
     """
     f = A.field
     gens = [g.map_field(f) for g in model.gens]
@@ -137,7 +137,7 @@ def _refine_witness(A: ArtinAlgebra, model: IdealPresentation, P, Q):
     dY = [_partial(g, 1) for g in gens]
     ngen = len(gens)
     monos = [A.element(Polynomial(2, f, {m: f.rone}))
-             for d in range(2, A.socle_degree + 2) for m in monomials_of_degree(2, d)]
+             for d in range(2, A.socle_degree + 1) for m in monomials_of_degree(2, d)]
     last_k = None
     for _ in range(REFINE_STEPS):
         vals = [A.evaluate(g, [P.poly, Q.poly]) for g in gens]
@@ -186,6 +186,15 @@ def _partial(g: Polynomial, i: int) -> Polynomial:
 # ------------------------------------------------------------- classifier
 
 
+def _target_algebra(pres: IdealPresentation) -> ArtinAlgebra:
+    """The quotient by pres, which must have the Hilbert function TARGET_HF;
+    D = s+2 of the target suffices in one build, another hf steps past it."""
+    A = build_quotient(pres, D=len(TARGET_HF) + 1)
+    if A.hf != TARGET_HF:
+        raise WrongHilbertFunction(f"expected Hilbert function {TARGET_HF}, got {A.hf}")
+    return A
+
+
 def classify(a, field: Field = QQ, allow_extension=False) -> ClassificationResult:
     """Classify the algebra k[[x1,x2]] / (x1^3*x2, x2^2 - a*x1*x2 - x1^4).
 
@@ -205,10 +214,7 @@ def _classify_witness(a, field: Field, allow_extension: bool):
     # the model truncates a at degree 6; the dropped terms of a*x1*x2 lie in
     # n^9, inside I whenever the Hilbert function is the target one
     pres = make_almost_stretched(AlmostStretchedParams(2, 3, 6, a, field.one))
-    A = build_quotient(pres, D=len(TARGET_HF) + 1)
-    if A.hf != TARGET_HF:
-        raise WrongHilbertFunction(f"got Hilbert function {A.hf}")
-    A, case, p, P, Q = _leading_witness(A, a, allow_extension)
+    A, case, p, P, Q = _leading_witness(_target_algebra(pres), a, allow_extension)
     model = make_model(case, p=p, field=A.field)
     witness = _refine_witness(A, model, P, Q)
     return A, ClassificationResult(case, p, None if p is None else p * p,
@@ -289,12 +295,7 @@ def classify_ideal(pres: IdealPresentation, allow_extension=False, seed=0) -> Cl
     the returned witness, their composition back to the input coordinates,
     is certified here against the input's own echelon.
     """
-    # D = s+2 of the target suffices in one build; another hf steps past it
-    A = build_quotient(pres, D=len(TARGET_HF) + 1)
-    if A.hf != TARGET_HF:
-        raise WrongHilbertFunction(
-            f"expected Hilbert function {TARGET_HF}, got {A.hf}"
-        )
+    A = _target_algebra(pres)
     params, w1 = _almost_stretched_witness(A, seed)
     unitfree, w2 = normalize_units(params, allow_extension=allow_extension)
     a = unitfree.a

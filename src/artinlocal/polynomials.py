@@ -199,9 +199,9 @@ class Polynomial:
     def linear_row(self):
         """{i: raw coefficient of x_(i+1)} over the i whose coefficient is
         nonzero, in ascending i."""
-        f, one = self.field, (0,) * self.nvars
+        one = (0,) * self.nvars
         row = {i: self.terms.get(one[:i] + (1,) + one[i + 1:]) for i in range(self.nvars)}
-        return {i: c for i, c in row.items() if c is not None and not f.riszero(c)}
+        return {i: c for i, c in row.items() if c is not None}
 
     # arithmetic
 
@@ -525,6 +525,14 @@ def parse_poly(text: str, nvars: int, field: Field = QQ) -> Polynomial:
 # ----------------------------------------------------------------- ring maps
 
 
+def _full_rank(rows, field: Field) -> bool:
+    """Do the rows, dicts {column: raw value}, have rank len(rows), that
+    is, does each enlarge the span of those before it?"""
+    from .linalg import SparseEchelon
+
+    return all(map(SparseEchelon(field).add, rows))
+
+
 class RingMap:
     """Substitution endomorphism of k[[x1..xh]] truncated at degree D.
 
@@ -552,20 +560,12 @@ class RingMap:
 
     def apply(self, p: Polynomial) -> Polynomial:
         """p(images), truncated at degree D."""
-        if p.nvars != len(self.images):
-            raise ValueError("arity mismatch")
         return p.substitute(self.images, self.D)
 
     def is_invertible(self) -> bool:
         """Do the linear parts of the images have rank nvars?"""
-        from .linalg import SparseEchelon
-
-        if len(self.images) != self.nvars:
-            return False
-        ech = SparseEchelon(self.field)
-        for im in self.images:
-            ech.add(im.linear_row())
-        return ech.rank == self.nvars
+        return len(self.images) == self.nvars and _full_rank(
+            [im.linear_row() for im in self.images], self.field)
 
     def then(self, second: "RingMap") -> "RingMap":
         """Map equivalent to applying self first, then second."""
@@ -592,18 +592,21 @@ def random_invertible_map(nvars, field, D, rng) -> RingMap:
     """Random map with invertible linear part and small integer coefficients,
     plus a random sprinkle of degree-2 terms.  Each image's terms go into
     one dict, in the order of the draws: the linear terms, redrawn until
-    their rank is nvars, then the sprinkle."""
+    their rank is nvars, then the sprinkle.  D < 2 cuts the linear terms."""
+    if D < 2:
+        raise ValueError(f"a map cut at D = {D} has no linear part; D must be at least 2")
     if isinstance(rng, int):
         rng = random.Random(rng)
-    xs = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
     while True:
-        linear = [{x: field.rfrom(c) for x in xs if (c := rng.randint(-3, 3))}
-                  for _ in range(nvars)]
-        if RingMap([Polynomial(nvars, field, t) for t in linear], D).is_invertible():
+        rows = [{j: field.rfrom(c) for j in range(nvars) if (c := rng.randint(-3, 3))}
+                for _ in range(nvars)]
+        if _full_rank(rows, field):
             break
+    one = (0,) * nvars
     quadrics = monomials_of_degree(nvars, 2)
     imgs = []
-    for terms in linear:
+    for row in rows:
+        terms = {one[:j] + (1,) + one[j + 1:]: c for j, c in row.items()}
         for mono in quadrics:
             if _sprinkle(rng):
                 c = rng.randint(-2, 2)

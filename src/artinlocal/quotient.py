@@ -754,6 +754,8 @@ def nth_root(A: ArtinAlgebra, a, n: int) -> AlgebraElement:
     one).  With r = _inverse_root(a, n, 1/c0), c = a*r^(n-1) has
     c^n = a^n*r^(n(n-1)) = a and residue c0, and the lift is unique (Hensel's
     lemma, n*c0^(n-1) a unit)."""
+    if n < 1:
+        raise ValueError(f"no n-th root for n = {n}; n must be at least 1")
     if isinstance(a, (int, Fraction, Scalar, str, Polynomial)):
         a = A.element(a)
     if a.algebra is not A:

@@ -23,11 +23,11 @@ factor.  Any theta reaches that form through multiplication by the square
 of a rational, which rescales the adjoined root and leaves the field as it
 is; no two such forms differ by one.  So QQ[sqrt(8)] is QQ[sqrt(2)], and a
 field's label depends only on the field and its base.  The square factors
-are found by trial division by the primes below 2^16 (``_square_part``),
-which bounds the work for any theta, so the form is canonical only up to
-square factors whose primes all exceed 2^16 and that come with a
-non-square cofactor of such primes: QQ[sqrt(q^2 * r)] and QQ[sqrt(r)] for
-two such primes q, r are one field with two labels.  The structure
+are found by trial division below 2^16 (``_square_part``), which bounds
+the work for any theta, so the form is canonical only up to square
+factors whose primes all exceed 2^16 and that come with a non-square
+cofactor of such primes: QQ[sqrt(q^2 * r)] and QQ[sqrt(r)] for two such
+primes q, r are one field with two labels.  The structure
 constants alpha^2 and beta^2 are integral either way, and so the product
 of two values with denominator 1 has denominator 1.
 
@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .errors import FieldExtensionRequired, FieldMismatch
@@ -100,42 +101,32 @@ def _power(mul, x, n):
         x = mul(x, x)
 
 
-def _small_primes(bound: int):
-    """The primes below bound, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * bound
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(bound - 1) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
-    return [p for p in range(bound) if sieve[p]]
-
-
-_TRIAL_PRIMES = _small_primes(1 << 16)
-
-
 def _square_part(n: int) -> int:
     """The largest k with k^2 dividing the nonzero integer n, found by
-    trial division by the primes below 2^16, so it may miss a square
-    factor made of larger primes.
+    trial division below 2^16, so it may miss a square factor made of
+    larger primes.
 
-    The primes p are divided out in turn while p^3 <= n.  If that stops
-    the loop, the cofactor m < p^3 has prime factors all at least p, so at
-    most two of them, and m holds a square factor exactly when it is a
-    square, which isqrt tests.  Otherwise every prime factor of m is above
-    2^16, and the same test finds m's square part when m is a square and
-    misses it when m = q^2 * r with q and r such primes; then k is too
-    small by q.  The cost is at most 6542 divisions, whatever the size
-    of n.
+    The divisors d, 2 and then the odd numbers below 2^16, are divided out
+    in turn while d^3 <= n.  Every prime below d is out of n when d is
+    reached, so a composite d never divides, and k is the one that trial
+    division by the primes gives.  If the d^3 test stops the loop, the
+    cofactor m < d^3 has prime factors all at least d, so at most two of
+    them, and m holds a square factor exactly when it is a square, which
+    isqrt tests.  Otherwise every prime factor of m is above 2^16, and the
+    same test finds m's square part when m is a square and misses it when
+    m = q^2 * r with q and r such primes; then k is too small by q.  It
+    tries at most 32768 divisors, all of them only when the part of n with
+    no factor below 2^16 is at least 65535^3, just under 2^48.
     """
     n, k = abs(n), 1
-    for p in _TRIAL_PRIMES:
-        if p * p * p > n:
+    for d in chain((2,), range(3, 1 << 16, 2)):
+        if d * d * d > n:
             break
         e = 0
-        while n % p == 0:
-            n //= p
+        while n % d == 0:
+            n //= d
             e += 1
-        k *= p ** (e // 2)
+        k *= d ** (e // 2)
     r = math.isqrt(n)
     return k * r if r * r == n else k
 
@@ -170,6 +161,8 @@ class Field:
         return self.nth_root(s, 2)
 
     def nth_root(self, s: "Scalar", n: int):
+        if n < 1:
+            raise ValueError(f"no n-th root for n = {n}; n must be at least 1")
         s = self.coerce(s)
         raw = self.rnth_root(s.val, n)
         return None if raw is None else Scalar(self, raw)

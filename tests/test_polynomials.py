@@ -2,12 +2,18 @@
 fraction-free products and substitution against the Fraction oracles, and
 the working-form parser against the Polynomial-valued one."""
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import artinlocal.polynomials as polynomials
 from artinlocal.errors import ParseError
 from artinlocal.polynomials import (
     Polynomial,
@@ -110,6 +116,59 @@ def test_then_composes_maps_over_nested_fields():
 def test_random_map_is_invertible(seed):
     phi = random_invertible_map(2, QQ, 5, seed)
     assert phi.is_invertible()
+
+
+def test_is_invertible_reads_the_linear_parts_only():
+    x1, x2 = (parse_poly(t, 2, QQ) for t in ("x1", "x2"))
+    assert RingMap([x1 + x2 ** 2, x1 - x2], 4).is_invertible()
+    assert not RingMap([x1 + x2, x1 * 2 + x2 * 2 + x1 ** 2], 4).is_invertible()
+    assert not RingMap([x1 + x2], 4).is_invertible()  # one image for two variables
+    with pytest.raises(ValueError):
+        RingMap([x1], 4).apply(x1)  # a map of one variable on a polynomial in two
+
+
+def test_random_map_draw_stream_is_pinned():
+    """The reprs of 1,920 maps, over QQ and QQ(sqrt 2), h = 1..4, D in
+    (2, 3, 5, 9) and seeds 0..59 in that order, hash to a pinned value:
+    the draws, their order and the images stay fixed, as the seeded tests,
+    demos and benchmark pools rely on them."""
+    reprs = [repr(random_invertible_map(h, f, D, random.Random(seed)))
+             for f in (QQ, SQRT2) for h in range(1, 5) for D in (2, 3, 5, 9)
+             for seed in range(60)]
+    assert hashlib.sha1("\n".join(reprs).encode()).hexdigest()[:12] == "6411a3fd3262"
+
+
+def test_random_map_builds_one_ring_map(monkeypatch):
+    built = []
+    init = RingMap.__init__
+
+    def spy(self, images, D):
+        built.append(D)
+        init(self, images, D)
+
+    monkeypatch.setattr(polynomials.RingMap, "__init__", spy)
+    for h, D, seed in ((1, 2, 0), (2, 5, 1), (3, 9, 2), (4, 3, 3)):
+        built.clear()
+        random_invertible_map(h, QQ, D, seed)
+        assert built == [D]
+
+
+def test_random_map_below_degree_two_raises_at_once():
+    """D < 2 cuts every linear term, so no map cut there is invertible; the
+    call must raise, not redraw forever.  A subprocess bounds the time."""
+    code = ("from artinlocal.polynomials import random_invertible_map as r\n"
+            "from artinlocal.scalars import QQ\n"
+            "for D in (1, 0, -3):\n"
+            "    try:\n"
+            "        r(2, QQ, D, 0)\n"
+            "    except ValueError as e:\n"
+            "        assert f'D = {D}' in str(e), e\n"
+            "    else:\n"
+            "        raise SystemExit('no error')\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
 
 
 def test_monomials_of_degree_counts():

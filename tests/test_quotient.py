@@ -210,6 +210,15 @@ def test_root_needs_residue_root():
         nth_root(A, a, 2)
 
 
+@pytest.mark.parametrize("n", [0, -1, -4])
+def test_root_needs_n_at_least_one(n):
+    """n < 1 is refused by name, for a unit and for a non-unit alike."""
+    A = build_quotient(pres("x1^3", "x2^2"))
+    for a in ("4 + x1", "x1"):
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            nth_root(A, a, n)
+
+
 def test_root_via_extension():
     A = build_quotient(pres("x1^3", "x2^2"))
     B = extend_scalars(A, adjoin_sqrt(QQ, Scalar(QQ, QQ.rfrom(2))))

@@ -18,6 +18,7 @@ from artinlocal.scalars import (
     RationalField,
     Scalar,
     _power,
+    _square_part,
     adjoin_sqrt,
     common_field,
 )
@@ -118,6 +119,54 @@ def test_nth_root_of_large_powers_is_exact(base, k):
     assert QQ.scalar(base ** k - 1).nth_root(k) is None
     if k % 2:
         assert QQ.scalar(-base ** k).nth_root(k) == q(-base)
+
+
+@pytest.mark.parametrize("field", [QQ, adjoin_sqrt(QQ, q(2))], ids=repr)
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_nth_root_needs_n_at_least_one(field, n):
+    x = field.coerce(q(4))
+    with pytest.raises(ValueError, match=f"n = {n}"):
+        x.nth_root(n)
+    with pytest.raises(ValueError, match=f"n = {n}"):
+        field.nth_root(x, n)
+
+
+# ---------------------------------------------------------- square parts
+
+
+def brute_square_part(n):
+    """The largest k with k^2 dividing n, by trying every k up to isqrt(|n|)."""
+    n = abs(n)
+    return max(k for k in range(1, math.isqrt(n) + 1) if n % (k * k) == 0)
+
+
+def test_square_part_matches_brute_force_up_to_30000():
+    """Against a table where each k writes itself on the multiples of k^2,
+    larger k later, and brute_square_part on a sample; n and -n alike."""
+    N = 30000
+    table = [1] * (N + 1)
+    for k in range(2, math.isqrt(N) + 1):
+        for m in range(k * k, N + 1, k * k):
+            table[m] = k
+    for n in range(1, N + 1):
+        assert _square_part(n) == _square_part(-n) == table[n], n
+    for n in range(1, N + 1, 97):
+        assert table[n] == brute_square_part(n)
+
+
+@pytest.mark.parametrize("n", [65521**2 * 3, 65537**2, -(65537**2)])
+def test_square_part_of_squares_of_the_largest_primes_near_2_16(n):
+    """65521, the largest prime below 2^16, is found by trial division or
+    isqrt; 65537, the least prime above it, by isqrt."""
+    assert _square_part(n) == brute_square_part(n)
+
+
+def test_square_part_misses_a_square_of_large_primes_beside_a_large_prime():
+    """The documented miss: the square part of q^2 * r, for q and r primes
+    above 2^16, is q, and trial division below 2^16 finds 1."""
+    q_, r = 65537, 65539
+    assert all(q_ % p and r % p for p in range(2, 257))  # both prime
+    assert _square_part(q_ * q_ * r) == 1
 
 
 # ------------------------------------------------- towers against the oracle
@@ -348,7 +397,7 @@ def test_depth_2_thetas_differing_by_a_base_square_give_one_field():
     assert adjoin_sqrt(Q13, r13 * -2) == adjoin_sqrt(Q13, r13 * -26)
 
 
-# Mersenne primes of 39, 33 and 27 digits, all far above the trial primes
+# Mersenne primes of 39, 33 and 27 digits, all far above the trial divisors
 P127, P107, P89 = 2**127 - 1, 2**107 - 1, 2**89 - 1
 
 
@@ -359,7 +408,7 @@ P127, P107, P89 = 2**127 - 1, 2**107 - 1, 2**89 - 1
     (P107**2 * P89, P107**2 * P89),  # q^2 * r, both large, is kept whole
 ])
 def test_theta_with_large_prime_factors_is_made_canonical_quickly(theta, canon):
-    """Square factors are sought among the primes below 2^16 only, so any
+    """Square factors are sought by trial division below 2^16 only, so any
     theta is handled in milliseconds; the root of the given theta is still
     the root adjoined, up to the rational factor."""
     start = time.perf_counter()
