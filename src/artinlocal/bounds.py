@@ -77,7 +77,10 @@ def erv_upper(e: int, h: int) -> int:
 
 
 def lower_bound(e: int, h: int) -> int:
-    """Lower bound C(h+2, 2) - e for the number of minimal generators."""
+    """Lower bound C(h+2, 2) - e for the number of minimal generators.
+    Requires e >= h+1, as t_and_r and erv_upper do."""
+    if h < 1 or e < h + 1:
+        raise ValueError("need h >= 1 and e >= h + 1")
     return comb(h + 2, 2) - e
 
 

@@ -47,10 +47,14 @@ over their scales, and _reduce copies such a row when it first hits a
 pivot, before it reduces it in place.  A row in whose support the first
 scan finds no pivot column is its own full reduction, so add stores it
 at once: its zeros dropped, through wpivot, with no copy and no second
-scan.  No value is inexact: the working rows only add, subtract and
-multiply integers and divide them exactly (by a gcd), they never reach
-rinv or rdiv (1 / a of ints is a float), and every value handed out is a
-raw value built from ints, over QQ a Fraction.
+scan.  A unit row on a column that is no pivot is one too, so add_units
+stores a batch of them with no scan at all, and truncate rebuilds only
+the rows a cut shortens.  Over QQ the ring operations are the C
+operators, so the row loops make no Python call per entry.  No value is
+inexact: the working rows only add, subtract and multiply integers and
+divide them exactly (by a gcd), they never reach rinv or rdiv (1 / a of
+ints is a float), and every value handed out is a raw value built from
+ints, over QQ a Fraction.
 
 The echelon stores its pivot rows only in working form.  leads is a live
 view of the pivot columns, for membership and counting, and working a live
@@ -134,7 +138,8 @@ class SparseEchelon:
     The pivot rows are kept only in the field's working form; leads is a
     live view of the pivot ranks, and working a live read-only view
     {pivot rank: working row} (a primitive row of integral values, a
-    positive rational integer at its pivot)."""
+    positive rational integer at its pivot).  Rows go in through add, or
+    through add_units as unit rows on columns that are no pivots."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -207,14 +212,35 @@ class SparseEchelon:
         is not changed."""
         return bool(self._reduce(row, scale, True)[0])
 
+    def add_units(self, cols):
+        """Store the unit row {k: wone} of each column k of the sequence
+        cols, in its order; raise ValueError, storing none, if a column
+        repeats or is already a pivot.
+
+        A unit row on a column that is no pivot has no pivot column in its
+        support, so it is its own full reduction, and add would store it
+        as wpivot leaves it.  wone is 1 over QQ and (1, 0, ..., 0, 1) over
+        a tower: positive and rational, with integers of gcd 1, so wpivot
+        returns the unit row as it is.  So this stores what add of each
+        unit row in turn stores, with no scan and no call per row."""
+        wone = self.field.wone
+        units = {k: {k: wone} for k in cols}
+        if len(units) < len(cols) or not self._work.keys().isdisjoint(units):
+            raise ValueError("add_units needs distinct columns that are not pivots")
+        self._work.update(units)
+
     def truncate(self, end: int):
         """Cut the span below column end, in place: the pivot rows with a
         pivot below end, cut below end and made primitive again, in their
         order.  Every row's pivot is its lowest column, so the cut rows keep
         their pivots (and their entry there) and are an echelon basis of the
-        cut span; the rows with a pivot at end or above cut to 0."""
+        cut span; the rows with a pivot at end or above cut to 0.  A row
+        whose columns all lie below end is the same row cut, and a pivot row
+        is primitive already, so it is kept as it is; only the rows that
+        the cut shortens are rebuilt and divided."""
         wdivide = self.field.wdivide
-        rows = [(lead, wdivide({r: c for r, c in row.items() if r < end}, 0)[0])
+        rows = [(lead, row if max(row) < end else
+                 wdivide({r: c for r, c in row.items() if r < end}, 0)[0])
                 for lead, row in self._work.items() if lead < end]
         self._work.clear()
         self._work.update(rows)

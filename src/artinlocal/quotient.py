@@ -16,8 +16,8 @@ reduced to zero, since its own row would too.  The multiples of the
 single-term generators c*x^a, most generators of the canonical models
 and every generator of a lex segment, go in first as one batch: they are
 the unit rows of the monomials of nM below D, M the ideal of those x^a,
-found by one search over the table's shifts, and each goes in as it is,
-hitting no pivot (see macaulay_echelon).
+found by one search over the table's shifts, and stored as they are,
+with no reduction, since none can hit a pivot (see macaulay_echelon).
 Write s for the socle degree; every build ends at D = s+2.  The echelon
 lowers its cap to j+1 as soon as every monomial of some degree j is a pivot
 (then n^j <= I); the build starts at the max degree + 2, or at a given D,
@@ -129,10 +129,11 @@ def macaulay_echelon(pres: IdealPresentation, D: int):
     rows of nI of the single-term generators.  Those monomials are the
     ranks that one or more steps of table.shift reach from the generators'
     ranks, found by one search.  The batch goes in first, in rank order:
-    distinct unit rows are an echelon basis of their span, so each hits no
-    pivot, and add stores it after one scan of its one entry, as it stores
-    any row that hits none (see SparseEchelon._reduce).  A presentation
-    with no single-term generator has an empty batch.
+    distinct unit rows on an empty echelon are an echelon basis of their
+    span, each its own full reduction, so SparseEchelon.add_units stores
+    them with no scan, as add would store them one by one, and each takes
+    one from hf at its degree.  A presentation with no single-term
+    generator has an empty batch.
 
     The other generators' rows then go in generator by generator,
     multipliers m in table order, and a row of m*g is not tried when the
@@ -178,10 +179,11 @@ def macaulay_echelon(pres: IdealPresentation, D: int):
     whenever s+2 <= D the echelon ends at D = s+2.
 
     hf[j] counts the non-pivots of each degree j below the cap, from
-    C(h+j-1, j) down: a row that add keeps is stored under a new pivot, the
-    last key of ech.leads (dicts keep insertion order), whose degree loses
-    one; a rejected row changes no pivot, and a cut to D' removes exactly
-    the pivots, and the counts, of degree >= D'.  A full degree is a zero.
+    C(h+j-1, j) down: a batch row is stored under its own rank, and a row
+    that add keeps under a new pivot, the last key of ech.leads (dicts keep
+    insertion order); either way that pivot's degree loses one.  A rejected
+    row changes no pivot, and a cut to D' removes exactly the pivots, and
+    the counts, of degree >= D'.  A full degree is a zero.
 
     So the final cap is one more than the least full degree of I + n^D
     below D-1, or D if there is none: the final echelon holds I*_j for
@@ -222,9 +224,9 @@ def macaulay_echelon(pres: IdealPresentation, D: int):
     while layer:
         layer = {c for k in layer for shift in table.shift if (c := shift[k]) is not None} - batch
         batch |= layer
-    wone = f.wone
-    for k in sorted(batch):
-        add({k: wone}, 1)
+    ech.add_units(sorted(batch))
+    for k in batch:
+        hf[degs[k]] -= 1
     for i in range(len(gen_rows)):
         row = gen_rows[i][0]
         if single[i] or not row:

@@ -57,6 +57,7 @@ into raw values.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -197,17 +198,15 @@ class RationalField(Field):
             return Fraction(x)
         raise TypeError(f"cannot build a rational from {x!r}")
 
-    def radd(self, a, b):
-        return a + b
-
-    def rsub(self, a, b):
-        return a - b
-
-    def rmul(self, a, b):
-        return a * b
-
-    def rneg(self, a):
-        return -a
+    # The ring operations are the C operators themselves, so the row loops
+    # over QQ (_reduce, _wmul, _wsubstitute, ...) make no Python call per
+    # entry.  Their values are exactly a + b, a - b, a * b, -a and not a, on
+    # ints (working values) and Fractions (raw values) alike.
+    radd = staticmethod(operator.add)
+    rsub = staticmethod(operator.sub)
+    rmul = staticmethod(operator.mul)
+    rneg = staticmethod(operator.neg)
+    riszero = staticmethod(operator.not_)
 
     def rinv(self, a):
         if not a:
@@ -218,9 +217,6 @@ class RationalField(Field):
         if not b:
             raise ZeroDivisionError("division by zero")
         return a / b
-
-    def riszero(self, a):
-        return not a
 
     def rnth_root(self, a, n):
         if n == 1:

@@ -36,7 +36,10 @@ per pair of terms, each term of a substitution added to the result one at
 a time, are the reference for the fraction-free ones on working values;
 oracle_mul forms its product with them.  ideals_equal, the ideal equality
 the quotient tests use, is built on the library's build_quotient and
-row_space_equal.  The build at a fixed cap on the divisor-list loop, from
+row_space_equal.  Adding the batch's unit rows one by one through add is
+the reference for add_units, which stores them with no scan, and the cut
+that rebuilds and divides every row is the reference for truncate, which
+keeps the rows the cut leaves whole.  The build at a fixed cap on the divisor-list loop, from
 max(4, max degree + 2) one degree up at a time and never lowered, so
 sharing no code with the lowering, is the reference for build_quotient,
 which lowers its cap to s+2 as degrees fill.  The parser
@@ -177,6 +180,26 @@ def oracle_macaulay_echelon(pres, D):
         ech.add(row)
     v = sum(1 for row in gen_rows if ech.add(row))
     return table, ech, v
+
+
+def oracle_add_units(ech, cols):
+    """The batch put in row by row: SparseEchelon.add of the unit row
+    {k: wone} over scale 1 for each column k in turn, the path that
+    add_units, which stores the rows with no scan, replaces."""
+    wone = ech.field.wone
+    for k in cols:
+        ech.add({k: wone}, 1)
+
+
+def oracle_truncate(ech, end):
+    """SparseEchelon.truncate that cuts every pivot row with a pivot below
+    end and divides it by the gcd of its integers, the rows the cut leaves
+    whole too."""
+    wdivide = ech.field.wdivide
+    rows = [(lead, wdivide({r: c for r, c in row.items() if r < end}, 0)[0])
+            for lead, row in ech.working.items() if lead < end]
+    ech._work.clear()
+    ech._work.update(rows)
 
 
 def oracle_build_quotient(pres):

@@ -120,6 +120,26 @@ def test_lower_bound_value():
     assert lower_bound(7, 3) == math.comb(5, 2) - 7
 
 
+@pytest.mark.parametrize("e, h", [(3, 3), (1, 0), (0, 0), (2, 2), (5, -1), (0, 1)])
+def test_lower_bound_rejects_what_t_and_r_rejects(e, h):
+    """lower_bound(3, 3) was 7 and lower_bound(1, 0) was 0; every bound
+    now needs h >= 1 and e >= h + 1."""
+    for bound in (lower_bound, t_and_r, erv_upper):
+        with pytest.raises(ValueError, match=r"need h >= 1 and e >= h \+ 1"):
+            bound(e, h)
+
+
+@given(st.integers(min_value=-3, max_value=60), st.integers(min_value=-2, max_value=6))
+def test_lower_bound_takes_exactly_the_inputs_t_and_r_takes(e, h):
+    try:
+        t_and_r(e, h)
+    except ValueError:
+        with pytest.raises(ValueError):
+            lower_bound(e, h)
+    else:
+        assert lower_bound(e, h) == math.comb(h + 2, 2) - e
+
+
 def test_hf_admissible():
     assert hf_admissible((1, 3, 2, 1))
     assert hf_admissible((1, 2, 2, 2, 1, 1, 1))

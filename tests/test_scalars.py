@@ -2,9 +2,13 @@
 
 The integer towers are checked against OracleTower, the pair-of-Fractions
 field they replaced, on hypothesis values at depth 1 and 2; thetas must be
-canonical, so equal fields compare equal and get one label."""
+canonical, so equal fields compare equal and get one label.  QQ's ring
+operations must be the C operators and give Python's results on ints,
+Fractions and the two mixed."""
 
 import math
+import operator
+import random
 import time
 from fractions import Fraction
 
@@ -48,6 +52,38 @@ def test_rational_inverse(a):
             sa.inverse()
     else:
         assert (sa * sa.inverse() - q(1)).is_zero()
+
+
+def check_qq_ring_operations(a, b):
+    """QQ's radd, rsub, rmul, rneg and riszero give exactly what Python's
+    a + b, a - b, a * b, -a and not a give, value and type."""
+    for got, want in ((QQ.radd(a, b), a + b), (QQ.rsub(a, b), a - b),
+                      (QQ.rmul(a, b), a * b), (QQ.rneg(a), -a), (QQ.riszero(a), not a)):
+        assert got == want and type(got) is type(want), (a, b, got, want)
+
+
+def test_qq_ring_operations_are_the_c_operators():
+    """The ring operations over QQ are the operator module's own
+    functions, so the row loops call no Python function for them, and they
+    give Python's results on ints (working values), Fractions (raw values)
+    and the two mixed, on seeded values with zeros and large numbers."""
+    assert all(got is want for got, want in zip(
+        (QQ.radd, QQ.rsub, QQ.rmul, QQ.rneg, QQ.riszero),
+        (operator.add, operator.sub, operator.mul, operator.neg, operator.not_)))
+    rng = random.Random(20305)
+    values = [0, 1, -1, 2 ** 70, -(3 ** 45), Fraction(0), Fraction(1), Fraction(-2, 6),
+              Fraction(-(2 ** 80), 7)]
+    values += [rng.randint(-10 ** 30, 10 ** 30) for _ in range(6)]
+    values += [Fraction(rng.randint(-10 ** 20, 10 ** 20), rng.randint(1, 10 ** 12))
+               for _ in range(6)]
+    for a in values:
+        for b in values:
+            check_qq_ring_operations(a, b)
+
+
+@given(st.one_of(st.integers(), st.fractions()), st.one_of(st.integers(), st.fractions()))
+def test_qq_ring_operations_match_python_on_generated_values(a, b):
+    check_qq_ring_operations(a, b)
 
 
 def test_sqrt_of_square_stays_rational():

@@ -40,8 +40,11 @@ count once their rank reaches its bound.  The batch of unit rows for the
 multiples of single-term generators must give the fixed-cap build and
 the every-multiple echelon on ideals that mix single terms (scaled, over
 QQ and QQ(sqrt 2)) with other generators, hold no generator itself (v of
-(x1 - x2^2, x1*x2, x2^3) is 2), and leave a monomial ideal's unit rows of
-nM and generator rows as the only rows _reduce sees.
+(x1 - x2^2, x1*x2, x2^3) is 2), store a monomial ideal's unit rows of nM
+in one add_units call and leave its generator rows as the only rows
+_reduce sees.  add_units must store what adding each unit row in turn
+stores and reject a pivot column, and truncate must give what the cut
+that divides every row gives, keeping the rows it leaves whole.
 """
 
 import functools
@@ -95,6 +98,7 @@ from echelon_oracles import (
     divisor_list_macaulay_echelon,
     oracle_classes_independent,
     oracle_in_power,
+    oracle_add_units,
     oracle_build_quotient,
     oracle_inverse,
     oracle_leading_forms,
@@ -107,6 +111,7 @@ from echelon_oracles import (
     oracle_socle,
     oracle_solve,
     oracle_substitute,
+    oracle_truncate,
     separate_echelon,
 )
 
@@ -401,19 +406,26 @@ def test_the_batch_holds_only_proper_multiples_of_the_single_terms():
 
 
 def test_a_monomial_ideal_tries_only_its_batch_and_generator_rows(monkeypatch):
-    """Every row of nI of a monomial ideal goes in with the batch: _reduce
-    sees the unit row of each monomial of nM below the cap, in rank order,
-    then the generator rows, and no multiple's row, from start caps s+1 to
-    s+4.  Degree s+1 is full once the generator rows are in (for the lex
-    segment only then: its x3^5, of degree s+1 = 5, is a generator and not
-    in nM), so from s+3 and s+4 the cap comes down once, at the end."""
+    """Every row of nI of a monomial ideal goes in with the batch: one
+    add_units call stores the unit row of each monomial of nM below the
+    cap, in rank order, before any other row; _reduce then sees the
+    generator rows, and no multiple's row, from start caps s+1 to s+4.
+    Degree s+1 is full once the generator rows are in (for the lex segment
+    only then: its x3^5, of degree s+1 = 5, is a generator and not in nM),
+    so from s+3 and s+4 the cap comes down once, at the end."""
     reduce, truncate, calls = SparseEchelon._reduce, SparseEchelon.truncate, []
+    add_units = SparseEchelon.add_units
 
     def spy(self, row, *rest):
         calls.append(dict(row))
         return reduce(self, row, *rest)
 
+    def units_spy(self, cols):
+        add_units(self, cols)
+        calls.append([(k, dict(self.working[k])) for k in cols])
+
     monkeypatch.setattr(SparseEchelon, "_reduce", spy)
+    monkeypatch.setattr(SparseEchelon, "add_units", units_spy)
     monkeypatch.setattr(SparseEchelon, "truncate",
                         lambda self, end: calls.append("cut") or truncate(self, end))
     for pres in (IdealPresentation.from_strings(["x1^3", "x2^3", "x3^3"], 3),
@@ -427,8 +439,8 @@ def test_a_monomial_ideal_tries_only_its_batch_and_generator_rows(monkeypatch):
             gens = [row_from_poly(g, table) for g in pres.gens]
             calls.clear()
             v = macaulay_echelon(pres, D)[2]
-            assert calls[:len(nM)] == [{r: 1} for r in nM]
-            rest = [c if c == "cut" else set(c) for c in calls[len(nM):]]
+            assert calls[0] == [(r, {r: 1}) for r in nM]
+            rest = [c if c == "cut" else set(c) for c in calls[1:]]
             assert rest == [set(g) for g in gens] + ["cut"] * (D > s + 2)
             assert v == sum(1 for g in gens if g)
 
@@ -759,6 +771,115 @@ def test_rows_that_reach_no_pivot_go_in_as_the_oracle_stores_them(field):
     assert ech.rank == oracle.rank == 120
     assert_working_form(ech)
     assert all(seen.values()), seen
+
+
+FIELDS = [QQ, adjoin_sqrt(QQ, q(2)), adjoin_sqrt(adjoin_sqrt(QQ, q(2)), 3)]
+FIELD_IDS = ["QQ", "QQ(sqrt2)", "QQ(sqrt2)(sqrt3)"]
+
+
+def copy_echelon(ech):
+    """A SparseEchelon holding copies of ech's working rows, in its order."""
+    out = SparseEchelon(ech.field)
+    out._work.update((lead, dict(row)) for lead, row in ech.working.items())
+    return out
+
+
+def check_add_units(rng, field):
+    """add_units on seeded non-pivot columns, in a random order, stores
+    what adding each unit row in turn stores: the same pivots, working rows
+    and insertion order, and the two echelons stay equal as more rows go
+    in.  Returns the number of unit rows whose column lay in the support
+    of an earlier row."""
+    ech, rows = SparseEchelon(field), []
+    for _ in range(rng.randint(0, 12)):
+        rows.append(random_row(rng, field, rows, ncols=24))
+        ech.add(rows[-1])
+    oracle = copy_echelon(ech)
+    supports = {k for row in ech.working.values() for k in row}
+    free = [c for c in range(40) if c not in ech.leads]
+    cols = rng.sample(free, rng.randint(0, len(free)))
+    ech.add_units(cols)
+    oracle_add_units(oracle, cols)
+    assert list(ech.working.items()) == list(oracle.working.items())
+    for _ in range(6):
+        row = random_row(rng, field, rows, ncols=48)
+        assert ech.add(row) == oracle.add(row)
+        assert list(ech.reduce(row).items()) == list(oracle.reduce(row).items())
+    assert list(ech.working.items()) == list(oracle.working.items())
+    assert_working_form(ech)
+    return len(supports.intersection(cols))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_add_units_stores_what_adding_each_unit_row_stores(field):
+    rng = random.Random(20301)
+    assert sum(check_add_units(rng, field) for _ in range(40)) > 0
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(range(3)))
+@settings(max_examples=40, deadline=None)
+def test_add_units_stores_what_adding_each_unit_row_stores_on_generated_rows(seed, k):
+    check_add_units(random.Random(seed), FIELDS[k])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_add_units_rejects_a_pivot_or_a_repeated_column(field):
+    """A column that is already a pivot, or one given twice, raises
+    ValueError and stores no row; a column in a row's support that is no
+    pivot goes in."""
+    ech = SparseEchelon(field)
+    ech.add({3: field.rone, 5: field.rfrom(2)})
+    before = list(ech.working.items())
+    for cols in ([3], [1, 3], [1, 2, 1]):
+        with pytest.raises(ValueError, match="distinct columns that are not pivots"):
+            ech.add_units(cols)
+        assert list(ech.working.items()) == before
+    ech.add_units([5, 1])
+    assert list(ech.leads) == [3, 5, 1]
+
+
+def check_truncate(ech, end):
+    """truncate at end gives the rows of the cut that divides every row,
+    in its order, keeps each row the cut leaves whole as the same object,
+    and leaves primitive rows.  Returns (rows kept whole, rows cut)."""
+    whole = {lead: row for lead, row in ech.working.items() if max(row) < end}
+    oracle = copy_echelon(ech)
+    ech.truncate(end)
+    oracle_truncate(oracle, end)
+    assert list(ech.working.items()) == list(oracle.working.items())
+    assert all(ech.working[lead] is row for lead, row in whole.items())
+    assert_working_form(ech)
+    return len(whole), ech.rank - len(whole)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_truncate_matches_the_cut_that_divides_every_row(field):
+    """On seeded echelons of random rows, at every end from 0 to past the
+    last column, and on the Macaulay echelons of the seeded grid, moved
+    models included (over QQ), or of the tower ideals, at the end of every
+    degree: both the rows kept whole and the rows cut occur."""
+    rng = random.Random(20303)
+    seen = [0, 0]
+    for _ in range(12):
+        ech, rows = SparseEchelon(field), []
+        for _ in range(rng.randint(1, 20)):
+            rows.append(random_row(rng, field, rows))
+            ech.add(rows[-1])
+        for end in range(18):
+            seen = [a + b for a, b in zip(seen, check_truncate(copy_echelon(ech), end))]
+    if field is QQ:
+        ideals = [pres for label, pres in GRID if label.startswith("moved")] + [
+            pres for _, pres in GRID[::5]]
+    elif field.depth == 1:
+        ideals = [sqrt2_ideal()[0], moved(sqrt2_ideal()[0], 20304)]
+    else:
+        ideals = [sqrt2_sqrt3_ideal()]
+    for pres in ideals:
+        table, ech = macaulay_echelon(pres, build_quotient(pres).D + 1)[:2]
+        for j in range(1, table.D + 1):
+            kept, cut = check_truncate(copy_echelon(ech), math.comb(pres.nvars + j, j))
+            seen = [seen[0] + kept, seen[1] + cut]
+    assert all(seen), seen
 
 
 SQRT2 = adjoin_sqrt(QQ, q(2))
