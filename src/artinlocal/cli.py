@@ -72,6 +72,8 @@ def read_ideal_file(path: str) -> IdealPresentation:
         nvars = int(lines[0].split(":", 1)[1])
     except ValueError:
         raise errors.ParseError("variable count is not an integer") from None
+    if nvars < 1:
+        raise errors.ParseError(f"variable count {nvars} is below 1")
     gens = [parse_poly(ln, nvars, QQ) for ln in lines[1:]]
     if not gens:
         raise errors.ParseError("no generators given")

@@ -42,6 +42,12 @@ variables are rejected at once (see build_quotient).
   x_i-shifts of that basis of I*_(j-1), or the dual count, which takes
   h * hf(j-1) unknowns from the kernel vectors of the same rows, one per
   standard monomial (Macaulay duality, see leading_forms).
+* Socle.  The shifts x_i*m of the standard monomials m of degree < s are
+  sorted first: a standard shift is its own coordinate vector, and a pivot
+  whose row has one entry is a monomial of I, so only the other shifts are
+  reduced.  One nullspace runs on the rows of two or more entries, without
+  the columns that a row of one entry, most often a lone standard shift,
+  forces to 0 (see ArtinAlgebra.socle).
 
 All downstream invariants (socle, Cohen-Macaulay type, minimal generator
 counts, leading-form ideals, Hensel root lifting) are driven by this basis.
@@ -337,29 +343,58 @@ class ArtinAlgebra:
     def socle(self):
         """(dimension, basis elements) of the annihilator of the maximal ideal.
 
-        It is the common kernel of multiplication by x_1..x_h on the
-        standard basis: the sparse system whose row (i, pos) holds, at the
-        column of each standard monomial m, coordinate pos of x_i*m.  That
-        coordinate comes from the echelon's reduction of the row
-        {shift[i][m]: 1}, which is what nf(x_i*m) reduces (x_i*m has
-        degree <= s+1 < D); a standard x_i*m, no pivot, is its own
-        reduction.  A standard monomial m of degree s has a zero column and
-        is skipped: x_i*m lies in n^(s+1) <= I, so its reduction is 0.  The
-        kernel vector of each non-pivot column is unique (see linalg), so
-        the basis does not depend on how the system is laid out.  The basis
-        is kept as polynomials, so the algebra holds no reference to
-        itself."""
+        It is the common kernel K of multiplication by x_1..x_h on the
+        standard basis: the system whose row (i, p) holds, at the column of
+        each standard monomial m, coordinate p of x_i*m, the reduction of
+        the row {k: 1}, k = shift[i][m] (x_i*m has degree <= s+1 < D).  A
+        standard m of degree s has a zero column: x_i*m lies in
+        n^(s+1) <= I.  Each shift is sorted before anything is reduced.  A
+        standard k is its own reduction, the entry 1 at row (i, pos[k]).
+        A pivot k whose working row has one entry is a monomial of I, so
+        the shift adds no entry.  Only the other shifts go through reduce.
+
+        A row (i, p) holds at most one standard entry, at the column of
+        m = std[p]/x_i.  A row of one entry, such as a row that holds only
+        its standard entry, forces that column to 0 on K.  So K is the
+        kernel of the other rows, with the forced columns and their entries
+        dropped, padded with zeros there; nullspace runs on those rows, in
+        the order the full system lists them, over the kept columns in
+        their order.  The basis is the full system's, value for value.
+
+        Proof.  nullspace gives, for each non-pivot column c, the element
+        of the kernel that is 1 at c and 0 at the other non-pivot columns
+        (see linalg).  The non-pivot columns are the highest nonzero
+        columns of the nonzero elements of the kernel: a pivot row is zero
+        below its pivot p, so an element whose highest nonzero column is p
+        would meet it in one nonzero product; and the vector of c is zero
+        above c, since each pivot entry depends only on later columns.  An
+        element that is 0 at every non-pivot column is 0, its highest
+        nonzero column being one.  So the basis depends only on the kernel
+        and the column order, and a forced column, 0 on K, is never the
+        highest nonzero column of an element: zero-padding carries the
+        reduced system's non-pivot columns and basis onto the full
+        system's.  The basis is kept as polynomials, so the algebra holds
+        no reference to itself."""
         if self._socle is None:
-            f, pos, tab = self.field, self.std_pos, self.table
-            top = sum(self.hf[:-1])  # the standard monomials of degree < s
-            rows = {}
+            f, pos, tab, work = self.field, self.std_pos, self.table, self.ech.working
+            low = self.std[:sum(self.hf[:-1])]  # the standard monomials of degree < s
+            rows, one = {}, f.rone
             for i, shift in enumerate(tab.shift):
-                for col, m in enumerate(self.std[:top]):
+                for col, m in enumerate(low):
                     k = shift[m]
-                    red = {k: f.rone} if k in pos else self.ech.reduce({k: f.rone})
-                    for r, c in red.items():
-                        rows.setdefault((i, pos[r]), {})[col] = c
-            basis = [self.from_coords(v) for v in nullspace(rows.values(), self.length, f)]
+                    if k in pos:
+                        rows.setdefault((i, pos[k]), {})[col] = one
+                    elif len(work[k]) > 1:
+                        for r, c in self.ech.reduce({k: one}).items():
+                            rows.setdefault((i, pos[r]), {})[col] = c
+            zero = {col for row in rows.values() if len(row) == 1 for col in row}
+            kept = [col for col in range(self.length) if col not in zero]
+            new = {col: j for j, col in enumerate(kept)}
+            system = [{new[col]: c for col, c in row.items() if col in new}
+                      for row in rows.values() if len(row) > 1]
+            monos = [tab.monos[self.std[col]] for col in kept]
+            basis = [Polynomial(self.nvars, f, dict(zip(monos, v)))
+                     for v in nullspace(system, len(kept), f)]
             basis.sort(key=lambda p: min((mono_key(m) for m in p.terms), default=(0, ())))
             self._socle = basis
         return len(self._socle), [AlgebraElement(self, p) for p in self._socle]

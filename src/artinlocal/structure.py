@@ -573,7 +573,14 @@ def _almost_stretched_witness(A: ArtinAlgebra, seed):
 def normalize(pres_or_algebra, seed=0):
     """(kind, params, witness) onto the canonical model that A's Hilbert
     function picks.  The stage of that kind builds the witness, which is
-    certified here, once (see certify)."""
+    certified here, once (see certify).
+
+    The params are canonical for the presentation, not for the algebra:
+    the units are read off the unit form of the coordinates found, and
+    isomorphic algebras can get different units.  The stretched model with
+    h = 3, tau = 1, units (2, 2), and its image under x2 -> x2 + x3,
+    x3 -> x2 - x3, which is the model with units (1, 1), get (2, 2) and
+    (1, 1), both certified."""
     A = (pres_or_algebra if isinstance(pres_or_algebra, ArtinAlgebra)
          else build_quotient(pres_or_algebra))
     if A.is_stretched():

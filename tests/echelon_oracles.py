@@ -18,7 +18,10 @@ Dense Gauss-Jordan elimination that sweeps whole rows is the reference
 for the dense solves the library builds on SparseEchelon, and the socle
 from the multiplication matrices of the variables' normal forms, with its
 kernel from that Gauss-Jordan sweep, is the reference for the one built
-from table shifts.  One dense solve for
+from table shifts.  The socle that reduces every shift x_i*m and takes
+the kernel of the whole h*e x e system is the reference for the one that
+reduces only the shifts that are neither standard nor a unit pivot and
+drops the columns a row of one entry forces to zero.  One dense solve for
 whole unknown elements over those multiplication matrices, whose columns
 are the coordinates of polynomial products, is the reference for the
 witness stages' scalar solves over the powers of x1.  The product of elements
@@ -57,6 +60,7 @@ from artinlocal.errors import NotArtinian, ParseError
 from artinlocal.linalg import (
     MonomialTable,
     SparseEchelon,
+    nullspace,
     poly_from_row,
     row_from_poly,
     solve_dense,
@@ -510,6 +514,26 @@ def oracle_socle(A):
         for r in range(e):
             rows.append([cols[c][r] for c in range(e)])
     basis = [A.from_coords(v) for v in oracle_nullspace(rows, A.field)]
+    basis.sort(key=lambda p: min((mono_key(m) for m in p.terms), default=(0, ())))
+    return len(basis), basis
+
+
+def oracle_socle_full(A):
+    """(dimension, basis polynomials) of A's socle from the full system:
+    the row (i, pos) holds, at the column of each standard monomial m of
+    degree < s, coordinate pos of x_i*m, every shift reduced by A's echelon
+    (a standard one is its own reduction), and the kernel of all h*e rows
+    comes from nullspace over every column."""
+    f, pos = A.field, A.std_pos
+    top = sum(A.hf[:-1])
+    rows = {}
+    for i, shift in enumerate(A.table.shift):
+        for col, m in enumerate(A.std[:top]):
+            k = shift[m]
+            red = {k: f.rone} if k in pos else A.ech.reduce({k: f.rone})
+            for r, c in red.items():
+                rows.setdefault((i, pos[r]), {})[col] = c
+    basis = [A.from_coords(v) for v in nullspace(rows.values(), A.length, f)]
     basis.sort(key=lambda p: min((mono_key(m) for m in p.terms), default=(0, ())))
     return len(basis), basis
 

@@ -125,6 +125,18 @@ def test_bad_ideal_file(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "parse-error"
 
 
+@pytest.mark.parametrize("text", ["vars: 0\n0\n", "vars: 0\nx1\n", "vars: -2\n3\n",
+                                  "vars: -2\nx1^2\n"])
+def test_a_variable_count_below_1_is_a_parse_error_that_names_it(tmp_path, capsys, text):
+    """The count is checked before any generator is read, so the record
+    names the count, not the generators it cannot hold."""
+    path = write_ideal(tmp_path, text)
+    code, _, err = run(capsys, "invariants", path)
+    error = json.loads(err)["error"]
+    assert code == 1 and error["code"] == "parse-error"
+    assert f"variable count {text[6:text.index(chr(10))]} is below 1" in error["message"]
+
+
 def test_huge_exponent_gives_the_not_artinian_record(tmp_path, capsys):
     """x2^99999999999 parses at once to its monomial, which lies past every
     truncation, so (x1^2) alone is left and the build reports it."""

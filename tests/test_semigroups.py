@@ -1,4 +1,5 @@
-"""Numerical semigroups, factorization graphs, presentation counts."""
+"""Numerical semigroups, factorization graphs, presentation counts, and
+the Artinian reduction of a monomial curve through the quotient engine."""
 
 import math
 from itertools import combinations
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artinlocal.errors import GcdNotOne, NonMinimalGenerators
+from artinlocal.quotient import build_quotient, min_gens
 from artinlocal.semigroups import (
     betti_search_bound,
     check_rgs,
@@ -19,6 +21,8 @@ from artinlocal.semigroups import (
 )
 
 from semigroup_oracles import (
+    apery_type,
+    artinian_reduction,
     oracle_enumerate_semigroups,
     oracle_is_symmetric,
     oracle_non_minimal,
@@ -167,3 +171,19 @@ def test_report_shape():
     assert rep["schema"] == 1
     assert rep["v"] == 7
     assert rep["symmetric"] is False
+
+
+def test_the_artinian_reduction_has_the_semigroups_invariants():
+    """Every semigroup of enumerate_semigroups(9, 3, 27) through the
+    Artinian engine, on its reduction J_S (an ideal of binomials and
+    monomials that no model built): length n1, embedding dimension k - 1,
+    the Apery type count as cm_type, Gorenstein exactly when symmetric,
+    and the minimal presentation size as min_gens."""
+    family = enumerate_semigroups(9, 3, 27)
+    assert len(family) == 767
+    for S in family:
+        A = build_quotient(artinian_reduction(S))
+        assert (A.length, A.embdim) == (S.multiplicity, S.embdim - 1), S.gens
+        assert A.cm_type == apery_type(S), S.gens
+        assert A.gorenstein == S.is_symmetric(), S.gens
+        assert min_gens(A.pres, algebra=A) == min_presentation_size(S), S.gens

@@ -7,8 +7,12 @@ Each is checked here against a separate-echelon oracle
 ideals, both also moved by random coordinate changes.  The echelon itself,
 built from shifted rows with the redundant ones skipped, must equal row for
 row the one that tries every multiple and try the rows the divisor-list loop
-tries; the socle must equal the one from multiplication matrices of
-polynomial products, and the dense routines must give what whole-row
+tries; the socle must equal, basis polynomial for basis polynomial, the
+one from multiplication matrices of polynomial products and the one that
+reduces every shift and takes the kernel of the full system, on seeded
+models and generated ideals over QQ and QQ(sqrt 2), moved or sheared,
+and on the depth-2 tower ideal, and a monomial ideal's socle must make
+no _reduce call; the dense routines must give what whole-row
 Gauss-Jordan sweeps give.  extend_scalars must give the algebra
 built over the larger field, pivot row for pivot row, and every monomial
 past the socle degree must be a pivot.  SparseEchelon, on fraction-free
@@ -109,6 +113,7 @@ from echelon_oracles import (
     oracle_pow,
     oracle_power_echelon,
     oracle_socle,
+    oracle_socle_full,
     oracle_solve,
     oracle_substitute,
     oracle_truncate,
@@ -206,12 +211,20 @@ def check_against_oracles(pres):
     assert data.dims == dims
     assert data.new_gens == new_gens
     assert data.v_star == v_star
-    dim, basis = A.socle()
-    oracle_dim, oracle_basis = oracle_socle(A)
-    assert dim == oracle_dim == len(basis)
-    assert ([list(el.poly.terms.items()) for el in basis]
-            == [list(p.terms.items()) for p in oracle_basis])
+    check_socle(A)
     check_powers_against_oracle(A)
+
+
+def check_socle(A):
+    """socle gives the full system's basis and the multiplication
+    matrices' basis: the same dimension and the same polynomials, value
+    for value and term for term."""
+    dim, basis = A.socle()
+    got = [list(el.poly.terms.items()) for el in basis]
+    for oracle in (oracle_socle_full, oracle_socle):
+        oracle_dim, oracle_basis = oracle(A)
+        assert dim == oracle_dim == len(basis)
+        assert got == [list(p.terms.items()) for p in oracle_basis], oracle.__name__
 
 
 def random_polys(A, rng, count=4):
@@ -1395,3 +1408,69 @@ def test_tower_row_reduction_calls_no_rinv(monkeypatch):
     assert 0 < ech.rank < len(rows)
     M = [[row.get(k, F.rzero) for k in range(16)] for row in rows[:12]]
     solve_dense(M, [F.rone] * len(M), F)
+
+
+# ------------------------------------------------------------ the socle
+
+
+def socle_cells():
+    """Seeded stretched and almost-stretched models in 2 to 4 variables,
+    each also moved and linearly sheared; the QQ(sqrt 2) ideal and the
+    depth-2 tower ideal, each also moved and sheared by the tower's roots."""
+    rng = random.Random(20311)
+    out = []
+    for kind, h in (("stretched", 2), ("stretched", 3), ("almost", 3), ("stretched", 4),
+                    ("almost", 4)):
+        pres = model(rng, kind, h)
+        label = f"{kind} h={h}"
+        out += [(label, pres), (f"moved {label}", moved(pres, rng.randrange(10 ** 6))),
+                (f"sheared {label}",
+                 sheared(pres, [rng.choice((-2, -1, 1, 2)) for _ in range(h - 1)]))]
+    root2 = sqrt2_ideal()
+    tower = sqrt2_sqrt3_ideal()
+    F = tower.field
+    roots = (F.scalar(F.base.sqrt_theta), F.scalar(F.sqrt_theta))
+    for label, pres, shear in (("QQ(sqrt2)", root2[0], (root2[1], root2[1])),
+                               ("QQ(sqrt2)(sqrt3)", tower, roots)):
+        out += [(label, pres), (f"moved {label}", moved(pres, 5)),
+                (f"sheared {label}", sheared(pres, shear))]
+    return out
+
+
+@pytest.mark.parametrize(
+    "pres", [pytest.param(pres, id=label) for label, pres in socle_cells()])
+def test_socle_matches_the_full_system_on_seeded_cells(pres):
+    check_socle(build_quotient(pres))
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(2, 3),
+       st.sampled_from(("plain", "moved", "sheared")), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_socle_matches_the_full_system_on_generated_ideals(seed, nvars, change, sqrt2):
+    """Random ideals over QQ, or over QQ(sqrt 2) with sqrt 2 sheared into
+    them, as they are, moved or linearly sheared."""
+    rng = random.Random(seed)
+    pres = random_ideal(rng, nvars, max_exp=4)
+    if sqrt2:
+        F = adjoin_sqrt(QQ, q(2))
+        pres = sheared(pres.map_field(F), [F.scalar(F.sqrt_theta)] * (nvars - 1))
+    if change == "moved":
+        pres = moved(pres, seed)
+    elif change == "sheared":
+        pres = sheared(pres, [rng.choice((-2, -1, 1, 2)) for _ in range(nvars - 1)])
+    check_socle(build_quotient(pres))
+
+
+def test_socle_of_a_monomial_ideal_reduces_no_shift(monkeypatch):
+    """Every pivot of a monomial ideal is a unit row, so every shift x_i*m
+    is standard or a monomial of I: socle makes no _reduce call on the
+    quotient's echelon, and gives the full system's basis."""
+    for pres in (IdealPresentation.from_strings(["x1^3", "x2^3", "x3^3"], 3),
+                 lex_segment((1, 3, 4, 2, 1))):
+        A = build_quotient(pres)
+        calls, reduce = [], A.ech._reduce
+        monkeypatch.setattr(A.ech, "_reduce", lambda *args: calls.append(args) or reduce(*args))
+        dim = A.socle()[0]
+        assert calls == [] and dim >= 1
+        monkeypatch.undo()
+        check_socle(A)

@@ -446,3 +446,21 @@ def test_witness_clears_the_x1_products(label, pres):
         starts = _complete_basis(A, [y1, y2], map(A.variable, range(A.nvars)), A.embdim - 2)
         sols = [solve_scalar_combo(A, cols, y1 * z) for z in starts]
         assert any(not c.is_zero() for sol in sols for c in sol[len(p1) - 2:])
+
+
+@pytest.mark.parametrize("s", [3, 4])
+def test_normal_forms_are_canonical_for_the_presentation_not_the_algebra(s):
+    """The stretched model with h = 3, tau = 1 and units (2, 2), and its
+    image under x2 -> x2 + x3, x3 -> x2 - x3, which is the ideal of the
+    model with units (1, 1): 2*x^2 + 2*y^2 and x^2 + y^2 are one rational
+    quadratic form.  normalize certifies both and returns units (2, 2) for
+    the first and (1, 1) for the second, so its params name the
+    presentation's form, not the algebra's class."""
+    model = make_stretched(StretchedParams(3, s, 1, (q(2), q(2))))
+    images = [parse_poly(t, 3, QQ) for t in ("x1", "x2 + x3", "x2 - x3")]
+    image = IdealPresentation([RingMap(images, s + 2).apply(g) for g in model.gens], 3, QQ)
+    ones = make_stretched(StretchedParams(3, s, 1, (q(1), q(1))))
+    assert row_space_equal(image, ones, s + 2)
+    _, params, _ = normalize(model)
+    _, image_params, _ = normalize(image)
+    assert params.units == (q(2), q(2)) and image_params.units == (q(1), q(1))
