@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import WrongHilbertFunction
-from .linalg import solve_dense
+from .linalg import solve
 from .polynomials import Polynomial, RingMap, monomials_of_degree, parse_poly
 from .quotient import (
     ArtinAlgebra,
@@ -155,22 +155,21 @@ def _refine_witness(A: ArtinAlgebra, model: IdealPresentation, P, Q):
                 stack = [jac[i] * delta for i in range(ngen)]
                 if any(not el.is_zero() for el in stack):
                     col_elems.append((coord, delta, stack))
-        keep = [pos for pos, r in enumerate(A.std) if A.table.degs[r] <= k]
-        rows, rhs = [], []
-        col_coords = [[col[2][i].coords() for col in col_elems]
-                      for i in range(ngen)]
+        # row (i, pos): coordinate pos of each column's stack[i], and of -vals[i] at
+        # column n, for pos of degree <= k: pos < sum(hf[:k+1]) (ArtinAlgebra.in_power)
+        low, n, rows = sum(A.hf[:k + 1]), len(col_elems), {}
         for i in range(ngen):
-            coords = vals[i].coords()
-            for pos in keep:
-                rows.append([cc[pos] for cc in col_coords[i]])
-                rhs.append(f.rneg(coords[pos]))
-        sol = solve_dense(rows, rhs, f)
+            for col, el in enumerate([stack[i] for _, _, stack in col_elems] + [-vals[i]]):
+                for pos, c in el.coords().items():
+                    if pos < low:
+                        rows.setdefault((i, pos), {})[col] = c
+        sol = solve(rows.values(), n, f)
         if sol is None:
             raise RuntimeError("witness refinement hit an unsolvable correction")
         images = [P.poly, Q.poly]
-        for c, (coord, delta, _) in zip(sol, col_elems):
-            if not f.riszero(c):
-                images[coord] = images[coord] + delta.poly.scale(Scalar(f, c))
+        for col, c in sol.items():
+            coord, delta, _ = col_elems[col]
+            images[coord] = images[coord] + delta.poly.scale(Scalar(f, c))
         P, Q = (A.element(im) for im in images)
     raise RuntimeError("witness refinement did not converge")
 

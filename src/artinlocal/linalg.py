@@ -1,12 +1,14 @@
-"""Exact linear algebra: one sparse row echelon and dense solves on top of
-it.
+"""Exact linear algebra: one sparse row echelon and the sparse solves on
+top of it.
 
 SparseEchelon is the only elimination, and nothing in this module calls
-rinv.  Sparse rows are dicts {column -> raw coefficient}; for Macaulay
-rows the columns are monomial ranks in a MonomialTable.  The pivot of a
-row is its *lowest* column, which is the right convention for local
-(power series) computations: the pivot monomials of an ideal's row space
-are exactly the monomials not surviving into the quotient basis.
+rinv.  Sparse rows are dicts {column -> raw coefficient}, the one format
+from element to solution: the columns are monomial ranks in a
+MonomialTable for Macaulay rows and standard positions for an element's
+coordinates (AlgebraElement.coords).  The pivot of a row is its *lowest*
+column, which is the right convention for local (power series)
+computations: the pivot monomials of an ideal's row space are exactly the
+monomials not surviving into the quotient basis.
 
 The rows SparseEchelon works on are fraction-free (Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", 1968):
@@ -62,21 +64,23 @@ read-only view of the working rows themselves.  Every reader reads
 working, since any nonzero multiple of a row has the same span and
 support: leading_forms (its shifted echelon, and its dual count, which
 keeps the kernel vectors of the rows in working form), the
-back-substitution of solve_dense and nullspace below, extend_scalars,
+back-substitution of solve and nullspace below, extend_scalars,
 same_row_space (each row goes to contains over scale 1) and the
 split-quadric test in classify7, which reads a discriminant, the same up
 to a nonzero square.  No raw pivot row is ever built.
 
-solve_dense and nullspace add their rows to a SparseEchelon and
+solve and nullspace add their sparse rows to a SparseEchelon and
 back-substitute on its working rows in decreasing pivot order, sorted
-once per system and passed to _kernel_vector for each vector.  They
-return what Gauss-Jordan elimination returns, value for value: both pivot
-sets are the columns where the rank rises from left to right, a kernel
-vector is fixed by its entries at the non-pivot columns, which both set
-alike, and arithmetic is exact.  A pivot row is zero left of its pivot, so
-each pivot entry depends only on later columns.  The back-substitution
-keeps the vector in working form over one scale, as _reduce keeps a row,
-so no working value reaches rdiv.
+once per system and passed to _kernel_vector for each vector, a sparse
+row made raw once.  They return what Gauss-Jordan elimination returns,
+value for value: both pivot sets are the columns where the rank rises
+from left to right (so columns kept in their order keep the pivots and
+the basis that renumbering them would give), a kernel vector is fixed by
+its entries at the non-pivot columns, which both set alike, and
+arithmetic is exact.  A pivot row is zero left of its pivot, so each
+pivot entry depends only on later columns.  The back-substitution keeps
+the vector in working form over one scale, as _reduce keeps a row, so no
+working value reaches rdiv.
 """
 
 from __future__ import annotations
@@ -290,37 +294,30 @@ def _kernel_vector(f: Field, rows, order, col, value):
     return x, scale
 
 
-def _dense(f: Field, x, scale, n: int):
-    """The length-n list of raw values of the working row x / scale."""
-    x = f.wraw(x, scale)
-    return [x.get(k, f.rzero) for k in range(n)]
-
-
-def solve_dense(M, b, field: Field):
-    """One solution x of M x = b (lists of raw values), or None.
-
-    x is the kernel vector of [M | b] that is -1 in b's column, so every
-    non-pivot unknown is 0; there is none if b's column is a pivot."""
-    if not M:
-        return []
-    n = len(M[0])
+def solve(rows, n: int, field: Field):
+    """One solution x (a sparse raw row in column order) of the sparse rows
+    with the unknowns at columns 0..n-1 and the right-hand side at n, or
+    None: the kernel vector that is -1 at column n, so every non-pivot
+    unknown is 0; there is none if column n is a pivot."""
     ech = SparseEchelon(field)
-    for row, bi in zip(M, b):
-        ech.add({k: c for k, c in enumerate(list(row) + [bi]) if not field.riszero(c)})
+    for row in rows:
+        ech.add(row)
     if n in ech.leads:
         return None
     order = sorted(ech.leads, reverse=True)
     x, scale = _kernel_vector(field, ech.working, order, n, field.rneg(field.rone))
-    return _dense(field, x, scale, n)
+    del x[n]
+    return dict(sorted(field.wraw(x, scale).items()))
 
 
-def nullspace(rows, n: int, field: Field):
-    """Basis of the right kernel of the sparse rows ({column: nonzero raw
-    value}, columns 0..n-1): one length-n list per non-pivot column, 1
-    there and 0 at the other non-pivot columns."""
+def nullspace(rows, cols, field: Field):
+    """Basis of the right kernel of the sparse rows ({column in cols:
+    nonzero raw value}, cols ascending): for each non-pivot column of cols,
+    the sparse raw row in column order that is 1 there and 0 at the others."""
     ech = SparseEchelon(field)
     for row in rows:
         ech.add(row)
     order = sorted(ech.leads, reverse=True)
-    return [_dense(field, *_kernel_vector(field, ech.working, order, fc, field.rone), n)
-            for fc in range(n) if fc not in ech.working]
+    raws = (field.wraw(*_kernel_vector(field, ech.working, order, c, field.rone))
+            for c in cols if c not in ech.working)
+    return [dict(sorted(x.items())) for x in raws]

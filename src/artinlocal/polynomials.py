@@ -347,7 +347,10 @@ class Polynomial:
         return a.terms == b.terms
 
     def __hash__(self):
-        return hash((self.nvars, frozenset((m, repr(c)) for m, c in self.terms.items())))
+        # values hash as Scalars, a constant term alone: == holds across fields and with numbers
+        f = self.field
+        return sum(hash((m, Scalar(f, c))) if any(m) else hash(Scalar(f, c))
+                   for m, c in self.terms.items())
 
     def __repr__(self):
         return poly_to_str(self)

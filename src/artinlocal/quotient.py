@@ -307,15 +307,11 @@ class ArtinAlgebra:
         row = {idx[m]: c for m, c in terms.items() if m in idx}
         return poly_from_row(f.wraw(*self.ech._reduce(row, scale)), self.table, f, self.nvars)
 
-    def coords(self, p: Polynomial):
-        """Raw coordinate list of nf(p) over the standard-monomial basis,
-        read off its element (see AlgebraElement.coords)."""
-        return self.element(p).coords()
-
     def from_coords(self, coords) -> Polynomial:
+        """The polynomial of the coordinates {standard position: raw value}."""
         monos, std = self.table.monos, self.std
         return Polynomial(self.nvars, self.field,
-                          {monos[std[pos]]: c for pos, c in enumerate(coords)})
+                          {monos[std[pos]]: c for pos, c in coords.items()})
 
     def element(self, p) -> "AlgebraElement":
         if isinstance(p, str):
@@ -357,9 +353,10 @@ class ArtinAlgebra:
         m = std[p]/x_i.  A row of one entry, such as a row that holds only
         its standard entry, forces that column to 0 on K.  So K is the
         kernel of the other rows, with the forced columns and their entries
-        dropped, padded with zeros there; nullspace runs on those rows, in
-        the order the full system lists them, over the kept columns in
-        their order.  The basis is the full system's, value for value.
+        dropped, read as 0 there; nullspace runs on those rows, in the order
+        the full system lists them, over the kept columns in their order,
+        and returns the basis's coordinates, the full system's, value for
+        value.
 
         Proof.  nullspace gives, for each non-pivot column c, the element
         of the kernel that is 1 at c and 0 at the other non-pivot columns
@@ -371,15 +368,15 @@ class ArtinAlgebra:
         element that is 0 at every non-pivot column is 0, its highest
         nonzero column being one.  So the basis depends only on the kernel
         and the column order, and a forced column, 0 on K, is never the
-        highest nonzero column of an element: zero-padding carries the
-        reduced system's non-pivot columns and basis onto the full
-        system's.  The basis is kept as polynomials, so the algebra holds
-        no reference to itself."""
+        highest nonzero column of an element: reading the forced columns
+        as 0 carries the reduced system's non-pivot columns and basis onto
+        the full system's.  The basis is kept as polynomials, so the
+        algebra holds no reference to itself."""
         if self._socle is None:
-            f, pos, tab, work = self.field, self.std_pos, self.table, self.ech.working
+            f, pos, work = self.field, self.std_pos, self.ech.working
             low = self.std[:sum(self.hf[:-1])]  # the standard monomials of degree < s
             rows, one = {}, f.rone
-            for i, shift in enumerate(tab.shift):
+            for i, shift in enumerate(self.table.shift):
                 for col, m in enumerate(low):
                     k = shift[m]
                     if k in pos:
@@ -389,12 +386,9 @@ class ArtinAlgebra:
                             rows.setdefault((i, pos[r]), {})[col] = c
             zero = {col for row in rows.values() if len(row) == 1 for col in row}
             kept = [col for col in range(self.length) if col not in zero]
-            new = {col: j for j, col in enumerate(kept)}
-            system = [{new[col]: c for col, c in row.items() if col in new}
+            system = [{col: c for col, c in row.items() if col not in zero}
                       for row in rows.values() if len(row) > 1]
-            monos = [tab.monos[self.std[col]] for col in kept]
-            basis = [Polynomial(self.nvars, f, dict(zip(monos, v)))
-                     for v in nullspace(system, len(kept), f)]
+            basis = [self.from_coords(v) for v in nullspace(system, kept, f)]
             basis.sort(key=lambda p: min((mono_key(m) for m in p.terms), default=(0, ())))
             self._socle = basis
         return len(self._socle), [AlgebraElement(self, p) for p in self._socle]
@@ -426,10 +420,11 @@ class ArtinAlgebra:
         monomial of degree >= j, which span m^j, sit at standard monomials of
         degree >= j, and each such standard monomial is its own coordinate
         vector.  The standard basis is sorted by rank, so the positions of
-        degree < j are the first sum(hf[:j]).
+        degree < j, where an element of m^j has no coordinate, are the
+        first sum(hf[:j]).
         """
-        coords = el.coords() if isinstance(el, AlgebraElement) else self.coords(el)
-        return all(self.field.riszero(c) for c in coords[:sum(self.hf[:max(j, 0)])])
+        low = sum(self.hf[:max(j, 0)])
+        return all(pos >= low for pos in el.coords())
 
 
 class AlgebraElement:
@@ -501,13 +496,10 @@ class AlgebraElement:
         return self.poly.is_zero()
 
     def coords(self):
-        """The normal form's values at the standard positions: it has no
-        pivot in its support, so it is its own reduction."""
-        A = self.algebra
-        out = [A.field.rzero] * A.length
-        for m, c in self.poly.terms.items():
-            out[A.std_pos[A.table.index[m]]] = c
-        return out
+        """{standard position: nonzero raw value} of the normal form, which
+        has no pivot in its support and so is its own reduction."""
+        pos, idx = self.algebra.std_pos, self.algebra.table.index
+        return {pos[idx[m]]: c for m, c in self.poly.terms.items()}
 
     def inverse(self) -> "AlgebraElement":
         """The unit's inverse, by _inverse_root with n = 1."""

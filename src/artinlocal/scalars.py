@@ -732,11 +732,12 @@ class Scalar:
 
     def __hash__(self):
         # collapse lifted values to the least field holding them, so they
-        # hash alike: a value of the base has a zero upper half
+        # hash alike: a value of the base has a zero upper half; a rational
+        # value hashes as its Fraction, so as the int or Fraction it equals
         v, f = self.val, self.field
         while f.depth and not any(v[f.n // 2:-1]):
             v, f = f.base.rmake(v[:f.n // 2], v[-1]), f.base
-        return hash((f, v))
+        return hash((f, v)) if f.depth else hash(v)
 
     def __bool__(self):
         return not self.is_zero()

@@ -6,16 +6,20 @@ equals the minimal number of generators of the defining ideal of the curve.
 The Apery set of n1 (Rosales and Garcia-Sanchez, "Numerical Semigroups",
 2009, ch. 1) answers every membership question: it gives F, finds redundant
 generators, prunes enumerate_semigroups and decides symmetry.  The
-presentation count still lists factorizations (factorization graphs,
-cross-checked on small instances by a linear-algebra oracle on the binomial
-kernel) until the benchmark stops keeping every pass's digests (ROADMAP
-item 1), which unblocks Betti elements from Apery candidates (item 2).
+presentation count still lists factorizations (factorization graphs) until
+the benchmark stops keeping every pass's digests (ROADMAP item 1), which
+unblocks Betti elements from Apery candidates (item 2).  The counts are
+cross-checked by kernel_min_gens, a linear-algebra oracle on the binomial
+kernel, and in the tests by the paper's reduction to the Artinian case:
+k[[S]]/(t^n1) must have min_gens, length, type and Gorenstein property
+S's presentation size, n1, type and symmetry.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -113,13 +117,16 @@ class NumericalSemigroup:
 def semigroup_invariants(gens) -> NumericalSemigroup:
     """Validate a generating list and package the basic invariants.
 
-    Raises GcdNotOne if the generators are not coprime overall and
-    NonMinimalGenerators if some generator lies in the semigroup generated
-    by the others (or is repeated): exactly when n - m lies in S for a
-    smaller generator m, as a sum of the others equal to n uses only
+    Raises ValueError unless each generator is a positive integer (through
+    operator.index, not a bool), GcdNotOne if they are not coprime overall
+    and NonMinimalGenerators if some generator lies in the semigroup
+    generated by the others (or is repeated): exactly when n - m lies in S
+    for a smaller generator m, as a sum of the others equal to n uses only
     smaller ones, and one of n - m < n cannot use n.
     """
-    gens = tuple(sorted(int(n) for n in gens))
+    gens = list(gens)
+    ints = all(hasattr(n, "__index__") and not isinstance(n, bool) for n in gens)
+    gens = tuple(sorted(map(operator.index, gens))) if ints else ()
     if not gens or gens[0] < 1:
         raise ValueError("generators must be positive integers")
     if math.gcd(*gens) != 1:

@@ -27,8 +27,8 @@ from .errors import (
     NotStretched,
     SearchExhausted,
 )
-from .linalg import SparseEchelon, solve_dense
-from .polynomials import Polynomial, RingMap, monomials_of_degree
+from .linalg import SparseEchelon, solve
+from .polynomials import Polynomial, RingMap, _full_rank, monomials_of_degree
 from .quotient import (
     AlgebraElement,
     ArtinAlgebra,
@@ -264,12 +264,8 @@ def _graded_classes_independent(A: ArtinAlgebra, elems, j) -> bool:
     coordinates at the positions of degree <= j are independent.
     """
     low = sum(A.hf[:j + 1])
-    ech = SparseEchelon(A.field)
-    for el in elems:
-        row = {i: c for i, c in enumerate(el.coords()[:low]) if not A.field.riszero(c)}
-        if not ech.add(row):
-            return False
-    return True
+    return _full_rank(({pos: c for pos, c in el.coords().items() if pos < low}
+                       for el in elems), A.field)
 
 
 def _candidate_linears(A: ArtinAlgebra, rng):
@@ -350,12 +346,15 @@ def find_lean_basis(A: ArtinAlgebra, seed=0):
 
 def solve_scalar_combo(A: ArtinAlgebra, columns, rhs: AlgebraElement):
     """Scalars c_i with sum_i c_i * columns[i] = rhs, or None if there are
-    none: one solve_dense on the columns' coordinates.  When the columns are
-    independent, as in the witness stages, the solution is the only one."""
-    cols = [col.coords() for col in columns]
-    rows = [[col[r] for col in cols] for r in range(A.length)]
-    sol = solve_dense(rows, rhs.coords(), A.field)
-    return None if sol is None else [Scalar(A.field, c) for c in sol]
+    none: one solve on the sparse rows of coordinates, rhs's at column
+    len(columns).  When the columns are independent, as in the witness
+    stages, the solution is the only one."""
+    f, rows = A.field, {}
+    for i, el in enumerate([*columns, rhs]):
+        for pos, c in el.coords().items():
+            rows.setdefault(pos, {})[i] = c
+    sol = solve(rows.values(), len(columns), f)
+    return None if sol is None else [Scalar(f, sol.get(i, f.rzero)) for i in range(len(columns))]
 
 
 def _clear_product(A: ArtinAlgebra, el, rhs, columns, shifts, what):
@@ -380,13 +379,13 @@ def _socle_ratio(A: ArtinAlgebra, prod: AlgebraElement, base: AlgebraElement):
 
     m^s is then spanned by one standard monomial, the last position (see
     ArtinAlgebra.in_power), so c is the ratio of the last coordinates.
-    RuntimeError if prod has another nonzero coordinate or base's is 0.
+    RuntimeError if prod has a coordinate elsewhere or base has none there.
     """
-    f = A.field
+    f, last = A.field, A.length - 1
     p, b = prod.coords(), base.coords()
-    if f.riszero(b[-1]) or not all(f.riszero(c) for c in p[:-1]):
+    if last not in b or p.keys() - {last}:
         raise RuntimeError("product does not lie on the socle line")
-    return Scalar(f, f.rdiv(p[-1], b[-1]))
+    return Scalar(f, f.rdiv(p.get(last, f.rzero), b[last]))
 
 
 # -------------------------------------------------------------- normalizers

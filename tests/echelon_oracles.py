@@ -15,16 +15,18 @@ the library runs, which stores those as one batch of unit rows; the loop
 that lists every multiplier's divisors is the reference for the one that
 builds each degree's candidates from the rows kept in the degree before.
 Dense Gauss-Jordan elimination that sweeps whole rows is the reference
-for the dense solves the library builds on SparseEchelon, and the socle
+for the sparse solve and nullspace the library builds on SparseEchelon
+(each test turns the dense lists into sparse rows), and the socle
 from the multiplication matrices of the variables' normal forms, with its
 kernel from that Gauss-Jordan sweep, is the reference for the one built
 from table shifts.  The socle that reduces every shift x_i*m and takes
 the kernel of the whole h*e x e system is the reference for the one that
 reduces only the shifts that are neither standard nor a unit pivot and
-drops the columns a row of one entry forces to zero.  One dense solve for
-whole unknown elements over those multiplication matrices, whose columns
-are the coordinates of polynomial products, is the reference for the
-witness stages' scalar solves over the powers of x1.  The product of elements
+drops the columns a row of one entry forces to zero.  One dense
+Gauss-Jordan solve for whole unknown elements over those multiplication
+matrices, whose columns are the coordinates of polynomial products, is
+the reference for the witness stages' scalar solves over the powers of
+x1.  The product of elements
 formed in full before its normal form, and powers taken one factor at a
 time from 1, are the reference for the products cut below degree s+1 and
 the powers by squaring.  The finite geometric series is the reference
@@ -63,7 +65,6 @@ from artinlocal.linalg import (
     nullspace,
     poly_from_row,
     row_from_poly,
-    solve_dense,
 )
 from artinlocal.polynomials import Polynomial, mono_key, monomials_of_degree
 from artinlocal.quotient import (
@@ -251,25 +252,35 @@ def divisor_list_macaulay_echelon(pres, D):
     return table, ech, v
 
 
+def dense_coords(A, p):
+    """The coordinate list of nf(p) over A's standard basis, zeros
+    included."""
+    coords = A.element(p).coords()
+    return [coords.get(pos, A.field.rzero) for pos in range(A.length)]
+
+
 def oracle_mult_matrix(A, el):
     """Column-major matrix of multiplication by el on A's standard basis,
     each column the coords of the product of el.poly with a standard
     monomial as polynomials."""
     f = A.field
-    return [A.coords(el.poly * Polynomial(A.nvars, f, {A.table.monos[r]: f.rone}))
+    return [dense_coords(A, el.poly * Polynomial(A.nvars, f, {A.table.monos[r]: f.rone}))
             for r in A.std]
 
 
 def oracle_solve_element_combo(A, coeffs, rhs):
-    """Elements z_i with sum_i coeffs[i] * z_i = rhs, or None: one
-    solve_dense on the multiplication matrices of the coeffs side by side,
-    each block of e = A.length unknowns the coordinates of one z_i."""
+    """Elements z_i with sum_i coeffs[i] * z_i = rhs, or None: one dense
+    whole-row Gauss-Jordan solve on the multiplication matrices of the
+    coeffs side by side, each block of e = A.length unknowns the
+    coordinates of one z_i."""
     e = A.length
     cols = [col for c in coeffs for col in oracle_mult_matrix(A, c)]
-    sol = solve_dense([[col[r] for col in cols] for r in range(e)], rhs.coords(), A.field)
+    sol = oracle_solve([[col[r] for col in cols] for r in range(e)], dense_coords(A, rhs.poly),
+                       A.field)
     if sol is None:
         return None
-    return [A.element(A.from_coords(sol[i * e:(i + 1) * e])) for i in range(len(coeffs))]
+    return [A.element(A.from_coords(dict(enumerate(sol[i * e:(i + 1) * e]))))
+            for i in range(len(coeffs))]
 
 
 def oracle_mul_trunc(a, b, D):
@@ -513,7 +524,7 @@ def oracle_socle(A):
         cols = oracle_mult_matrix(A, A.variable(i))
         for r in range(e):
             rows.append([cols[c][r] for c in range(e)])
-    basis = [A.from_coords(v) for v in oracle_nullspace(rows, A.field)]
+    basis = [A.from_coords(dict(enumerate(v))) for v in oracle_nullspace(rows, A.field)]
     basis.sort(key=lambda p: min((mono_key(m) for m in p.terms), default=(0, ())))
     return len(basis), basis
 
@@ -533,7 +544,7 @@ def oracle_socle_full(A):
             red = {k: f.rone} if k in pos else A.ech.reduce({k: f.rone})
             for r, c in red.items():
                 rows.setdefault((i, pos[r]), {})[col] = c
-    basis = [A.from_coords(v) for v in nullspace(rows.values(), A.length, f)]
+    basis = [A.from_coords(v) for v in nullspace(rows.values(), range(A.length), f)]
     basis.sort(key=lambda p: min((mono_key(m) for m in p.terms), default=(0, ())))
     return len(basis), basis
 
@@ -625,8 +636,7 @@ def oracle_power_echelon(A, j):
     ech = OracleEchelon(f)
     for d in range(max(j, 0), A.socle_degree + 1):
         for m in monomials_of_degree(A.nvars, d):
-            coords = A.coords(Polynomial(A.nvars, f, {m: f.rone}))
-            row = {i: c for i, c in enumerate(coords) if not f.riszero(c)}
+            row = A.element(Polynomial(A.nvars, f, {m: f.rone})).coords()
             if row:
                 ech.add(row)
     return ech
@@ -634,8 +644,7 @@ def oracle_power_echelon(A, j):
 
 def oracle_in_power(power_ech, A, el):
     """Is el in m^j, given the oracle echelon of m^j?"""
-    row = {i: c for i, c in enumerate(el.coords()) if not A.field.riszero(c)}
-    return power_ech.contains(row)
+    return power_ech.contains(el.coords())
 
 
 def oracle_classes_independent(next_power_ech, A, elems):
@@ -645,8 +654,7 @@ def oracle_classes_independent(next_power_ech, A, elems):
     ech.pivots = {k: dict(v) for k, v in next_power_ech.pivots.items()}
     ech.rank = next_power_ech.rank
     for el in elems:
-        if not ech.add({i: c for i, c in enumerate(el.coords())
-                        if not A.field.riszero(c)}):
+        if not ech.add(el.coords()):
             return False
     return True
 

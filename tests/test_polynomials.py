@@ -25,6 +25,7 @@ from artinlocal.polynomials import (
     poly_to_str,
     random_invertible_map,
 )
+from artinlocal.quotient import IdealPresentation, build_quotient, extend_scalars
 from artinlocal.scalars import QQ, Scalar, adjoin_sqrt
 
 from echelon_oracles import oracle_add, oracle_mul_trunc, oracle_parse_poly, oracle_substitute
@@ -467,3 +468,31 @@ def test_malformed_text_raises_the_oracles_message(text):
     want = parse_outcome(oracle_parse_poly, text, QQ)
     assert want.startswith("ParseError: ")
     assert parse_outcome(parse_poly, text, QQ) == want
+
+
+def test_equal_scalars_and_polynomials_hash_alike():
+    """== holds across fields (a value lifted from QQ or from QQ(sqrt 2) to
+    the depth-2 tower) and against ints and Fractions, so the hashes must
+    agree too: every equal pair lands in one set element."""
+    fields = [QQ, SQRT2, TOWER]
+    for x in (0, 1, -3, Fraction(5, 7)):
+        scalars = [f.scalar(x) for f in fields]
+        constants = [Polynomial.constant(x, 2, f) for f in fields]
+        for a in scalars + constants:
+            assert a == x and hash(a) == hash(x), (a, x)
+        assert len({x, *scalars}) == len({x, *constants}) == 1
+    root = Scalar(SQRT2, SQRT2.sqrt_theta)
+    lifted = TOWER.coerce(root)
+    assert root == lifted and len({root, lifted}) == 1
+    p = parse_poly("x1^2 + 1/3*x2 - 5", 2, QQ)
+    q = p * root + Polynomial.variable(1, 2, SQRT2)
+    r = q * Scalar(TOWER, TOWER.sqrt_theta)
+    for poly, depth in ((p, 0), (q, 1), (r, 2)):
+        for f in fields[depth:]:
+            image = poly.map_field(f)
+            assert image == poly and hash(image) == hash(poly), (poly, f)
+            assert len({poly, image}) == 1
+    A = build_quotient(IdealPresentation.from_strings(["x1^2", "x2^3"], 2))
+    B = extend_scalars(A, SQRT2)
+    for el in (A.element(2), B.element(2), B.element(Polynomial.constant(2, 2, QQ))):
+        assert el == 2 and len({el, 2, Fraction(2)}) == 1, el

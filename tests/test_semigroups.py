@@ -2,12 +2,15 @@
 the Artinian reduction of a monomial curve through the quotient engine."""
 
 import math
+import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artinlocal.errors import GcdNotOne, NonMinimalGenerators
+from artinlocal import structure
+from artinlocal.errors import GcdNotOne, NonMinimalGenerators, NotGorenstein
 from artinlocal.quotient import build_quotient, min_gens
 from artinlocal.semigroups import (
     betti_search_bound,
@@ -43,6 +46,17 @@ def test_validation_errors():
         semigroup_invariants([3, 4, 7])
     with pytest.raises(NonMinimalGenerators):
         semigroup_invariants([3, 3, 4])
+
+
+@pytest.mark.parametrize("gens", [[7.9, 8, 10, 19], [Fraction(15, 2), 8, 10, 19],
+                                  ["7", 8, 10, 19], [True, 2, 3]],
+                         ids=["float", "Fraction", "str", "bool"])
+def test_generators_that_are_not_integers_are_rejected(gens):
+    """A generator is taken as an integer only through operator.index, so
+    7.9 is not truncated to 7 nor Fraction(15, 2) to 7, and neither a
+    string nor a bool is read as a number."""
+    with pytest.raises(ValueError, match="generators must be positive integers"):
+        semigroup_invariants(gens)
 
 
 def test_membership_and_apery():
@@ -182,8 +196,72 @@ def test_the_artinian_reduction_has_the_semigroups_invariants():
     family = enumerate_semigroups(9, 3, 27)
     assert len(family) == 767
     for S in family:
+        check_reduction(S)
+
+
+def check_reduction(S):
+    """The invariants of the Artinian reduction J_S against S's own (see
+    semigroup_oracles.artinian_reduction)."""
+    A = build_quotient(artinian_reduction(S))
+    assert (A.length, A.embdim) == (S.multiplicity, S.embdim - 1), S.gens
+    assert A.cm_type == apery_type(S), S.gens
+    assert A.gorenstein == S.is_symmetric(), S.gens
+    assert min_gens(A.pres, algebra=A) == min_presentation_size(S), S.gens
+
+
+@pytest.fixture(scope="module")
+def criterion_7_family():
+    """Criterion 7's family, the 10,430 semigroups of
+    enumerate_semigroups(12, 4, 36)."""
+    family = enumerate_semigroups(12, 4, 36)
+    assert len(family) == 10430
+    return family
+
+
+def test_the_artinian_reduction_on_a_sample_of_criterion_7s_family(criterion_7_family):
+    for S in random.Random(20271).sample(criterion_7_family, 500):
+        check_reduction(S)
+
+
+@given(st.sets(st.integers(min_value=2, max_value=30), min_size=2, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_the_artinian_reduction_on_random_minimal_generating_sets(gens):
+    try:
+        S = semigroup_invariants(gens)
+    except (NonMinimalGenerators, GcdNotOne):
+        return
+    check_reduction(S)
+
+
+def test_the_normalizers_on_stretched_and_almost_stretched_reductions(criterion_7_family,
+                                                                      monkeypatch):
+    """A seeded sample of the reductions of criterion 7's family with a
+    stretched or almost-stretched Hilbert function: normalize must certify
+    each, or raise NotGorenstein exactly when it is almost stretched of
+    type > 1.  Every candidate find_lean_basis draws is counted, and no
+    reduction may draw more than LEAN_BASIS_BUDGET of them."""
+    draws = []
+    linears = structure._candidate_linears
+
+    def counted(A, rng):
+        for el in linears(A, rng):
+            draws[-1] += 1
+            yield el
+
+    monkeypatch.setattr(structure, "_candidate_linears", counted)
+    seen = set()
+    for S in random.Random(20272).sample(criterion_7_family, 1200):
         A = build_quotient(artinian_reduction(S))
-        assert (A.length, A.embdim) == (S.multiplicity, S.embdim - 1), S.gens
-        assert A.cm_type == apery_type(S), S.gens
-        assert A.gorenstein == S.is_symmetric(), S.gens
-        assert min_gens(A.pres, algebra=A) == min_presentation_size(S), S.gens
+        if not (A.is_stretched() or A.is_almost_stretched()):
+            continue
+        draws.append(0)
+        if A.is_almost_stretched() and A.cm_type > 1:
+            with pytest.raises(NotGorenstein):
+                structure.normalize(A, seed=0)
+            seen.add(("almost_stretched", "type > 1"))
+            continue
+        kind, params, witness = structure.normalize(A, seed=0)
+        assert kind == ("stretched" if A.is_stretched() else "almost_stretched"), S.gens
+        seen.add((kind, "certified"))
+    assert len(seen) == 3 and len(draws) >= 300
+    assert max(draws) <= structure.LEAN_BASIS_BUDGET

@@ -69,7 +69,7 @@ from artinlocal.linalg import (
     poly_from_row,
     row_from_poly,
     same_row_space,
-    solve_dense,
+    solve,
 )
 from artinlocal.polynomials import (
     Polynomial,
@@ -99,6 +99,7 @@ from artinlocal.structure import (
 
 from echelon_oracles import (
     OracleEchelon,
+    dense_coords,
     divisor_list_macaulay_echelon,
     oracle_classes_independent,
     oracle_in_power,
@@ -128,6 +129,18 @@ def q(x) -> Scalar:
 def sparse(M, field):
     """The rows of a dense matrix as {column: nonzero value} dicts."""
     return [{k: c for k, c in enumerate(row) if not field.riszero(c)} for row in M]
+
+
+def sparse_system(M, b, field):
+    """The sparse rows of M x = b, b's entries at column len(M[0])."""
+    return sparse([list(row) + [bi] for row, bi in zip(M, b)], field)
+
+
+def dense(row, n, field):
+    """A sparse row of solve or nullspace as the length-n list of its values;
+    its columns must ascend and hold no zero."""
+    assert list(row) == sorted(row) and not any(map(field.riszero, row.values()))
+    return [row.get(k, field.rzero) for k in range(n)]
 
 
 def random_ideal(rng, nvars, max_exp=3):
@@ -620,15 +633,31 @@ def random_sparse_system(rng, field):
     return M, [random_entry(rng, field) for _ in range(rows)]
 
 
+def solves_as_lists(M, b, field):
+    """[nullspace, solve] of the dense system M x = b, each sparse row
+    turned into a list, as oracle_nullspace and oracle_solve give them."""
+    n = len(M[0])
+    x = solve(sparse_system(M, b, field), n, field)
+    return [[dense(v, n, field) for v in nullspace(sparse(M, field), range(n), field)],
+            None if x is None else dense(x, n, field)]
+
+
 @pytest.mark.parametrize("field", [QQ, adjoin_sqrt(QQ, q(2))], ids=["QQ", "QQ(sqrt2)"])
 def test_dense_routines_match_whole_row_sweeps(field):
     rng = random.Random(20263)
     cases = [random_sparse_system(rng, field) for _ in range(150)]
-    got = [[nullspace(sparse(M, field), len(M[0]), field), solve_dense(M, b, field)]
-           for M, b in cases]
+    got = [solves_as_lists(M, b, field) for M, b in cases]
     assert got == [[oracle_nullspace(M, field), oracle_solve(M, b, field)]
                    for M, b in cases]
     assert any(r[1] is None for r in got)
+
+
+@given(st.integers(0, 10 ** 9), st.sampled_from([QQ, adjoin_sqrt(QQ, q(2))]))
+@settings(max_examples=60, deadline=None)
+def test_solve_and_nullspace_match_whole_row_sweeps_on_generated_systems(seed, field):
+    M, b = random_sparse_system(random.Random(seed), field)
+    assert solves_as_lists(M, b, field) == [oracle_nullspace(M, field),
+                                            oracle_solve(M, b, field)]
 
 
 def random_row_entry(rng, field):
@@ -927,7 +956,7 @@ def test_extend_scalars_from_a_quadratic_field_equals_the_rebuild():
 
 
 def check_values_are_fractions(A):
-    """Over QQ every value that the echelon, nf, coords and the dense solves
+    """Over QQ every value that the echelon, nf, coords, solve and nullspace
     hand out is a Fraction, never an int or a float."""
     def exact(values):
         return all(type(c) is Fraction for c in values)
@@ -937,15 +966,17 @@ def check_values_are_fractions(A):
     for a in elems:
         for b in elems:
             p = a.poly * b.poly + a.poly
-            assert exact(A.coords(p)) and exact(A.nf(p).terms.values())
-    rows = [A.coords(el.poly) for el in elems]
+            assert exact(A.element(p).coords().values()) and exact(A.nf(p).terms.values())
+    rows = [dense_coords(A, el.poly) for el in elems]
     cols = [list(col) for col in zip(*rows)]
     for M in (rows, cols):
-        assert all(exact(v) for v in nullspace(sparse(M, QQ), len(M[0]), QQ))
-    x = solve_dense(cols, rows[0], QQ)
-    assert x is not None and exact(x)
-    y = solve_dense(cols, A.coords(elems[0].poly * elems[1].poly), QQ)
-    assert y is None or exact(y)
+        assert all(exact(v.values())
+                   for v in nullspace(sparse(M, QQ), range(len(M[0])), QQ))
+    x = solve(sparse_system(cols, rows[0], QQ), len(elems), QQ)
+    assert x is not None and exact(x.values())
+    prod = dense_coords(A, elems[0].poly * elems[1].poly)
+    y = solve(sparse_system(cols, prod, QQ), len(elems), QQ)
+    assert y is None or exact(y.values())
 
 
 @pytest.mark.parametrize(
@@ -1264,13 +1295,13 @@ def check_element_arithmetic(A, roots=()):
         for b in elems:
             prod = a * b
             assert prod == oracle_mul(a, b), (a, b)
-            assert prod.coords() == A.coords(prod.poly)
+            assert prod.coords() == A.element(prod.poly).coords()
         for c in scalars:
             assert a * c == oracle_mul(a, c), (a, c)
         for n in range(s + 3):
             power = a ** n
             assert power == oracle_pow(a, n), (a, n)
-            assert power.coords() == A.coords(power.poly)
+            assert power.coords() == A.element(power.poly).coords()
         u = a + 1 if a.residue().is_zero() else a
         inverse = u.inverse()
         assert inverse == oracle_inverse(u) and oracle_mul(u, inverse) == one, u
@@ -1406,8 +1437,7 @@ def test_tower_row_reduction_calls_no_rinv(monkeypatch):
         rows.append(random_row(rng, F, rows))
         ech.add(rows[-1])
     assert 0 < ech.rank < len(rows)
-    M = [[row.get(k, F.rzero) for k in range(16)] for row in rows[:12]]
-    solve_dense(M, [F.rone] * len(M), F)
+    solve([{**row, 16: F.rone} for row in rows[:12]], 16, F)
 
 
 # ------------------------------------------------------------ the socle

@@ -376,8 +376,7 @@ LADDER_IDS = [label for label, _ in LADDER_MODELS]
 
 def rank(elems):
     ech = SparseEchelon(QQ)
-    return sum(1 for el in elems if ech.add(
-        {i: c for i, c in enumerate(el.coords()) if not QQ.riszero(c)}))
+    return sum(1 for el in elems if ech.add(el.coords()))
 
 
 def ladder_columns(A):
