@@ -302,10 +302,11 @@ class ArtinAlgebra:
     def _nf(self, terms, scale) -> Polynomial:
         """nf of terms / scale, a working dict of A's field (see
         polynomials): its row below D is reduced as it is, as any nonzero
-        multiple of a row reduces alike (see linalg), then made raw once."""
+        multiple of a row reduces alike (see linalg), then made raw once,
+        its terms in rank order (entry order follows how A was built)."""
         idx, f = self.table.index, self.field
-        row = {idx[m]: c for m, c in terms.items() if m in idx}
-        return poly_from_row(f.wraw(*self.ech._reduce(row, scale)), self.table, f, self.nvars)
+        row, scale = self.ech._reduce({idx[m]: c for m, c in terms.items() if m in idx}, scale)
+        return poly_from_row(f.wraw(dict(sorted(row.items())), scale), self.table, f, self.nvars)
 
     def from_coords(self, coords) -> Polynomial:
         """The polynomial of the coordinates {standard position: raw value}."""

@@ -57,7 +57,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import artinlocal.quotient as quotient
 from artinlocal.bounds import lex_segment
@@ -1060,10 +1060,13 @@ def test_all_linear_ideals_end_at_2_as_the_fixed_cap_does():
 
 @given(st.integers(min_value=0, max_value=10 ** 6),
        st.sampled_from(["stretched", "almost", "random"]), st.integers(2, 4), st.booleans())
+@example(seed=154, kind="random", h=3, move=True)
 @settings(max_examples=30, deadline=None)
 def test_default_build_ends_at_s_plus_2_and_matches_the_fixed_cap(seed, kind, h, move):
     """Models in 2..4 variables and random ideals in 2..3, their generators
-    in a random order, moved or not."""
+    in a random order, moved or not.  In the pinned example the two
+    echelons' pivot rows list their entries in different orders, and the
+    normal forms' terms came out in those orders until nf sorted them."""
     rng = random.Random(seed)
     pres = random_ideal(rng, min(h, 3)) if kind == "random" else model(rng, kind, h)
     gens = list(pres.gens)
